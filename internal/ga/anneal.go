@@ -102,7 +102,9 @@ func Anneal(ctx context.Context, ins *model.MTSwitchInstance, opt model.CostOpti
 	best := cur.clone()
 	bestCost := curCost
 	temp := cfg.initialTemp
-	history := make([]model.Cost, 0, cfg.iterations/100+1)
+	// Grown as samples arrive: cfg.iterations is caller-sized and may be
+	// far beyond what a cancelled or deadline-bound run reaches.
+	var history []model.Cost
 
 	for it := 0; it < cfg.iterations; it++ {
 		if it&255 == 0 {

@@ -361,7 +361,9 @@ func Optimize(ctx context.Context, ins *model.MTSwitchInstance, opt model.CostOp
 	board := solve.IncumbentFrom(ctx)
 	board.Publish(bestC)
 
-	history := make([]model.Cost, 0, cfg.generations)
+	// Grown as generations complete: cfg.generations is caller-sized and
+	// may be far beyond what a cancelled or deadline-bound run reaches.
+	var history []model.Cost
 	tournament := func() genome {
 		best := r.Intn(cfg.pop)
 		for k := 1; k < cfg.tournamentK; k++ {

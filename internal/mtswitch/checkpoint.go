@@ -21,9 +21,9 @@ import (
 //
 // Deliberately NOT serialized:
 //
-//   - Options.Workers: the packed engine is bit-identical across
-//     worker counts, so the resuming process picks its own
-//     parallelism and the schedule cannot change.
+//   - Options.Workers: the packed engine does not use it, so the
+//     resuming process may pass any value and the schedule cannot
+//     change.
 //   - The candidate catalog, warm-start incumbent, bound tables and
 //     preprocessing outcome: all are deterministic functions of the
 //     instance and options, recomputed on resume and cross-checked
@@ -319,7 +319,7 @@ func stray(words []uint64, n int) bool {
 // omits — preprocessing, warm start, candidate catalog — is recomputed
 // deterministically from the serialized instance and options, and the
 // recomputed step axis is cross-checked against the serialized one.
-// workers picks the resuming process's parallelism (0 = GOMAXPROCS);
+// workers is stored in the resumed engine's options (0 = GOMAXPROCS);
 // the schedule is bit-identical for every choice.
 func ResumeEngine(ctx context.Context, data []byte, workers int, incremental bool) (*Engine, error) {
 	cp, err := decodeCheckpoint(data)

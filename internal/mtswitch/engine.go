@@ -201,11 +201,8 @@ func (en *Engine) ensurePrepared(ctx context.Context) error {
 			en.e = getEngine()
 			en.pooled = true
 		}
-	} else {
-		en.e.releasePool()
 	}
 	if err := en.e.beginSolve(ctx, target, en.opt, en.o, en.px); err != nil {
-		en.e.releasePool()
 		return err
 	}
 	en.frames = en.frames[:0]
@@ -256,9 +253,6 @@ func (en *Engine) restoreFrame(b int) {
 // reset discards all prepared solve state; the next Solution/Advance
 // rebuilds it from the authoritative trace.
 func (en *Engine) reset() {
-	if en.e != nil {
-		en.e.releasePool()
-	}
 	en.prepared = false
 	en.frames = en.frames[:0]
 	en.frameBase = 0
@@ -645,7 +639,7 @@ func (en *Engine) SizeBytes() int64 {
 		}
 	}
 	if en.e != nil {
-		total += int64(cap(en.e.slab)+cap(en.e.tmpSlab))*8 + int64(cap(en.e.costs))*8
+		total += int64(cap(en.e.slab))*8 + int64(cap(en.e.costs))*8
 		for _, g := range en.e.gens {
 			total += int64(len(g.prev))*4 + int64(len(g.hyper))*8
 		}
@@ -656,16 +650,14 @@ func (en *Engine) SizeBytes() int64 {
 	return total
 }
 
-// Close releases the engine's worker pool and, for one-shot engines,
-// returns the internal packed engine to the shared pool.  The Engine
-// is unusable afterwards.
+// Close returns a one-shot engine's internal packed engine to the
+// shared pool.  The Engine is unusable afterwards.
 func (en *Engine) Close() {
 	if en.closed {
 		return
 	}
 	en.closed = true
 	if en.e != nil {
-		en.e.releasePool()
 		if en.pooled {
 			putEngine(en.e)
 		}

@@ -40,11 +40,11 @@ const DefaultMaxStates = 100000
 // once per frontier state, so cancellation lands within one state
 // expansion.
 //
-// Options.Workers shards frontier expansion across that many workers
-// (0 selects GOMAXPROCS); the result is identical for every worker
-// count — see packed.go for the determinism argument — so Workers is
-// purely a throughput knob.  SolveExactReference retains the original
-// pointer-and-map implementation as the agreement/benchmark baseline.
+// The packed engine expands each step on the calling goroutine, so
+// Options.Workers does not reach it: the result depends on the
+// instance and options alone (see packed.go for the determinism
+// argument).  SolveExactReference retains the original pointer-and-map
+// implementation as the agreement/benchmark baseline.
 //
 // When both uploads are task-sequential the cost decomposes per task
 // and the problem is solved exactly in O(m·n²) by independent

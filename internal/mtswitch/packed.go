@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"runtime/debug"
+	"slices"
 	"sort"
 	"sync"
 
@@ -19,7 +21,8 @@ import (
 // allocations of the original implementation (a []bitset.Set per state,
 // a string map key per successor, a *state chain per schedule) replaced
 // by flat word slabs, 64-bit hash dedup and int32 back-pointers, and
-// with frontier expansion sharded across a solve.Pool.
+// with each step's expansion factored so that successors every source
+// would generate alike are generated once.
 //
 // Layout.  A frontier state is one joint hypercontext vector: task j's
 // current hypercontext occupies taskWords[j] consecutive uint64 words
@@ -32,25 +35,28 @@ import (
 // index, past generations retain just hyperWords words and an int32 per
 // state; their set slabs are recycled.
 //
+// Factored expansion.  A successor depends on its source only through
+// the source's cost and the contexts of the tasks that keep, so a step
+// walks the sorted frontier and expands each install pattern only from
+// the first source that reaches it with given kept contexts
+// (expandFrontier has the exactness argument).
+//
 // Dedup.  Successors are deduplicated by a 64-bit hash of the packed
 // vector (bitset.HashWords) probed through an open-addressed table with
 // a full-vector compare on hash equality, so two distinct vectors that
 // collide in 64 bits still occupy distinct entries.  The cheapest state
-// per vector wins; on cost ties the successor generated first in the
-// sequential expansion order wins (ordered by (prev, seq), the source
-// index and the branch index within the source).  That rule makes the
-// surviving entry independent of both insertion order and shard count.
+// per vector wins; on cost ties the successor from the earlier source
+// wins.  A source reaches each vector at most once, so that rule makes
+// the surviving entry independent of insertion order.
 //
-// Parallelism.  Each step's expansion fans the frontier out across the
-// pool: worker w expands a contiguous chunk of source states into a
-// worker-local table (no locks), recording each new entry's destination
-// shard hash%nshards.  A second pass merges, per destination shard in
-// parallel, the worker-local entries whose hash the shard owns,
-// applying the same cheapest-wins rule.  The merged winners are sorted
-// by (cost, vector) — a total order with no ties — so the next
-// generation's frontier, the beam truncation beyond Options.MaxStates
-// and the final best state are all byte-identical for every worker
-// count, including the sequential Workers=1 path.
+// Order.  A step expands on the calling goroutine: on the 2-vCPU
+// reference host, sharding factored steps across a worker pool never
+// beat the sequential expansion at any measured step size (DESIGN.md
+// §5), so Options.Workers does not reach this engine.  The distinct
+// successors are sorted by (cost, vector) — a total order with no ties
+// — so the next generation's frontier, the beam truncation beyond
+// Options.MaxStates and the final best state are all byte-identical to
+// expanding every source in full.
 
 // layout fixes the word geometry of packed states for one instance.
 type layout struct {
@@ -128,7 +134,6 @@ type stateTable struct {
 	hashes []uint64
 	costs  []model.Cost
 	prevs  []int32
-	seqs   []int32
 }
 
 const initialBuckets = 64
@@ -157,7 +162,6 @@ func (t *stateTable) reset() {
 	t.hashes = t.hashes[:0]
 	t.costs = t.costs[:0]
 	t.prevs = t.prevs[:0]
-	t.seqs = t.seqs[:0]
 	t.dropped = 0
 }
 
@@ -183,25 +187,12 @@ func (t *stateTable) grow() {
 	t.mask = mask
 }
 
-// wins reports whether (cost, prev, seq) beats entry e under the
-// deterministic cheapest-wins rule.
-func (t *stateTable) wins(e int32, cost model.Cost, prev, seq int32) bool {
-	switch {
-	case cost != t.costs[e]:
-		return cost < t.costs[e]
-	case prev != t.prevs[e]:
-		return prev < t.prevs[e]
-	default:
-		return seq < t.seqs[e]
-	}
-}
-
 // insert merges one packed state (stride-long: set vector then hyper
 // bits) into the table.  It reports whether the vector was new; when an
-// existing entry loses the cheapest-wins comparison its cost, origin
-// and hyper bits are overwritten in place (the set vector is identical
-// by definition).
-func (t *stateTable) insert(state []uint64, h uint64, cost model.Cost, prev, seq int32) bool {
+// existing entry is costlier, or as cheap but from a later source
+// (prev), its cost, origin and hyper bits are overwritten in place (the
+// set vector is identical by definition).
+func (t *stateTable) insert(state []uint64, h uint64, cost model.Cost, prev int32) bool {
 	i := h & t.mask
 	for {
 		b := t.buckets[i]
@@ -216,7 +207,6 @@ func (t *stateTable) insert(state []uint64, h uint64, cost model.Cost, prev, seq
 			t.hashes = append(t.hashes, h)
 			t.costs = append(t.costs, cost)
 			t.prevs = append(t.prevs, prev)
-			t.seqs = append(t.seqs, seq)
 			if uint64(4*len(t.hashes)) >= 3*(t.mask+1) {
 				t.grow()
 			}
@@ -224,10 +214,9 @@ func (t *stateTable) insert(state []uint64, h uint64, cost model.Cost, prev, seq
 		}
 		e := b - 1
 		if t.hashes[e] == h && wordsEqual(t.entry(e)[:t.setWords], state[:t.setWords]) {
-			if t.wins(e, cost, prev, seq) {
+			if cost < t.costs[e] || cost == t.costs[e] && prev < t.prevs[e] {
 				t.costs[e] = cost
 				t.prevs[e] = prev
-				t.seqs[e] = seq
 				copy(t.entry(e)[t.setWords:], state[t.setWords:])
 			}
 			return false
@@ -244,24 +233,6 @@ type packedCands struct {
 	k      int
 }
 
-// expandWorker is one expansion shard's private state.
-type expandWorker struct {
-	table  stateTable
-	byDest [][]int32 // entries per destination shard (nshards > 1 only)
-
-	cur     []uint64 // scratch successor: set words + hyper words
-	keepOK  []bool
-	keepCnt []model.Cost
-
-	srcWords []uint64
-	srcCost  model.Cost
-	src      int32
-	seq      int32
-
-	statesExpanded int64
-	boundCut       int64
-}
-
 // generation is what a finished step retains for reconstruction.
 type generation struct {
 	prev  []int32
@@ -276,24 +247,20 @@ type engine struct {
 	opt model.CostOptions
 	lay layout
 
-	pool    *solve.Pool
-	workers []*expandWorker
-	shards  []*stateTable
-	nshards int
-
 	cands [][]packedCands // [task][step]
 	reqs  [][]uint64      // [task] flat n*taskWords[j] requirement words
 
 	// Memory budget (Options.MaxFrontierBytes).  budgetStates is the
 	// number of packed states the budget affords (0 = unbudgeted): it
 	// caps the beam deterministically at the per-step truncation and
-	// hard-caps each worker's successor table during expansion, and
-	// budgetWords bounds the candidate catalog.  When any of the three
-	// actually bites, the run records Stats.Degraded (and Truncated):
-	// the result is a valid upper-bound schedule, but — uniquely among
-	// the engine's paths — the worker-table cap may drop states in
-	// insertion order, so a Degraded result is not guaranteed
-	// bit-identical across worker counts.
+	// hard-caps the step's successor table and, separately, its key
+	// table, and budgetWords bounds the candidate catalog.  When the
+	// beam cap, the successor cap or the catalog bound actually bites,
+	// the run records Stats.Degraded (and Truncated): the result is a
+	// valid upper-bound schedule, but — uniquely among the engine's
+	// paths — the successor cap drops states in insertion order, so a
+	// Degraded frontier depends on the expansion order.  A full key
+	// table only costs work (see ownsKey).
 	budgetStates int
 	budgetWords  int64
 	budgetCapped bool
@@ -308,6 +275,25 @@ type engine struct {
 	sufUnion   [][]uint64     // [task] flat (n+1)*taskWords suffix unions
 	tailReconf [][]model.Cost // [m+1][n] remaining-task reconf bounds
 	sufLB      []model.Cost   // [n+1] remaining-steps cost bounds
+
+	// Expansion scratch (expandFrontier).  table collects the step's
+	// distinct successors.  keys holds one entry per (kept contexts,
+	// install pattern) pair expanded this step: the successor's set
+	// words with the installing tasks' words zeroed, then the pattern
+	// as hyper words.  key is the pattern scan's scratch key and cur
+	// the scratch successor (set words, then the pattern).
+	table    stateTable
+	keys     stateTable
+	key      []uint64
+	cur      []uint64
+	src      int32 // the source being expanded, its cost and words
+	srcCost  model.Cost
+	srcWords []uint64
+	keepCnt  []model.Cost // [task] weighted size of the source's context if it can keep, else -1
+	skip     []int32      // [task] candidate equal to the source's context, or -1
+	minCnt   []model.Cost // [task] cheapest installable candidate's count, or -1
+	expanded int64        // successors generated this step
+	cut      int64        // bound cutoffs this step
 
 	// Dominance scratch (dominanceFilter).
 	domRes    []uint64
@@ -328,11 +314,7 @@ type engine struct {
 
 	gens []generation
 
-	// Gather buffers (multi-shard merges flatten into these).
-	tmpSlab  []uint64
-	tmpCosts []model.Cost
-	tmpPrevs []int32
-	perm     []int32
+	perm []int32
 
 	stats solve.Stats
 }
@@ -386,39 +368,24 @@ func (e *engine) prepare(ins *model.MTSwitchInstance, opt model.CostOptions, o s
 		}
 	}
 
-	e.pool = solve.NewPool(o.Workers)
-	workers := e.pool.Workers()
-	e.nshards = workers
-	for len(e.workers) < workers {
-		e.workers = append(e.workers, &expandWorker{})
+	e.table.hashFn = nil // instance hash; tests inject theirs directly
+	e.table.limit = e.budgetStates
+	e.table.configure(e.lay)
+	// The key table is budgeted like the successor table: each entry is
+	// a stride-long key plus the same bookkeeping.
+	e.keys.hashFn = nil
+	e.keys.limit = e.budgetStates
+	e.keys.configure(layout{setWords: e.lay.stride()})
+	e.key = growWords(e.key, e.lay.stride())
+	e.cur = growWords(e.cur, e.lay.stride())
+	clear(e.key)
+	clear(e.cur)
+	e.keepCnt = growCosts(e.keepCnt, m)
+	e.minCnt = growCosts(e.minCnt, m)
+	if cap(e.skip) < m {
+		e.skip = make([]int32, m)
 	}
-	for len(e.shards) < workers {
-		e.shards = append(e.shards, &stateTable{})
-	}
-	for _, w := range e.workers[:workers] {
-		w.table.hashFn = nil // instance hash; tests inject theirs directly
-		w.table.limit = e.budgetStates
-		w.table.configure(e.lay)
-		w.cur = growWords(w.cur, e.lay.stride())
-		if cap(w.keepOK) < m {
-			w.keepOK = make([]bool, m)
-			w.keepCnt = make([]model.Cost, m)
-		}
-		w.keepOK = w.keepOK[:m]
-		w.keepCnt = w.keepCnt[:m]
-		for len(w.byDest) < workers {
-			w.byDest = append(w.byDest, nil)
-		}
-	}
-	for _, t := range e.shards[:workers] {
-		t.hashFn = nil
-		// Destination shards hold at most the sum of the (already
-		// capped) worker tables, so they carry no limit of their own;
-		// clear any limit left by a previous budgeted run of this
-		// recycled engine.
-		t.limit = 0
-		t.configure(e.lay)
-	}
+	e.skip = e.skip[:m]
 
 	// Pack the per-task requirement rows for the word-level keep check.
 	e.reqs = e.reqs[:0]
@@ -547,133 +514,242 @@ func setHyperBit(words []uint64, j int)   { words[j/64] |= 1 << uint(j%64) }
 func clearHyperBit(words []uint64, j int) { words[j/64] &^= 1 << uint(j%64) }
 func hyperBit(words []uint64, j int) bool { return words[j/64]&(1<<uint(j%64)) != 0 }
 
-// expandRange expands sources [lo, hi) of the current frontier into
-// worker w's table.  The context is checked once per source state, like
-// the original sequential loop.
-func (e *engine) expandRange(ctx context.Context, w *expandWorker, lo, hi int) error {
-	sw := e.lay.setWords
-	for s := lo; s < hi; s++ {
+// The leaf price and the two admissible cutoffs below are shared by
+// the pattern scan (with a lower bound on the reconf term) and by
+// pattern expansion (with the exact term), for the source being
+// expanded.  hyper and reconf fold the per-task cost terms in task
+// order, matching the upload modes' left-fold semantics exactly.  The
+// step reconf term is weighted by the run multiplicity from
+// preprocessing; the hyper term is paid once per run (installs happen
+// before the run's first step, the rest of the run keeps).
+
+// leafTotal prices a complete successor of the current source.
+func (e *engine) leafTotal(hyper, reconf model.Cost) model.Cost {
+	if e.opt.ReconfUpload == model.TaskSequential {
+		reconf += model.Cost(e.ins.PublicGlobal)
+	}
+	return e.srcCost + hyper + reconf*e.stepMult
+}
+
+// rootReconf is the reconf accumulator before task 0 is folded in.
+func (e *engine) rootReconf() model.Cost {
+	if e.opt.ReconfUpload == model.TaskParallel {
+		return model.Cost(e.ins.PublicGlobal)
+	}
+	return 0
+}
+
+// With the pruned layer on, two admissible cutoffs bound the recursion
+// against the incumbent: at interior nodes the not-yet-branched tasks
+// contribute at least tailReconf[j] to this step's reconf term, and at
+// the leaf the remaining steps cost at least sufLB[step+1].  Both prune
+// strictly-worse branches only (>, never ≥), so every state on an
+// optimal path survives and an untruncated run stays exact.  Both are
+// monotone in every argument.
+
+func (e *engine) interiorCut(j int, hyper, reconf model.Cost) bool {
+	if !e.pruneOn || j == 0 {
+		return false
+	}
+	rem := e.opt.ReconfUpload.Combine(reconf, e.tailReconf[j][e.step])
+	if e.opt.ReconfUpload == model.TaskSequential {
+		rem += model.Cost(e.ins.PublicGlobal)
+	}
+	return e.srcCost+hyper+rem*e.stepMult+e.sufLB[e.step+1] > e.incumbent
+}
+
+func (e *engine) leafCut(total model.Cost) bool {
+	return e.pruneOn && total+e.sufLB[e.step+1] > e.incumbent
+}
+
+// expandFrontier generates the step's successors into e.table.  A
+// successor of source s under install pattern I (the tasks that install
+// a candidate; the rest keep) is x = s restricted to ¬I plus candidates
+// on I, and costs c_s + H(I) + R(x): the hyper term depends only on I,
+// the reconf term only on x.  So s enters x only through its cost and
+// its contexts on ¬I.  expandFrontier walks the (cost, vector)-sorted
+// frontier, and for each source a DFS over tasks (scanPatterns)
+// enumerates the patterns it can reach; a pattern is expanded
+// (expandPattern) only by the first source to reach it with given kept
+// contexts — the key (s|¬I, I) in e.keys.  Every other source's copy
+// of those successors would lose dedup, so it is never generated.
+//
+// Exactness.  Let w = (s2, I, choices) be the leaf that wins x when
+// every source is expanded in full (SolveExactReference's search).
+// Suppose an earlier source s1 owns key (s2|¬I, I).  Then s1 holds x's
+// contexts on ¬I, and its leaf for x — I's choices again, or its keep
+// branch on each task of I where s1 already holds the chosen candidate
+// (the "install the set you could keep" skip) — prices x at
+// c_s1 + H(I') + R(x) ≤ c_s2 + H(I) + R(x) with I' ⊆ I and survives
+// every cutoff w survives (they are monotone in cost).  Under I' = I,
+// s1 expands that leaf itself; under a smaller I', by induction on |I|
+// the owner of s1's key for I' — s1 or an earlier source — generates a
+// leaf for x no costlier.  Either way x has an entry from a source
+// before s2 at no higher cost, which beats w: a contradiction.  So s2
+// is the first source to reach its key, expands it, and replays w
+// verbatim; every other generated leaf is one of the full expansion's.
+// Each surviving vector therefore keeps its (cost, prev, hyper bits),
+// and the frontier, generations, dominance, beam and schedule are those
+// of full expansion.  A source reaches each vector at most once (a
+// task's context says whether it kept, and which candidate it
+// installed), so no tie between leaves of one source arises.
+//
+// The scan carries the expansion's cutoffs, priced with each task's
+// cheapest installable candidate, so it never looks up a pattern whose
+// every leaf the expansion would cut.  The context is checked once per
+// source.  A panic inside the expansion is returned as a
+// *solve.PanicError, as from a solve.Pool task, rather than unwinding
+// through the caller.
+func (e *engine) expandFrontier(ctx context.Context) (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = &solve.PanicError{Value: r, Stack: debug.Stack()}
+		}
+	}()
+	m, sw := e.lay.m, e.lay.setWords
+	e.table.reset()
+	e.keys.reset()
+	e.expanded, e.cut = 0, 0
+	for s := 0; s < e.count; s++ {
 		if err := solve.Checkpoint(ctx); err != nil {
 			return err
 		}
-		w.src = int32(s)
-		w.srcCost = e.costs[s]
-		w.srcWords = e.slab[s*sw : (s+1)*sw]
-		for j := 0; j < e.lay.m; j++ {
-			seg := w.srcWords[e.lay.taskOff[j] : e.lay.taskOff[j]+e.lay.taskWords[j]]
-			if e.step > 0 && wordsSubset(e.reqAt(j, e.step), seg) {
-				w.keepOK[j] = true
-				w.keepCnt[j] = weightedCountWords(seg, e.taskWeightsOf(j))
-			} else {
-				w.keepOK[j] = false
+		e.src = int32(s)
+		e.srcCost = e.costs[s]
+		e.srcWords = e.slab[s*sw : (s+1)*sw]
+		for j := 0; j < m; j++ {
+			off, tw := e.lay.taskOff[j], e.lay.taskWords[j]
+			seg := e.srcWords[off : off+tw]
+			keep := e.step > 0 && wordsSubset(e.reqAt(j, e.step), seg)
+			cnt := model.Cost(-1)
+			if keep {
+				cnt = weightedCountWords(seg, e.taskWeightsOf(j))
 			}
+			// Installing a set identical to the kept one costs a
+			// hyperreconfiguration for nothing.  Candidates are nested
+			// unions, so their sizes never decrease: only those of the
+			// kept set's size can equal it, and the cheapest other
+			// candidate is the first one not skipped.
+			skip, cheapest := int32(-1), model.Cost(-1)
+			cnd := &e.cands[j][e.step]
+			if keep {
+				k, _ := slices.BinarySearch(cnd.counts, cnt)
+				for ; k < cnd.k && cnd.counts[k] == cnt; k++ {
+					if wordsEqual(cnd.words[k*tw:(k+1)*tw], seg) {
+						skip = int32(k)
+						break
+					}
+				}
+			}
+			switch {
+			case skip != 0 && cnd.k > 0:
+				cheapest = cnd.counts[0]
+			case skip == 0 && cnd.k > 1:
+				cheapest = cnd.counts[1]
+			}
+			e.keepCnt[j] = cnt
+			e.skip[j] = skip
+			e.minCnt[j] = cheapest
 		}
-		w.seq = 0
-		var reconf model.Cost
-		if e.opt.ReconfUpload == model.TaskParallel {
-			reconf = model.Cost(e.ins.PublicGlobal)
-		}
-		e.expandTask(w, 0, 0, reconf)
+		e.scanPatterns(0, 0, e.rootReconf())
 	}
 	return nil
 }
 
-// expandTask branches task j (keep current hypercontext if the incoming
-// requirement fits, or install a candidate) and recurses; at j == m the
-// assembled successor is hashed into the worker's table.  The hyper and
-// reconf accumulators fold the per-task cost terms in task order,
-// matching the upload modes' left-fold semantics exactly.
-//
-// With the pruned layer on, two admissible cutoffs bound the recursion
-// against the incumbent: at interior nodes the not-yet-branched tasks
-// contribute at least tailReconf[j] to this step's reconf term, and at
-// j == m the remaining steps cost at least sufLB[step+1].  Both prune
-// strictly-worse branches only (>, never ≥), so every state on an
-// optimal path survives and an untruncated run stays exact.  The step
-// reconf term is weighted by the run multiplicity from preprocessing;
-// the hyper term is paid once per run (installs happen before the
-// run's first step, the rest of the run keeps).
-func (e *engine) expandTask(w *expandWorker, j int, hyper, reconf model.Cost) {
-	if j == e.lay.m {
-		stepReconf := reconf
-		if e.opt.ReconfUpload == model.TaskSequential {
-			stepReconf += model.Cost(e.ins.PublicGlobal)
-		}
-		total := w.srcCost + hyper + stepReconf*e.stepMult
-		if e.pruneOn && total+e.sufLB[e.step+1] > e.incumbent {
-			w.boundCut++
+// scanPatterns branches task j of the current source between keep
+// (when the incoming requirement fits) and install (when a candidate
+// other than the kept set exists), building the pattern's key in
+// e.key; at j == m the source expands the pattern if it owns the key.
+func (e *engine) scanPatterns(j int, hyper, reconf model.Cost) {
+	m, sw := e.lay.m, e.lay.setWords
+	if j == m {
+		if e.leafCut(e.leafTotal(hyper, reconf)) {
+			e.cut++
 			return
 		}
-		w.statesExpanded++
-		h := w.table.hashFn(w.cur[:e.lay.setWords])
-		if w.table.insert(w.cur, h, total, w.src, w.seq) && e.nshards > 1 {
-			d := int(h % uint64(e.nshards))
-			w.byDest[d] = append(w.byDest[d], int32(w.table.len()-1))
+		// Keeping every task reaches the source's own vector, and
+		// frontier vectors are distinct: no lookup needed.
+		if anyBits(e.key[sw:]) && !e.ownsKey() {
+			return
 		}
-		w.seq++
+		copy(e.cur[sw:], e.key[sw:])
+		e.expandPattern(0, 0, e.rootReconf())
 		return
 	}
-	if e.pruneOn && j > 0 {
-		rem := e.opt.ReconfUpload.Combine(reconf, e.tailReconf[j][e.step])
-		if e.opt.ReconfUpload == model.TaskSequential {
-			rem += model.Cost(e.ins.PublicGlobal)
-		}
-		if w.srcCost+hyper+rem*e.stepMult+e.sufLB[e.step+1] > e.incumbent {
-			w.boundCut++
-			return
-		}
+	if e.interiorCut(j, hyper, reconf) {
+		e.cut++
+		return
 	}
 	off, tw := e.lay.taskOff[j], e.lay.taskWords[j]
-	dst := w.cur[off : off+tw]
-	seg := w.srcWords[off : off+tw]
-	hyperWords := w.cur[e.lay.setWords:]
-	if w.keepOK[j] {
-		copy(dst, seg)
-		clearHyperBit(hyperWords, j)
-		e.expandTask(w, j+1, hyper, e.opt.ReconfUpload.Combine(reconf, w.keepCnt[j]))
+	dst := e.key[off : off+tw]
+	pattern := e.key[sw:]
+	if cnt := e.keepCnt[j]; cnt >= 0 {
+		copy(dst, e.srcWords[off:off+tw])
+		clearHyperBit(pattern, j)
+		e.scanPatterns(j+1, hyper, e.opt.ReconfUpload.Combine(reconf, cnt))
 	}
+	if cheapest := e.minCnt[j]; cheapest >= 0 {
+		clear(dst)
+		setHyperBit(pattern, j)
+		e.scanPatterns(j+1, e.opt.HyperUpload.Combine(hyper, e.ins.Tasks[j].V),
+			e.opt.ReconfUpload.Combine(reconf, cheapest))
+	}
+}
+
+// ownsKey reports whether the current source is the first to reach the
+// scanned key, recording it.  A key the budget-capped table cannot
+// record is expanded by every source that reaches it, as full
+// expansion would: that costs work, never exactness.
+func (e *engine) ownsKey() bool {
+	dropped := e.keys.dropped
+	return e.keys.insert(e.key, e.keys.hashFn(e.key), 0, e.src) || e.keys.dropped > dropped
+}
+
+func anyBits(words []uint64) bool {
+	for _, w := range words {
+		if w != 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// expandPattern branches task j of the current source under the
+// pattern in e.cur's hyper words — keep the source's context if j is
+// outside it, else install each candidate but the kept set — and
+// recurses; at j == m the assembled successor is hashed into e.table.
+func (e *engine) expandPattern(j int, hyper, reconf model.Cost) {
+	if j == e.lay.m {
+		total := e.leafTotal(hyper, reconf)
+		if e.leafCut(total) {
+			e.cut++
+			return
+		}
+		e.expanded++
+		e.table.insert(e.cur, e.table.hashFn(e.cur[:e.lay.setWords]), total, e.src)
+		return
+	}
+	if e.interiorCut(j, hyper, reconf) {
+		e.cut++
+		return
+	}
+	off, tw := e.lay.taskOff[j], e.lay.taskWords[j]
+	dst := e.cur[off : off+tw]
+	if !hyperBit(e.cur[e.lay.setWords:], j) {
+		copy(dst, e.srcWords[off:off+tw])
+		e.expandPattern(j+1, hyper, e.opt.ReconfUpload.Combine(reconf, e.keepCnt[j]))
+		return
+	}
+	hyper = e.opt.HyperUpload.Combine(hyper, e.ins.Tasks[j].V)
 	cnd := &e.cands[j][e.step]
 	for k := 0; k < cnd.k; k++ {
-		cw := cnd.words[k*tw : (k+1)*tw]
-		// Installing a set identical to the kept one costs a
-		// hyperreconfiguration for nothing.
-		if w.keepOK[j] && wordsEqual(cw, seg) {
+		if int32(k) == e.skip[j] {
 			continue
 		}
-		copy(dst, cw)
-		setHyperBit(hyperWords, j)
-		e.expandTask(w, j+1,
-			e.opt.HyperUpload.Combine(hyper, e.ins.Tasks[j].V),
-			e.opt.ReconfUpload.Combine(reconf, cnd.counts[k]))
+		copy(dst, cnd.words[k*tw:(k+1)*tw])
+		e.expandPattern(j+1, hyper, e.opt.ReconfUpload.Combine(reconf, cnd.counts[k]))
 	}
 }
-
-// mergeShard folds every worker's entries owned by destination shard d
-// into e.shards[d].  The cheapest-wins rule is order-independent, so
-// concurrent shards need no coordination and the outcome matches the
-// sequential insertion order exactly.
-func (e *engine) mergeShard(d, activeWorkers int) {
-	t := e.shards[d]
-	t.reset()
-	for _, w := range e.workers[:activeWorkers] {
-		wt := &w.table
-		for _, idx := range w.byDest[d] {
-			t.insert(wt.entry(idx), wt.hashes[idx], wt.costs[idx], wt.prevs[idx], wt.seqs[idx])
-		}
-	}
-}
-
-// flat is a view of one step's deduplicated successors used by the sort
-// + truncate stage.
-type flat struct {
-	slab   []uint64
-	costs  []model.Cost
-	prevs  []int32
-	stride int
-	sw     int
-}
-
-func (f flat) state(i int32) []uint64 { return f.slab[int(i)*f.stride : (int(i)+1)*f.stride] }
 
 // initRoot installs the root frontier (every task holds the empty
 // hypercontext) and rewinds the step counter.
@@ -698,7 +774,7 @@ func (e *engine) initRoot() {
 // (after initRoot) to e.step == Steps().
 func (e *engine) stepOnce(ctx context.Context) error {
 	n := e.ins.Steps()
-	sw, stride := e.lay.setWords, e.lay.stride()
+	sw := e.lay.setWords
 	// Chaos-harness site: injects slowness, errors or panics into
 	// the DP's step loop (one atomic load when disarmed).
 	if err := faultinject.Fire("mtswitch.step"); err != nil {
@@ -717,75 +793,23 @@ func (e *engine) stepOnce(ctx context.Context) error {
 		}
 	}
 	e.stepMult = e.multAt(e.step)
-	// Phase 1 — sharded expansion over contiguous source chunks.
-	active := e.nshards
-	if active > e.count {
-		active = e.count
-	}
-	chunk := (e.count + active - 1) / active
-	var mu sync.Mutex
-	var expandErr error
-	if err := e.pool.Do(active, func(wk int) {
-		w := e.workers[wk]
-		w.table.reset()
-		for d := range w.byDest[:e.nshards] {
-			w.byDest[d] = w.byDest[d][:0]
-		}
-		lo := wk * chunk
-		hi := lo + chunk
-		if hi > e.count {
-			hi = e.count
-		}
-		if err := e.expandRange(ctx, w, lo, hi); err != nil {
-			mu.Lock()
-			if expandErr == nil {
-				expandErr = err
-			}
-			mu.Unlock()
-		}
-	}); err != nil {
+	// Phase 1 — factored expansion into e.table.
+	if err := e.expandFrontier(ctx); err != nil {
 		return err
 	}
-	if expandErr != nil {
-		return expandErr
-	}
-	var produced, dropped int64
-	for _, w := range e.workers[:active] {
-		produced += w.statesExpanded
-		w.statesExpanded = 0
-		e.stats.BoundCutoffs += w.boundCut
-		w.boundCut = 0
-		dropped += w.table.dropped
-	}
+	produced := e.expanded
 	e.stats.StatesExpanded += produced
+	e.stats.BoundCutoffs += e.cut
+	t := &e.table
+	dropped := t.dropped
 	if dropped > 0 {
-		// The worker-table budget cap bit: states were dropped
+		// The successor-table budget cap bit: states were dropped
 		// before dedup, so the step is a (budget-forced) beam.
 		e.stats.BudgetDropped += dropped
 		e.stats.Truncated = true
 		e.stats.Degraded = true
 	}
-
-	// Phase 2 — merge by hash ownership, then flatten.
-	var fl flat
-	if active == 1 {
-		t := &e.workers[0].table
-		fl = flat{slab: t.slab, costs: t.costs, prevs: t.prevs, stride: stride, sw: sw}
-	} else {
-		if err := e.pool.Do(e.nshards, func(d int) { e.mergeShard(d, active) }); err != nil {
-			return err
-		}
-		e.tmpSlab = e.tmpSlab[:0]
-		e.tmpCosts = e.tmpCosts[:0]
-		e.tmpPrevs = e.tmpPrevs[:0]
-		for _, t := range e.shards[:e.nshards] {
-			e.tmpSlab = append(e.tmpSlab, t.slab...)
-			e.tmpCosts = append(e.tmpCosts, t.costs...)
-			e.tmpPrevs = append(e.tmpPrevs, t.prevs...)
-		}
-		fl = flat{slab: e.tmpSlab, costs: e.tmpCosts, prevs: e.tmpPrevs, stride: stride, sw: sw}
-	}
-	unique := len(fl.costs)
+	unique := t.len()
 	if unique == 0 {
 		if e.pruneOn {
 			return errFrontierEmptied
@@ -799,17 +823,17 @@ func (e *engine) stepOnce(ctx context.Context) error {
 
 	// Phase 3 — deterministic order: (cost, vector) is a total
 	// order over distinct vectors, so sorting needs no stability
-	// and every worker count yields the same frontier.
+	// and the frontier does not depend on insertion order.
 	e.perm = e.perm[:0]
 	for i := 0; i < unique; i++ {
 		e.perm = append(e.perm, int32(i))
 	}
 	sort.Slice(e.perm, func(a, b int) bool {
 		pa, pb := e.perm[a], e.perm[b]
-		if fl.costs[pa] != fl.costs[pb] {
-			return fl.costs[pa] < fl.costs[pb]
+		if t.costs[pa] != t.costs[pb] {
+			return t.costs[pa] < t.costs[pb]
 		}
-		return bitset.CompareWords(fl.state(pa)[:sw], fl.state(pb)[:sw]) < 0
+		return bitset.CompareWords(t.entry(pa)[:sw], t.entry(pb)[:sw]) < 0
 	})
 	// Dominance filtering runs on the sorted frontier (so the
 	// dominator is always the earlier, no-costlier state) and
@@ -819,7 +843,7 @@ func (e *engine) stepOnce(ctx context.Context) error {
 	// optimum) matters.
 	if e.pruneOn && e.step < n-1 && unique > 1 {
 		before := len(e.perm)
-		e.dominanceFilter(fl)
+		e.dominanceFilter(t)
 		e.stats.DominanceHits += int64(before - len(e.perm))
 	}
 	survivors := len(e.perm)
@@ -844,11 +868,11 @@ func (e *engine) stepOnce(ctx context.Context) error {
 	hw := e.lay.hyperWords
 	for r := 0; r < kept; r++ {
 		p := e.perm[r]
-		st := fl.state(p)
+		st := t.entry(p)
 		copy(e.slab[r*sw:(r+1)*sw], st[:sw])
 		copy(gen.hyper[r*hw:(r+1)*hw], st[sw:])
-		e.costs[r] = fl.costs[p]
-		gen.prev[r] = fl.prevs[p]
+		e.costs[r] = t.costs[p]
+		gen.prev[r] = t.prevs[p]
 	}
 	e.count = kept
 	e.gens = append(e.gens, gen)
@@ -859,8 +883,7 @@ func (e *engine) stepOnce(ctx context.Context) error {
 // beginSolve shapes the engine for a solve and leaves it positioned on
 // the root frontier: option resolution, buffer preparation, the
 // candidate catalog and the root state.  After a nil return the caller
-// owns e.pool (prepare always creates it, even when buildCandidates
-// later fails) and drives stepOnce until e.step reaches Steps().
+// drives stepOnce until e.step reaches Steps().
 func (e *engine) beginSolve(ctx context.Context, ins *model.MTSwitchInstance, opt model.CostOptions, o solve.Options, px *pruneContext) error {
 	maxStates := o.MaxStates
 	if maxStates <= 0 {
@@ -884,14 +907,6 @@ func (e *engine) beginSolve(ctx context.Context, ins *model.MTSwitchInstance, op
 	}
 	e.initRoot()
 	return nil
-}
-
-// releasePool closes and drops the engine's worker pool, if any.
-func (e *engine) releasePool() {
-	if e.pool != nil {
-		e.pool.Close()
-		e.pool = nil
-	}
 }
 
 // finishMask reconstructs the optimal schedule's hyperreconfiguration

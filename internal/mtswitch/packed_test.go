@@ -2,7 +2,9 @@ package mtswitch
 
 import (
 	"context"
+	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/bitset"
@@ -86,8 +88,14 @@ func TestPackedMatchesReference(t *testing.T) {
 						t.Fatalf("instance %d workers %d: truncated %t vs reference %t",
 							ii, workers, got.Stats.Truncated, ref.Stats.Truncated)
 					}
-					if got.Stats.StatesExpanded != ref.Stats.StatesExpanded {
-						t.Fatalf("instance %d workers %d: expanded %d states, reference %d",
+					// Factored expansion generates fewer successors than
+					// the reference's per-source expansion, but exactly the
+					// same distinct ones.
+					if d, want := got.Stats.StatesExpanded-got.Stats.DedupHits, ref.Stats.StatesExpanded-ref.Stats.DedupHits; d != want {
+						t.Fatalf("instance %d workers %d: %d distinct successors, reference %d", ii, workers, d, want)
+					}
+					if got.Stats.StatesExpanded > ref.Stats.StatesExpanded {
+						t.Fatalf("instance %d workers %d: expanded %d states, more than the reference's %d",
 							ii, workers, got.Stats.StatesExpanded, ref.Stats.StatesExpanded)
 					}
 					if err := ins.Validate(got.Schedule); err != nil {
@@ -152,9 +160,9 @@ func TestPackedZeroUniverseTask(t *testing.T) {
 	}
 }
 
-// TestPackedStats checks the new counters are populated and consistent:
-// expanded = unique + dedup hits summed over steps, and the peak
-// frontier is at least the final frontier of some step.
+// TestPackedStats checks the counters are populated and consistent with
+// the reference: the same distinct successors (expanded − dedup hits)
+// from no more expanded states, and the same peak frontier.
 func TestPackedStats(t *testing.T) {
 	ins := phased(t)
 	sol, err := SolveExact(context.Background(), ins, parallel, solve.Options{Workers: 2, DisablePruning: true})
@@ -175,8 +183,11 @@ func TestPackedStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.DedupHits != ref.Stats.DedupHits {
-		t.Fatalf("DedupHits = %d, reference %d", st.DedupHits, ref.Stats.DedupHits)
+	if d, want := st.StatesExpanded-st.DedupHits, ref.Stats.StatesExpanded-ref.Stats.DedupHits; d != want {
+		t.Fatalf("distinct successors = %d, reference %d", d, want)
+	}
+	if st.StatesExpanded > ref.Stats.StatesExpanded {
+		t.Fatalf("StatesExpanded = %d, more than the reference's %d", st.StatesExpanded, ref.Stats.StatesExpanded)
 	}
 	if st.PeakFrontier != ref.Stats.PeakFrontier {
 		t.Fatalf("PeakFrontier = %d, reference %d", st.PeakFrontier, ref.Stats.PeakFrontier)
@@ -193,10 +204,10 @@ func TestStateTableCollision(t *testing.T) {
 
 	a := []uint64{0b1010, 1} // set word + hyper word
 	b := []uint64{0b0101, 1}
-	if !tbl.insert(a, tbl.hashFn(a[:1]), 10, 0, 0) {
+	if !tbl.insert(a, tbl.hashFn(a[:1]), 10, 0) {
 		t.Fatal("first vector not new")
 	}
-	if !tbl.insert(b, tbl.hashFn(b[:1]), 20, 0, 1) {
+	if !tbl.insert(b, tbl.hashFn(b[:1]), 20, 0) {
 		t.Fatal("colliding distinct vector merged into the first entry")
 	}
 	if tbl.len() != 2 {
@@ -205,21 +216,21 @@ func TestStateTableCollision(t *testing.T) {
 
 	// A true duplicate of a, cheaper: merges, updates cost and origin.
 	a2 := []uint64{0b1010, 0}
-	if tbl.insert(a2, tbl.hashFn(a2[:1]), 5, 1, 3) {
+	if tbl.insert(a2, tbl.hashFn(a2[:1]), 5, 1) {
 		t.Fatal("duplicate vector treated as new")
 	}
 	if tbl.len() != 2 {
 		t.Fatalf("table has %d entries after dup, want 2", tbl.len())
 	}
-	if tbl.costs[0] != 5 || tbl.prevs[0] != 1 || tbl.seqs[0] != 3 {
-		t.Fatalf("winner not recorded: cost=%d prev=%d seq=%d", tbl.costs[0], tbl.prevs[0], tbl.seqs[0])
+	if tbl.costs[0] != 5 || tbl.prevs[0] != 1 {
+		t.Fatalf("winner not recorded: cost=%d prev=%d", tbl.costs[0], tbl.prevs[0])
 	}
 	if tbl.entry(0)[1] != 0 {
 		t.Fatal("winner's hyper words not overwritten")
 	}
 
 	// An equally-cheap duplicate arriving from a later origin loses.
-	if tbl.insert(a, tbl.hashFn(a[:1]), 5, 2, 0) {
+	if tbl.insert(a, tbl.hashFn(a[:1]), 5, 2) {
 		t.Fatal("duplicate vector treated as new")
 	}
 	if tbl.prevs[0] != 1 {
@@ -237,7 +248,7 @@ func TestStateTableGrowKeepsEntries(t *testing.T) {
 	const total = 200
 	for i := 0; i < total; i++ {
 		v := []uint64{uint64(i), uint64(i) << 32, 0}
-		if !tbl.insert(v, tbl.hashFn(v[:2]), model.Cost(i), 0, int32(i)) {
+		if !tbl.insert(v, tbl.hashFn(v[:2]), model.Cost(i), 0) {
 			t.Fatalf("vector %d not new", i)
 		}
 	}
@@ -247,8 +258,76 @@ func TestStateTableGrowKeepsEntries(t *testing.T) {
 	// Every vector must still be findable (insert reports a duplicate).
 	for i := 0; i < total; i++ {
 		v := []uint64{uint64(i), uint64(i) << 32, 0}
-		if tbl.insert(v, tbl.hashFn(v[:2]), model.Cost(i), 0, int32(i)) {
+		if tbl.insert(v, tbl.hashFn(v[:2]), model.Cost(i), 0) {
 			t.Fatalf("vector %d lost across growth", i)
 		}
+	}
+}
+
+// TestKeyTableOverflowStaysExact caps the factored expansion's key
+// table at one entry, so nearly every install pattern is expanded by
+// every source that reaches it, as in full expansion.  The frontiers
+// must match an uncapped engine's step for step, with no degradation:
+// a full key table costs work, never exactness.
+func TestKeyTableOverflowStaysExact(t *testing.T) {
+	ctx := context.Background()
+	r := rand.New(rand.NewSource(17))
+	instances := []*model.MTSwitchInstance{phased(t)}
+	for k := 0; k < 8; k++ {
+		instances = append(instances, withPG(r, randomMT(r, 4, 6, 10)))
+	}
+	o := solve.Options{DisablePruning: true}
+	for ii, ins := range instances {
+		for oi, opt := range frontierOpts {
+			full, capped := &engine{}, &engine{}
+			if err := full.beginSolve(ctx, ins, opt, o, nil); err != nil {
+				t.Fatal(err)
+			}
+			if err := capped.beginSolve(ctx, ins, opt, o, nil); err != nil {
+				t.Fatal(err)
+			}
+			capped.keys.limit = 1
+			sw := full.lay.setWords
+			for full.step < ins.Steps() {
+				if err := full.stepOnce(ctx); err != nil {
+					t.Fatal(err)
+				}
+				if err := capped.stepOnce(ctx); err != nil {
+					t.Fatal(err)
+				}
+				fg, cg := full.gens[full.step-1], capped.gens[capped.step-1]
+				if capped.count != full.count ||
+					!slices.Equal(capped.slab[:capped.count*sw], full.slab[:full.count*sw]) ||
+					!slices.Equal(capped.costs[:capped.count], full.costs[:full.count]) ||
+					!slices.Equal(cg.prev, fg.prev) || !slices.Equal(cg.hyper, fg.hyper) {
+					t.Fatalf("instance %d opt %d step %d: capped key table changed the frontier", ii, oi, full.step)
+				}
+			}
+			cs, fs := capped.stats, full.stats
+			if cs.Degraded || cs.Truncated || cs.BudgetDropped != 0 {
+				t.Fatalf("instance %d opt %d: capped key table degraded the run: %+v", ii, oi, cs)
+			}
+			if cs.StatesExpanded-cs.DedupHits != fs.StatesExpanded-fs.DedupHits || cs.StatesExpanded < fs.StatesExpanded {
+				t.Fatalf("instance %d opt %d: capped expanded %d (distinct %d), uncapped %d (distinct %d)", ii, oi,
+					cs.StatesExpanded, cs.StatesExpanded-cs.DedupHits, fs.StatesExpanded, fs.StatesExpanded-fs.DedupHits)
+			}
+		}
+	}
+}
+
+// TestExpansionPanicIsolated makes the successor table's hash panic
+// mid-step: the step must fail with a *solve.PanicError carrying the
+// panic value instead of unwinding through the caller.
+func TestExpansionPanicIsolated(t *testing.T) {
+	ctx := context.Background()
+	e := &engine{}
+	if err := e.beginSolve(ctx, phased(t), parallel, solve.Options{DisablePruning: true}, nil); err != nil {
+		t.Fatal(err)
+	}
+	e.table.hashFn = func([]uint64) uint64 { panic("boom") }
+	err := e.stepOnce(ctx)
+	var pe *solve.PanicError
+	if !errors.As(err, &pe) || pe.Value != "boom" {
+		t.Fatalf("stepOnce returned %v (%T), want *solve.PanicError boom", err, err)
 	}
 }

@@ -16,7 +16,7 @@ import (
 // redundant.  All three are deterministic — the bound depends only on
 // per-step precomputed tables and the incumbent, and dominance runs as
 // a single pass over the (cost, vector)-sorted frontier — so the
-// bit-identical-across-Workers guarantee of packed.go survives.
+// frontier stays a function of the instance and options alone.
 
 // pruneContext is what SolveExact hands the engine when the pruned
 // layer is enabled: the incumbent cost and the preprocessing outcome.
@@ -214,10 +214,10 @@ const domGroupCap = 64
 //
 // The filter runs between the deterministic (cost, vector) sort and
 // the beam truncation: its outcome depends only on the sorted frontier
-// and the precomputed suffix tables, never on worker count, and
+// and the precomputed suffix tables, and
 // pruning before truncating means a beam keeps domGroupCap-diverse
 // states instead of near-duplicates.
-func (e *engine) dominanceFilter(fl flat) {
+func (e *engine) dominanceFilter(t *stateTable) {
 	m, sw := e.lay.m, e.lay.setWords
 	next := e.step + 1
 
@@ -237,7 +237,7 @@ func (e *engine) dominanceFilter(fl flat) {
 	out := 0
 	var nk int32
 	for _, p := range e.perm {
-		st := fl.state(p)
+		st := t.entry(p)
 		for j := 0; j < m; j++ {
 			off, tw := e.lay.taskOff[j], e.lay.taskWords[j]
 			suf := e.sufUnion[j][next*tw : (next+1)*tw]

@@ -1,0 +1,64 @@
+package mtswitch
+
+import (
+	"context"
+	"testing"
+
+	"repro/internal/model"
+	"repro/internal/solve"
+	"repro/internal/workload"
+)
+
+// stepShapes are the instance families of BenchmarkStepExpansion: the
+// frontier-engine families of perfbench's exact-cold mix, the 2×100
+// traces its stream-durable sessions re-solve, and one large phased
+// shape whose steps generate thousands of successors.
+var stepShapes = []struct {
+	name string
+	gen  func(workload.Config) (*model.MTSwitchInstance, error)
+	cfg  workload.Config
+}{
+	{"phased-small-2x32", workload.Phased, workload.Config{Tasks: 2, Steps: 32, Switches: 12, MeanPhase: 8}},
+	{"phased-2x40", workload.Phased, workload.Config{Tasks: 2, Steps: 40, Switches: 12, MeanPhase: 10}},
+	{"dense-3x40", workload.Dense, workload.Config{Tasks: 3, Steps: 40, Switches: 16, MeanPhase: 10}},
+	{"stream-phased-2x100", workload.Phased, workload.Config{Tasks: 2, Steps: 100, Switches: 12, MeanPhase: 10}},
+	{"stream-dense-2x100", workload.Dense, workload.Config{Tasks: 2, Steps: 100, Switches: 16, MeanPhase: 10}},
+	{"phased-4x64", workload.Phased, workload.Config{Tasks: 4, Steps: 64, Switches: 12, MeanPhase: 8}},
+}
+
+// BenchmarkStepExpansion times exact solves (pruning on, the served
+// default) of each shape over eight seeds.  succ/step is the
+// successors generated per step.  The engine expands each step on the
+// calling goroutine, so there is no worker-count variant.
+//
+//	go test ./internal/mtswitch -run '^$' -bench StepExpansion
+func BenchmarkStepExpansion(b *testing.B) {
+	ctx := context.Background()
+	opt := model.CostOptions{HyperUpload: model.TaskParallel, ReconfUpload: model.TaskParallel}
+	for _, sh := range stepShapes {
+		var instances []*model.MTSwitchInstance
+		for seed := int64(1); seed <= 8; seed++ {
+			cfg := sh.cfg
+			cfg.Seed = seed
+			ins, err := sh.gen(cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			instances = append(instances, ins)
+		}
+		b.Run(sh.name, func(b *testing.B) {
+			b.ReportAllocs()
+			var expanded, steps int64
+			for i := 0; i < b.N; i++ {
+				ins := instances[i%len(instances)]
+				sol, err := SolveExact(ctx, ins, opt, solve.Options{})
+				if err != nil {
+					b.Fatal(err)
+				}
+				expanded += sol.Stats.StatesExpanded
+				steps += int64(ins.Steps())
+			}
+			b.ReportMetric(float64(expanded)/float64(steps), "succ/step")
+		})
+	}
+}

@@ -7,8 +7,7 @@ import (
 )
 
 // Pool is the shared worker pool behind every parallel solver stage:
-// the packed frontier engine's sharded expansion and merge, the
-// private-global window sweep, and the GA's fitness evaluation all
+// the private-global window sweep and the GA's fitness evaluation
 // dispatch onto one of these instead of spawning ad-hoc goroutines per
 // call.  Workers are persistent goroutines started lazily on the first
 // parallel dispatch, so a solver that creates a Pool but stays on its

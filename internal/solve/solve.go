@@ -124,7 +124,10 @@ func NewMTDAG(tasks []MTDAGTask, opt model.CostOptions) *Instance {
 // particular algorithm has no notion of stay zero.
 type Stats struct {
 	// StatesExpanded counts DP/search states (or transitions) the
-	// solver examined.
+	// solver examined.  For the MT-Switch frontier DP it counts the
+	// successors generated, before deduplication; StatesExpanded −
+	// DedupHits is the distinct successors (plus any the memory
+	// budget dropped).
 	StatesExpanded int64
 	// DedupHits counts states merged into an already-known state
 	// (frontier deduplication).

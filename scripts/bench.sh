@@ -51,13 +51,17 @@
 # Every JSON row records pruning_enabled explicitly, so --check and any
 # downstream diffing compare like with like.
 #   scripts/bench_baseline.txt raw `go test -bench` output of the
-#                             frontier/scaling benchmarks, the input of
+#                             frontier/scaling/step-expansion
+#                             benchmarks, the input of
 #                             the --check mode and of CI's
 #                             informational benchstat step.
 set -eu
 cd "$(dirname "$0")/.."
 
-BENCH_PATTERN='BenchmarkFrontierEngines|BenchmarkScalingTasks|BenchmarkPartitionedSolve'
+# BENCH_PATTERN and BENCH_PKGS must match the regex and packages of CI's
+# bench-compare job (.github/workflows/ci.yml).
+BENCH_PATTERN='BenchmarkFrontierEngines|BenchmarkScalingTasks|BenchmarkPartitionedSolve|BenchmarkStepExpansion'
+BENCH_PKGS='. ./internal/mtswitch'
 
 if [ "${1:-}" = "--check" ]; then
 	# Every committed bench artifact must exist: a silently skipped
@@ -74,7 +78,7 @@ if [ "${1:-}" = "--check" ]; then
 	fi
 	new=$(mktemp /tmp/bench_check.XXXXXX)
 	trap 'rm -f "$new"' EXIT
-	go test -run '^$' -bench "$BENCH_PATTERN" -benchmem -count 1 . | tee "$new"
+	go test -run '^$' -bench "$BENCH_PATTERN" -benchmem -count 1 $BENCH_PKGS | tee "$new"
 	# Join the two runs on benchmark name and compare ns/op (column 3
 	# of a `go test -bench` result line). >10% slower fails the check.
 	awk '
@@ -111,4 +115,4 @@ go run ./cmd/paperbench -bench9 -bench9out BENCH_PR9.json
 go run ./cmd/paperbench -bench10 -bench10out BENCH_PR10.json
 
 go test -run '^$' -bench "$BENCH_PATTERN" \
-	-benchmem -count 1 . | tee scripts/bench_baseline.txt
+	-benchmem -count 1 $BENCH_PKGS | tee scripts/bench_baseline.txt
