@@ -12,7 +12,7 @@
 //	hyperd bench [-solver aligned] [-gen phased] [-tasks 4] [-steps 64]
 //	             [-switches 16] [-conc 32] [-duration 2s]
 //	hyperd bench -sessions [-solver exact] [-gen dense] [-tasks 4] [-steps 64]
-//	             [-switches 16] [-batch 2] [-no-pruning]
+//	             [-switches 16] [-batch 2]
 //	hyperd bench -cluster [-nodes 3] [-twins 24] [-json out.json]
 //	             [-router URL -peers URL,URL,...]
 //	hyperd bench -restart-midway [-restart-jobs 24] [-fsync always]
@@ -276,7 +276,6 @@ func runBench(args []string, w io.Writer) error {
 		memProf  = fs.String("memprofile", "", "write an allocation profile after the bench run to this file")
 		sessions = fs.Bool("sessions", false, "bench the streaming session API instead of the job queue")
 		batch    = fs.Int("batch", 2, "mean rows per streamed batch (sessions mode)")
-		noPrune  = fs.Bool("no-pruning", false, "disable the pruned-search layer (sessions mode; pruning forces full re-solves)")
 
 		clusterM  = fs.Bool("cluster", false, "bench an N-node cluster behind a router instead of a single daemon")
 		nodes     = fs.Int("nodes", 3, "in-process cluster size (cluster mode)")
@@ -303,7 +302,7 @@ func runBench(args []string, w io.Writer) error {
 		})
 	}
 	if *sessions {
-		return sessionBench(w, *solver, *gen, *tasks, *steps, *switches, *batch, *workers, *noPrune)
+		return sessionBench(w, *solver, *gen, *tasks, *steps, *switches, *batch, *workers)
 	}
 	if *clusterM || *routerURL != "" {
 		return clusterBench(w, clusterBenchOpts{
@@ -418,7 +417,7 @@ func runBench(args []string, w io.Writer) error {
 // sessionBench streams one generated trace through the session API and
 // compares the incremental re-solve cost against the one-shot solve of
 // the same full trace.
-func sessionBench(w io.Writer, solver, gen string, tasks, steps, switches, batch, workers int, noPrune bool) error {
+func sessionBench(w io.Writer, solver, gen string, tasks, steps, switches, batch, workers int) error {
 	stream, err := workload.Streaming(workload.StreamConfig{
 		Workload:  workload.Config{Tasks: tasks, Steps: steps, Switches: switches},
 		Generator: gen,
@@ -446,7 +445,6 @@ func sessionBench(w io.Writer, solver, gen string, tasks, steps, switches, batch
 		return err
 	}
 	wire := service.WireInstanceFrom(stream.Instance)
-	opts := service.WireOptions{DisablePruning: noPrune}
 	call := func(url string, body any, out any) error {
 		data, err := json.Marshal(body)
 		if err != nil {
@@ -472,7 +470,6 @@ func sessionBench(w io.Writer, solver, gen string, tasks, steps, switches, batch
 	if err := call(base+"/v1/sessions", service.SessionRequest{
 		Solver:   solver,
 		Instance: &service.WireInstance{Tasks: wire.Tasks, Reqs: wire.Reqs[:initial]},
-		Options:  opts,
 	}, &st); err != nil {
 		return err
 	}
@@ -493,7 +490,7 @@ func sessionBench(w io.Writer, solver, gen string, tasks, steps, switches, batch
 
 	start = time.Now()
 	var job service.JobStatus
-	if err := call(base+"/v1/solve", service.SolveRequest{Solver: solver, Instance: wire, Options: opts}, &job); err != nil {
+	if err := call(base+"/v1/solve", service.SolveRequest{Solver: solver, Instance: wire}, &job); err != nil {
 		return err
 	}
 	oneShotElapsed := time.Since(start)
@@ -505,8 +502,8 @@ func sessionBench(w io.Writer, solver, gen string, tasks, steps, switches, batch
 	}
 
 	fromScratch := job.Result.Stats.StatesExpanded
-	fmt.Fprintf(w, "hyperd bench -sessions: solver=%s gen=%s m=%d n=%d l=%d batch=%d pruning=%v\n",
-		solver, gen, tasks, steps, switches, batch, !noPrune)
+	fmt.Fprintf(w, "hyperd bench -sessions: solver=%s gen=%s m=%d n=%d l=%d batch=%d\n",
+		solver, gen, tasks, steps, switches, batch)
 	fmt.Fprintf(w, "streamed %d batches over %d steps in %v; final cost %d matches one-shot (%v)\n",
 		len(stream.Batches), steps, streamElapsed.Round(time.Millisecond), st.Result.Cost, oneShotElapsed.Round(time.Millisecond))
 	fmt.Fprintf(w, "states expanded: one-shot=%d incremental-total=%d last-batch=%d (one-shot/last = %.1fx)\n",

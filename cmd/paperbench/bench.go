@@ -453,10 +453,9 @@ func pruneBench(outPath string) error {
 type incrBaseline struct {
 	Benchmark string          `json:"benchmark"`
 	Config    workload.Config `json:"config"`
-	// PruningEnabled is false by construction: incremental suffix reuse
-	// needs the retained per-step frames, which the engine only keeps
-	// with pruning off (a pruned engine falls back to a full rebuild on
-	// Extend — see DESIGN.md §10).
+	// PruningEnabled is false by construction: the pinned configuration
+	// measures the unpruned engine, as the committed artifact recorded
+	// it.  Pruned engines reuse frames too (DESIGN.md §10).
 	PruningEnabled bool `json:"pruning_enabled"`
 	PrefixSteps    int  `json:"prefix_steps"`
 	SuffixSteps    int  `json:"suffix_steps"`

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -305,27 +306,51 @@ func TestRouterFailover(t *testing.T) {
 	front := httptest.NewServer(rt.Handler())
 	defer front.Close()
 
-	owners := map[string]bool{}
-	for i := 0; i < 20; i++ {
-		req := solveRequest(i)
-		key, err := req.RoutingKey(service.RouteLimits{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		owners[rt.Members().Ring().Owner(key)] = true
-		resp, raw := postJSON(t, front.URL+"/v1/solve", req)
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("request %d: status %d: %s", i, resp.StatusCode, raw)
-		}
-	}
-	// The sample is large enough that the dead node owned some keys —
-	// otherwise the test proved nothing.
 	deadID, err := NormalizeMemberURL(deadURL)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !owners[deadID] {
-		t.Fatalf("no sampled key was owned by the dead node %q: %v", deadID, owners)
+	// Draw requests with distinct routing keys until the dead node owns
+	// one; every request on the way must be served, the dead node's by
+	// failover.  The dead node owns about a third of the ring, so the
+	// bound is never reached by chance.
+	r := rand.New(rand.NewSource(1))
+	seen := map[string]bool{}
+	for len(seen) < 200 {
+		req := randomSolveRequest(r)
+		key, err := req.RoutingKey(service.RouteLimits{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if seen[key] {
+			continue
+		}
+		seen[key] = true
+		resp, raw := postJSON(t, front.URL+"/v1/solve", req)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("request %d: status %d: %s", len(seen), resp.StatusCode, raw)
+		}
+		if rt.Members().Ring().Owner(key) == deadID {
+			return
+		}
+	}
+	t.Fatalf("none of %d distinct keys was owned by the dead node %q", len(seen), deadID)
+}
+
+// randomSolveRequest draws a small exact solve whose six requirement
+// rows come from r, so successive draws mostly carry distinct routing
+// keys.
+func randomSolveRequest(r *rand.Rand) *service.SolveRequest {
+	reqs := make([][]string, 6)
+	for i := range reqs {
+		reqs[i] = []string{fmt.Sprintf("%03b", r.Intn(8)), fmt.Sprintf("%02b", r.Intn(4))}
+	}
+	return &service.SolveRequest{
+		Solver: "exact",
+		Instance: &service.WireInstance{
+			Tasks: []service.WireTask{{Name: "alpha", Local: 3, V: 2}, {Name: "beta", Local: 2, V: 1}},
+			Reqs:  reqs,
+		},
 	}
 }
 

@@ -3,6 +3,9 @@ package mtswitch
 import (
 	"context"
 	"fmt"
+	"slices"
+	"sort"
+	"unsafe"
 
 	"repro/internal/bitset"
 	"repro/internal/model"
@@ -23,22 +26,20 @@ import (
 //     retained, so memory and allocation behavior match the old
 //     SolveExact exactly.  Extend/Amend/Rewind are rejected.
 //
-//   - Incremental (incremental=true): the engine owns its buffers and,
-//     while the pruned layer is off, retains a frame (frontier copy)
-//     per completed step.  Extend appends demand rows and resumes from
-//     the deepest frame that is still valid for the grown trace;
-//     Amend replaces already-submitted rows and re-solves only the
-//     suffix they invalidate.  Both are exact: the frontier entering
-//     step t depends only on the requirements and install candidates
-//     of steps < t, so comparing the rebuilt candidate catalog against
-//     the old one per (task, step) identifies the first step whose DP
-//     inputs changed, and everything before it is reusable verbatim.
+//   - Incremental (incremental=true): the engine owns its buffers and
+//     retains a frame per completed step, pruning on or off: the
+//     frontier entering the step, the stats of the steps before it and
+//     the bound margins of the step that produced it.  Extend appends
+//     demand rows, Amend replaces already-submitted ones and Rewind
+//     re-opens a suffix; each resumes from the first step whose
+//     decisions can change (reconcile has the exactness argument), so
+//     the frames, generations, schedule and stats are those of a fresh
+//     solve of the new trace.
 //
-// With pruning enabled the step axis itself is a preprocessing
-// artifact (run-length compression) and the incumbent, bounds and
-// dominance tables are trace-global, so Extend/Amend fall back to a
-// full rebuild of the solve state — still correct, just without
-// frontier reuse (LastResolveStart reports 0).  Sequential-decomposed
+// With pruning on, the DP steps the reduced axis of preprocessing (one
+// step per run of identical requirement rows).  Rewind maps an
+// original-axis step to the run holding it, and LastResolveStart
+// reports the original step the run starts at.  Sequential-decomposed
 // and zero-step instances are not stepped at all; Solution delegates
 // to the specialized solvers on the current trace.
 //
@@ -65,9 +66,12 @@ type Engine struct {
 	incMask  [][]bool
 	target   *model.MTSwitchInstance
 	e        *engine
+	// cat is the stats the preparation left behind: the candidate
+	// catalog's CandidatesPruned and its budget Truncated/Degraded.
+	cat solve.Stats
 
-	// frames[i] is a copy of the frontier entering step frameBase+i
-	// (incremental mode, pruning off).  frameBase is nonzero only on
+	// frames[i] is the step boundary entering step frameBase+i on the
+	// DP's axis (incremental mode).  frameBase is nonzero only on
 	// engines resumed from a checkpoint, which start with a single
 	// frame at the restored step.
 	frames    []frame
@@ -84,20 +88,46 @@ type Engine struct {
 	closed bool
 }
 
-// frame is one retained frontier: the packed state slab and costs
-// entering a step.
+// frame is one retained step boundary: the packed state slab and costs
+// entering a step, the stats the steps before it accumulated, and the
+// bound margins of the step that produced it.  Frame 0 and the first
+// frame of a checkpoint-resumed engine have no producing step on
+// record; their margins are never consulted.
 type frame struct {
 	count int
 	slab  []uint64
 	costs []model.Cost
+	// stats holds the steps' own Truncated/Degraded flags, without the
+	// catalog's (as far as a catalog that raised them lets it tell).
+	stats   solve.Stats
+	margins margins
+}
+
+// margins are one step's bound margins (engine.cutMin and keepMax).
+type margins struct{ cutMin, keepMax model.Cost }
+
+// holds reports whether the step decides every bound test the same way
+// once each test's q = bound − incumbent moves by d.  A sentinel (the
+// step ran no such test) never moves.
+func (m margins) holds(d model.Cost) bool {
+	return (m.keepMax == noKeep || m.keepMax+d <= 0) && (m.cutMin == noCut || m.cutMin+d > 0)
+}
+
+// shift re-bases the margins onto a trace whose tests moved by d.
+func (m *margins) shift(d model.Cost) {
+	if m.keepMax != noKeep {
+		m.keepMax += d
+	}
+	if m.cutMin != noCut {
+		m.cutMin += d
+	}
 }
 
 // NewEngine builds a stepped engine over the instance.  With
 // incremental=false the engine is a one-shot stand-in for SolveExact
 // (Extend/Amend/Rewind are rejected); with incremental=true it clones
 // the requirement rows so the trace can grow independently of the
-// caller's instance, and retains per-step frontier frames for suffix
-// re-solves while pruning is off.
+// caller's instance, and retains per-step frames for suffix re-solves.
 func NewEngine(ctx context.Context, ins *model.MTSwitchInstance, opt model.CostOptions, o solve.Options, incremental bool) (*Engine, error) {
 	if err := solve.Checkpoint(ctx); err != nil {
 		return nil, err
@@ -161,18 +191,31 @@ func (en *Engine) bothSeq() bool {
 // checkpointing and frame reuse) applies to the current trace.
 func (en *Engine) canStep() bool { return !en.bothSeq() && en.ins.Steps() > 0 }
 
-// keepFrames reports whether per-step frontier frames are retained.
+// keepFrames reports whether per-step frames are retained: always on
+// an incremental engine, pruning on or off.
 func (en *Engine) keepFrames() bool {
-	return en.incremental && en.e != nil && !en.e.pruneOn
+	return en.incremental && en.e != nil
 }
 
-// ensurePrepared sets up the full solve pipeline for the current
-// trace: the pruned layer (preprocessing, warm start), the internal
-// packed engine, the candidate catalog and the root frontier.
+// ensurePrepared sets up the full solve pipeline for the current trace
+// and positions the run on the root frontier.
 func (en *Engine) ensurePrepared(ctx context.Context) error {
 	if en.prepared {
 		return nil
 	}
+	if err := en.prepareTrace(ctx); err != nil {
+		return err
+	}
+	en.prepared = true
+	en.restartFromRoot()
+	return nil
+}
+
+// prepareTrace runs the trace-dependent setup: the pruned layer
+// (preprocessing, warm start), the internal packed engine, its bounds
+// and candidate catalog, and the root frontier.  Retained frames are
+// left alone.
+func (en *Engine) prepareTrace(ctx context.Context) error {
 	en.red, en.px, en.incCost, en.incMask = nil, nil, 0, nil
 	target := en.ins
 	if !en.o.DisablePruning {
@@ -205,36 +248,57 @@ func (en *Engine) ensurePrepared(ctx context.Context) error {
 	if err := en.e.beginSolve(ctx, target, en.opt, en.o, en.px); err != nil {
 		return err
 	}
+	en.cat = en.e.stats
+	return nil
+}
+
+// restartFromRoot discards every frame and starts the run over on the
+// root frontier the preparation left the internal engine on.
+func (en *Engine) restartFromRoot() {
 	en.frames = en.frames[:0]
 	en.frameBase = 0
 	en.emptied = false
 	en.sol = nil
 	en.lastResolveStart = 0
-	en.baseExpanded = 0
-	en.prepared = true
+	en.baseExpanded = en.e.stats.StatesExpanded
 	if en.keepFrames() {
 		en.captureFrame()
 	}
-	return nil
 }
 
-// captureFrame copies the current frontier as the frame entering step
-// e.step.
+// captureFrame records the step boundary entering step e.step.
 func (en *Engine) captureFrame() {
 	e := en.e
 	sw := e.lay.setWords
+	st := e.stats
+	st.Truncated = st.Truncated && !en.cat.Truncated
+	st.Degraded = st.Degraded && !en.cat.Degraded
 	en.frames = append(en.frames, frame{
-		count: e.count,
-		slab:  append([]uint64(nil), e.slab[:e.count*sw]...),
-		costs: append([]model.Cost(nil), e.costs[:e.count]...),
+		count:   e.count,
+		slab:    append([]uint64(nil), e.slab[:e.count*sw]...),
+		costs:   append([]model.Cost(nil), e.costs[:e.count]...),
+		stats:   st,
+		margins: margins{cutMin: e.cutMin, keepMax: e.keepMax},
 	})
 }
 
-// restoreFrame rewinds the internal engine to the frontier entering
-// step b (which must have a retained frame).
+// frameStats is the engine's stats at frame f under the current
+// preparation: the frame's step stats plus the catalog's.
+func (en *Engine) frameStats(f *frame) solve.Stats {
+	s := f.stats
+	s.CandidatesPruned = en.cat.CandidatesPruned
+	s.Truncated = s.Truncated || en.cat.Truncated
+	s.Degraded = s.Degraded || en.cat.Degraded
+	return s
+}
+
+// restoreFrame rewinds the internal engine to the boundary entering
+// step b (which must have a retained frame), over e.gens of the run
+// that recorded it.  The frame's step stats are put back on top of
+// the current preparation's catalog stats.
 func (en *Engine) restoreFrame(b int) {
 	e := en.e
-	f := en.frames[b-en.frameBase]
+	f := &en.frames[b-en.frameBase]
 	sw := e.lay.setWords
 	e.slab = growWords(e.slab, f.count*sw)
 	copy(e.slab, f.slab)
@@ -246,8 +310,11 @@ func (en *Engine) restoreFrame(b int) {
 	e.count = f.count
 	e.step = b
 	e.gens = e.gens[:b]
+	e.stats = en.frameStats(f)
 	en.frames = en.frames[:b-en.frameBase+1]
 	en.emptied = false
+	en.lastResolveStart = b
+	en.baseExpanded = e.stats.StatesExpanded
 }
 
 // reset discards all prepared solve state; the next Solution/Advance
@@ -262,6 +329,7 @@ func (en *Engine) reset() {
 	en.baseExpanded = 0
 	en.red, en.px, en.incMask, en.incCost = nil, nil, nil, 0
 	en.target = nil
+	en.cat = solve.Stats{}
 }
 
 // Advance steps the DP forward by at most maxSteps steps (maxSteps <=
@@ -359,8 +427,7 @@ func (en *Engine) extract() (*Solution, error) {
 		stats.Truncated = true
 		return incumbentSolution(en.ins, en.opt, en.incMask, stats)
 	}
-	mask, dpCost := e.finishMask(en.o)
-	stats := e.stats
+	mask, dpCost, stats := e.finishMask(en.o)
 	if en.red != nil {
 		stats.PreprocessReduction = en.red.cells
 		mask = en.red.expandMask(mask)
@@ -441,7 +508,6 @@ func (en *Engine) Extend(ctx context.Context, steps [][]bitset.Set) error {
 	if len(steps) == 0 {
 		return nil
 	}
-	oldN := en.ins.Steps()
 	for i := range steps {
 		for j := range en.rows {
 			en.rows[j] = append(en.rows[j], steps[i][j].Clone())
@@ -451,7 +517,7 @@ func (en *Engine) Extend(ctx context.Context, steps [][]bitset.Set) error {
 		return err
 	}
 	en.sol = nil
-	return en.reconcile(ctx, oldN)
+	return en.reconcile(ctx)
 }
 
 // Amend replaces the already-submitted rows at steps at..at+len-1
@@ -485,14 +551,14 @@ func (en *Engine) Amend(ctx context.Context, at int, steps [][]bitset.Set) error
 		return err
 	}
 	en.sol = nil
-	return en.reconcile(ctx, at)
+	return en.reconcile(ctx)
 }
 
 // Rewind discards the solved suffix from the given step onward, so the
-// next Advance/Solution re-runs it.  Steps not yet reached are a
-// no-op; without retained frames (pruning on, or a checkpoint-resumed
-// engine rewound past its restore point) the whole solve state is
-// rebuilt instead.
+// next Advance/Solution re-runs it.  With pruning on, the run holding
+// step is re-opened whole.  Steps not yet reached are a no-op; a
+// checkpoint-resumed engine rewound past its restore point rebuilds
+// the whole solve state instead.
 func (en *Engine) Rewind(step int) error {
 	if en.closed {
 		return fmt.Errorf("mtswitch: engine is closed")
@@ -507,90 +573,173 @@ func (en *Engine) Rewind(step int) error {
 	if !en.prepared {
 		return nil
 	}
-	if !en.keepFrames() || step < en.frameBase {
+	b := en.reducedStep(step)
+	if b < en.frameBase {
 		en.reset()
 		return nil
 	}
-	if step >= en.e.step {
-		return nil
+	if b < en.e.step {
+		en.restoreFrame(b)
 	}
-	en.restoreFrame(step)
-	en.lastResolveStart = step
-	en.baseExpanded = en.e.stats.StatesExpanded
 	return nil
 }
 
-// reconcile brings a prepared solve in line with the mutated trace.
-// changedFrom is the smallest step whose requirement row changed
-// (Steps() before the append for Extend, the amend offset for Amend).
-// While frames are retained (pruning off) the rebuilt candidate
-// catalog is compared against the old one — candidates at early steps
-// reach into the future through their horizon unions, so an appended
-// row can invalidate steps long before changedFrom — and the solve
-// resumes from the first step whose DP inputs differ.  Otherwise the
-// prepared state is discarded wholesale.
-func (en *Engine) reconcile(ctx context.Context, changedFrom int) error {
+// reconcile brings a prepared solve in line with the mutated trace: it
+// re-prepares the new trace (preprocessing, warm start, bounds,
+// candidate catalog), finds the first step b whose decisions can
+// differ from the retained run's, and resumes from frame b.
+//
+// Exactness, by induction over steps.  If the frontier entering step t
+// equals a fresh solve's, the step's decision inputs are equal and
+// every one of its bound tests resolves the same way, then step t runs
+// the same DFS, inserts, sort, dominance and beam, so frame t+1 and
+// generation t are byte-identical to the fresh solve's.  Frame 0 is
+// the root of the layout.  Step t's decision inputs, on the axis the
+// DP runs on, are:
+//
+//   - the layout and column weights (duplicate-column grouping); a
+//     difference here means b = 0;
+//   - its requirement row and multiplicity;
+//   - every task's final candidate list, after the MaxCandidates and
+//     byte-budget trims the fresh build reapplies.  Candidates reach
+//     into the future through their horizon unions, so an appended row
+//     can move b well before the old end of the trace;
+//   - with pruning on, whether dominance runs at t (t < n−1, so the old
+//     last step re-runs when the trace grows) and the suffix unions it
+//     reads, sufUnion[·][t+1];
+//   - with pruning on, its bound tests.  Each decides
+//     q = bound − incumbent > 0, and the new trace moves every q of
+//     step t by d_t = Δ sufLB[t+1] − Δ incumbent, so the step decides
+//     alike iff its largest kept q stays ≤ 0 and its smallest cut q
+//     stays > 0 after the shift (margins.holds).  Reused steps'
+//     margins are re-based by d_t, as a fresh run would record them.
+//
+// The frame stats carry the steps' own flags; catalog-scoped stats
+// come from the new preparation.  The solve is rebuilt from the root
+// instead when the old run emptied, a portfolio incumbent tightened
+// during it (its tests no longer share one incumbent), the old catalog
+// raised a Truncated/Degraded flag the new one does not (a frame
+// cannot tell whether its steps raised it too), or b lies before a
+// checkpoint-resumed engine's first frame.  Such an engine has no
+// frames, nor margins, before its restore point: a step there passes
+// the bound check only when d_t = 0.
+func (en *Engine) reconcile(ctx context.Context) error {
 	if !en.prepared {
 		return nil
 	}
-	if !en.keepFrames() {
+	e := en.e
+	if en.emptied || e.pruneOn && e.incumbent != en.incCost {
 		en.reset()
 		return nil
 	}
-	e := en.e
-	oldCands := e.cands
-	e.ins = en.ins
-	en.target = en.ins
-
-	// Re-pack the requirement rows for the grown/amended trace.
-	m, n := len(en.tasks), en.ins.Steps()
-	e.reqs = e.reqs[:0]
-	for j := 0; j < m; j++ {
-		tw := e.lay.taskWords[j]
-		flat := make([]uint64, n*tw)
-		for i := 0; i < n; i++ {
-			copy(flat[i*tw:(i+1)*tw], en.ins.Reqs[j][i].Words())
-		}
-		e.reqs = append(e.reqs, flat)
+	oldTarget, oldRed, oldCat := en.target, en.red, en.cat
+	oldCands, oldInc, oldStep, gens := e.cands, e.incumbent, e.step, e.gens
+	// The packed rows are the old trace's own copy: an unreduced target
+	// shares its row sets with the trace Amend overwrites.
+	oldReqs := slices.Clone(e.reqs)
+	var oldSuf [][]uint64
+	var oldLB []model.Cost
+	if e.pruneOn {
+		// computeBounds rebuilds these in place.
+		oldSuf, oldLB = slices.Clone(e.sufUnion), slices.Clone(e.sufLB)
 	}
-	if err := e.buildCandidates(ctx, en.o); err != nil {
+	if err := en.prepareTrace(ctx); err != nil {
 		en.reset()
 		return err
 	}
 
-	// The frontier entering step t depends only on requirements and
-	// candidates of steps < t, so the first (task, step) whose FINAL
-	// candidate list changed (after the MaxCandidates and byte-budget
-	// trims, which the fresh build reapplies deterministically) bounds
-	// how deep the old run remains valid.
-	b := changedFrom
-scan:
-	for t := 0; t < changedFrom; t++ {
-		for j := 0; j < m; j++ {
-			if !candsEqual(&oldCands[j][t], &e.cands[j][t]) {
-				b = t
-				break scan
+	nOld, nNew := oldTarget.Steps(), en.target.Steps()
+	same := func(t int) bool {
+		for j := range en.tasks {
+			tw := e.lay.taskWords[j]
+			if !wordsEqual(oldReqs[j][t*tw:(t+1)*tw], e.reqAt(j, t)) || !candsEqual(&oldCands[j][t], &e.cands[j][t]) {
+				return false
 			}
 		}
+		if multOf(oldRed, t) != multOf(en.red, t) {
+			return false
+		}
+		if !e.pruneOn {
+			return true
+		}
+		dom := t < nNew-1
+		if dom != (t < nOld-1) {
+			return false
+		}
+		for j := 0; dom && j < len(en.tasks); j++ {
+			tw := e.lay.taskWords[j]
+			if !wordsEqual(oldSuf[j][(t+1)*tw:(t+2)*tw], e.sufUnion[j][(t+1)*tw:(t+2)*tw]) {
+				return false
+			}
+		}
+		d := e.sufLB[t+1] - oldLB[t+1] - (e.incumbent - oldInc)
+		if t+1 <= en.frameBase {
+			return d == 0
+		}
+		f := &en.frames[t+1-en.frameBase]
+		if !f.margins.holds(d) {
+			return false
+		}
+		f.margins.shift(d)
+		return true
 	}
-
-	if b < en.frameBase {
-		// A checkpoint-resumed engine has no frames before its restore
-		// point; rebuild from scratch.
-		en.reset()
+	b := 0
+	if sameGrouping(oldTarget, oldRed, en.target, en.red) &&
+		!(oldCat.Truncated && !en.cat.Truncated || oldCat.Degraded && !en.cat.Degraded) {
+		for b < min(oldStep, nNew) && same(b) {
+			b++
+		}
+	}
+	if b == 0 || b < en.frameBase {
+		en.restartFromRoot()
 		return nil
 	}
-	if b < e.step {
-		en.restoreFrame(b)
-		en.lastResolveStart = b
-	} else {
-		// The solve never reached the first invalidated step; it simply
-		// continues over the new inputs.
-		en.lastResolveStart = e.step
-	}
-	en.emptied = false
-	en.baseExpanded = e.stats.StatesExpanded
+	e.gens = gens // the preparation emptied the header, not the array
+	en.restoreFrame(b)
 	return nil
+}
+
+// sameGrouping reports whether two preparations run the DP over the
+// same layout and column weights.
+func sameGrouping(a *model.MTSwitchInstance, ra *reduction, b *model.MTSwitchInstance, rb *reduction) bool {
+	for j := range a.Tasks {
+		if a.Tasks[j].Local != b.Tasks[j].Local || !slices.Equal(ra.taskWeights(j), rb.taskWeights(j)) {
+			return false
+		}
+	}
+	return true
+}
+
+// multOf is step t's multiplicity under a preparation's reduction.
+func multOf(r *reduction, t int) model.Cost {
+	if r == nil || r.mult == nil {
+		return 1
+	}
+	return r.mult[t]
+}
+
+// reducedStep maps an original-axis step to the step of the DP's axis
+// that holds it (the axis length for the end of the trace).
+func (en *Engine) reducedStep(step int) int {
+	if en.red == nil {
+		return step
+	}
+	if step >= en.red.origSteps {
+		return len(en.red.runStart)
+	}
+	return sort.SearchInts(en.red.runStart, step+1) - 1
+}
+
+// originalStep maps a step of the DP's axis to the original step its
+// run starts at.
+func (en *Engine) originalStep(t int) int {
+	if en.red == nil {
+		return t
+	}
+	if t >= len(en.red.runStart) {
+		return en.red.origSteps
+	}
+	return en.red.runStart[t]
 }
 
 // candsEqual compares two final candidate lists of one (task, step).
@@ -611,11 +760,11 @@ func candsEqual(a, b *packedCands) bool {
 	return true
 }
 
-// LastResolveStart reports the step index the most recent
+// LastResolveStart reports the original-axis step the most recent
 // Extend/Amend/Rewind resumed solving from (0 after a full rebuild).
 // The re-solved suffix of the current trace is Steps() −
 // LastResolveStart.
-func (en *Engine) LastResolveStart() int { return en.lastResolveStart }
+func (en *Engine) LastResolveStart() int { return en.originalStep(en.lastResolveStart) }
 
 // ResolveExpanded reports how many DP states the current resolve
 // window has expanded — the incremental cost of the latest
@@ -645,7 +794,7 @@ func (en *Engine) SizeBytes() int64 {
 		}
 	}
 	for _, f := range en.frames {
-		total += int64(cap(f.slab))*8 + int64(cap(f.costs))*8 + 16
+		total += int64(cap(f.slab))*8 + int64(cap(f.costs))*8 + int64(unsafe.Sizeof(f))
 	}
 	return total
 }

@@ -295,6 +295,11 @@ type engine struct {
 	expanded int64        // successors generated this step
 	cut      int64        // bound cutoffs this step
 
+	// Bound margins of the current step (see cuts): the smallest
+	// q = bound − incumbent a test cut on (noCut when none did) and the
+	// largest one a test kept on (noKeep when none did).
+	cutMin, keepMax model.Cost
+
 	// Dominance scratch (dominanceFilter).
 	domRes    []uint64
 	domCnt    []model.Cost
@@ -411,6 +416,7 @@ func (e *engine) prepare(ins *model.MTSwitchInstance, opt model.CostOptions, o s
 	}
 
 	e.gens = e.gens[:0]
+	e.cutMin, e.keepMax = noCut, noKeep
 	e.stats.StatesExpanded = 0
 	e.stats.DedupHits = 0
 	e.stats.PeakFrontier = 0
@@ -418,6 +424,7 @@ func (e *engine) prepare(ins *model.MTSwitchInstance, opt model.CostOptions, o s
 	e.stats.StatesPruned = 0
 	e.stats.DominanceHits = 0
 	e.stats.BoundCutoffs = 0
+	e.stats.IncumbentTightenings = 0
 	e.stats.PreprocessReduction = 0
 	e.stats.BudgetDropped = 0
 	e.stats.Truncated = false
@@ -540,26 +547,50 @@ func (e *engine) rootReconf() model.Cost {
 }
 
 // With the pruned layer on, two admissible cutoffs bound the recursion
-// against the incumbent: at interior nodes the not-yet-branched tasks
-// contribute at least tailReconf[j] to this step's reconf term, and at
-// the leaf the remaining steps cost at least sufLB[step+1].  Both prune
-// strictly-worse branches only (>, never ≥), so every state on an
+// against the incumbent: at interior nodes (j > 0) the not-yet-branched
+// tasks contribute at least tailReconf[j] to this step's reconf term,
+// and at the leaf the remaining steps cost at least sufLB[step+1].  Both
+// prune strictly-worse branches only (>, never ≥), so every state on an
 // optimal path survives and an untruncated run stays exact.  Both are
-// monotone in every argument.
+// monotone in every argument.  Each call site tests e.pruneOn itself
+// and hands the bound to cuts, which keeps the bound and the compare
+// inlined on the expansion's hot path.
 
-func (e *engine) interiorCut(j int, hyper, reconf model.Cost) bool {
-	if !e.pruneOn || j == 0 {
-		return false
-	}
+// interiorBound is the admissible bound on any leaf below an interior
+// node at task j > 0.
+func (e *engine) interiorBound(j int, hyper, reconf model.Cost) model.Cost {
 	rem := e.opt.ReconfUpload.Combine(reconf, e.tailReconf[j][e.step])
 	if e.opt.ReconfUpload == model.TaskSequential {
 		rem += model.Cost(e.ins.PublicGlobal)
 	}
-	return e.srcCost+hyper+rem*e.stepMult+e.sufLB[e.step+1] > e.incumbent
+	return e.srcCost + hyper + rem*e.stepMult + e.sufLB[e.step+1]
 }
 
-func (e *engine) leafCut(total model.Cost) bool {
-	return e.pruneOn && total+e.sufLB[e.step+1] > e.incumbent
+// leafBound is the admissible bound on a leaf of the given step total.
+func (e *engine) leafBound(total model.Cost) model.Cost {
+	return total + e.sufLB[e.step+1]
+}
+
+// Margin sentinels: a step with no cut test, or no kept test.
+const (
+	noCut  = model.Cost(math.MaxInt64)
+	noKeep = model.Cost(math.MinInt64)
+)
+
+// cuts decides one bound test, q = bound − incumbent > 0, and folds q
+// into the step's margins.  Every q of a step moves by the same amount
+// when a changed trace moves sufLB[step+1] and the incumbent, so the
+// margins alone tell an incremental Engine whether the step would
+// decide every test the same way again (Engine.reconcile).
+func (e *engine) cuts(bound model.Cost) bool {
+	q := bound - e.incumbent
+	if q > 0 {
+		e.cut++
+		e.cutMin = min(e.cutMin, q)
+		return true
+	}
+	e.keepMax = max(e.keepMax, q)
+	return false
 }
 
 // expandFrontier generates the step's successors into e.table.  A
@@ -610,6 +641,7 @@ func (e *engine) expandFrontier(ctx context.Context) (err error) {
 	e.table.reset()
 	e.keys.reset()
 	e.expanded, e.cut = 0, 0
+	e.cutMin, e.keepMax = noCut, noKeep
 	for s := 0; s < e.count; s++ {
 		if err := solve.Checkpoint(ctx); err != nil {
 			return err
@@ -663,8 +695,7 @@ func (e *engine) expandFrontier(ctx context.Context) (err error) {
 func (e *engine) scanPatterns(j int, hyper, reconf model.Cost) {
 	m, sw := e.lay.m, e.lay.setWords
 	if j == m {
-		if e.leafCut(e.leafTotal(hyper, reconf)) {
-			e.cut++
+		if e.pruneOn && e.cuts(e.leafBound(e.leafTotal(hyper, reconf))) {
 			return
 		}
 		// Keeping every task reaches the source's own vector, and
@@ -676,8 +707,7 @@ func (e *engine) scanPatterns(j int, hyper, reconf model.Cost) {
 		e.expandPattern(0, 0, e.rootReconf())
 		return
 	}
-	if e.interiorCut(j, hyper, reconf) {
-		e.cut++
+	if e.pruneOn && j > 0 && e.cuts(e.interiorBound(j, hyper, reconf)) {
 		return
 	}
 	off, tw := e.lay.taskOff[j], e.lay.taskWords[j]
@@ -721,16 +751,14 @@ func anyBits(words []uint64) bool {
 func (e *engine) expandPattern(j int, hyper, reconf model.Cost) {
 	if j == e.lay.m {
 		total := e.leafTotal(hyper, reconf)
-		if e.leafCut(total) {
-			e.cut++
+		if e.pruneOn && e.cuts(e.leafBound(total)) {
 			return
 		}
 		e.expanded++
 		e.table.insert(e.cur, e.table.hashFn(e.cur[:e.lay.setWords]), total, e.src)
 		return
 	}
-	if e.interiorCut(j, hyper, reconf) {
-		e.cut++
+	if e.pruneOn && j > 0 && e.cuts(e.interiorBound(j, hyper, reconf)) {
 		return
 	}
 	off, tw := e.lay.taskOff[j], e.lay.taskWords[j]
@@ -910,9 +938,10 @@ func (e *engine) beginSolve(ctx context.Context, ins *model.MTSwitchInstance, op
 }
 
 // finishMask reconstructs the optimal schedule's hyperreconfiguration
-// mask from the back-pointer chains of a completed run and finalizes
-// the derived stats flags.
-func (e *engine) finishMask(o solve.Options) (mask [][]bool, dpCost model.Cost) {
+// mask from the back-pointer chains of a completed run, with the run's
+// final stats (the derived fields filled in; e.stats itself keeps the
+// run's state, as frames and checkpoints record it).
+func (e *engine) finishMask(o solve.Options) (mask [][]bool, dpCost model.Cost, stats solve.Stats) {
 	m, n := e.ins.NumTasks(), e.ins.Steps()
 	mask = make([][]bool, m)
 	for j := range mask {
@@ -929,7 +958,8 @@ func (e *engine) finishMask(o solve.Options) (mask [][]bool, dpCost model.Cost) 
 		}
 		at = gen.prev[at]
 	}
-	e.stats.Truncated = e.stats.Truncated || o.MaxCandidates > 0
-	e.stats.StatesPruned = e.stats.DominanceHits + e.stats.BoundCutoffs
-	return mask, dpCost
+	stats = e.stats
+	stats.Truncated = stats.Truncated || o.MaxCandidates > 0
+	stats.StatesPruned = stats.DominanceHits + stats.BoundCutoffs
+	return mask, dpCost, stats
 }

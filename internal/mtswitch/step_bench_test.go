@@ -2,6 +2,7 @@ package mtswitch
 
 import (
 	"context"
+	"math/rand"
 	"testing"
 
 	"repro/internal/model"
@@ -59,6 +60,73 @@ func BenchmarkStepExpansion(b *testing.B) {
 				steps += int64(ins.Steps())
 			}
 			b.ReportMetric(float64(expanded)/float64(steps), "succ/step")
+		})
+	}
+}
+
+// BenchmarkSessionStream streams perfbench's stream-durable session
+// shapes (streamSession, four seeds each) through an incremental
+// Engine, pruning on and off.  One iteration
+// is one session; the opening solve is not timed.  ns/batch is the time
+// to apply a batch and re-solve, resolved/batch the re-solved steps
+// (Steps − LastResolveStart) and succ/batch the successors generated.
+//
+//	go test ./internal/mtswitch -run '^$' -bench SessionStream
+func BenchmarkSessionStream(b *testing.B) {
+	ctx := context.Background()
+	opt := model.CostOptions{HyperUpload: model.TaskParallel, ReconfUpload: model.TaskParallel}
+	type session struct {
+		opening *model.MTSwitchInstance
+		ops     []traceOp
+	}
+	r := rand.New(rand.NewSource(1))
+	var sessions []session
+	for seed := int64(1); seed <= 4; seed++ {
+		for _, gen := range []string{"phased", "dense"} {
+			full, ops := streamSession(b, r, gen, seed)
+			sessions = append(sessions, session{prefixMT(b, full, 20), ops})
+		}
+	}
+	for _, disable := range []bool{false, true} {
+		name := "pruned"
+		if disable {
+			name = "unpruned"
+		}
+		b.Run(name, func(b *testing.B) {
+			o := solve.Options{DisablePruning: disable}
+			var batches, resolved, succ int64
+			for i := 0; i < b.N; i++ {
+				s := sessions[i%len(sessions)]
+				b.StopTimer()
+				eng, err := NewEngine(ctx, s.opening, opt, o, true)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := eng.Solution(ctx); err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+				for _, op := range s.ops {
+					if op.at < 0 {
+						err = eng.Extend(ctx, op.rows)
+					} else {
+						err = eng.Amend(ctx, op.at, op.rows)
+					}
+					if err != nil {
+						b.Fatal(err)
+					}
+					if _, err := eng.Solution(ctx); err != nil {
+						b.Fatal(err)
+					}
+					batches++
+					resolved += int64(eng.Steps() - eng.LastResolveStart())
+					succ += eng.ResolveExpanded()
+				}
+				eng.Close()
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(batches), "ns/batch")
+			b.ReportMetric(float64(resolved)/float64(batches), "resolved/batch")
+			b.ReportMetric(float64(succ)/float64(batches), "succ/batch")
 		})
 	}
 }

@@ -23,7 +23,9 @@ import (
 // rows over time, and reads back the re-optimized schedule after each
 // batch.  Under the hood each session drives a solve.StepEngine, so a
 // batch re-solves only the suffix it invalidates instead of the whole
-// trace.
+// trace — with the default pruned options too: the engine resumes from
+// the first step whose decisions the batch can change, and its
+// schedule and stats are those of a fresh solve of the grown trace.
 //
 // Reliability model: the session's step-major demand trace is the
 // authoritative state; the engine is a disposable accelerator.

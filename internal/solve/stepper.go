@@ -45,9 +45,10 @@ type StepEngine interface {
 	// it later, in another process, with any worker count.
 	Checkpoint(ctx context.Context) ([]byte, error)
 
-	// LastResolveStart reports the step the most recent Extend/Amend/
-	// Rewind resumed solving from (0 after a full rebuild); the
-	// re-solved suffix is Steps() - LastResolveStart.
+	// LastResolveStart reports the step of the trace (the original
+	// step axis, whatever axis the solver steps internally) the most
+	// recent Extend/Amend/Rewind resumed solving from (0 after a full
+	// rebuild); the re-solved suffix is Steps() - LastResolveStart.
 	LastResolveStart() int
 
 	// ResolveExpanded reports the DP states expanded since the most

@@ -51,8 +51,8 @@
 # Every JSON row records pruning_enabled explicitly, so --check and any
 # downstream diffing compare like with like.
 #   scripts/bench_baseline.txt raw `go test -bench` output of the
-#                             frontier/scaling/step-expansion
-#                             benchmarks, the input of
+#                             frontier/scaling/step-expansion/session
+#                             stream benchmarks, the input of
 #                             the --check mode and of CI's
 #                             informational benchstat step.
 set -eu
@@ -60,7 +60,7 @@ cd "$(dirname "$0")/.."
 
 # BENCH_PATTERN and BENCH_PKGS must match the regex and packages of CI's
 # bench-compare job (.github/workflows/ci.yml).
-BENCH_PATTERN='BenchmarkFrontierEngines|BenchmarkScalingTasks|BenchmarkPartitionedSolve|BenchmarkStepExpansion'
+BENCH_PATTERN='BenchmarkFrontierEngines|BenchmarkScalingTasks|BenchmarkPartitionedSolve|BenchmarkStepExpansion|BenchmarkSessionStream'
 BENCH_PKGS='. ./internal/mtswitch'
 
 if [ "${1:-}" = "--check" ]; then
