@@ -11,12 +11,8 @@
 //	       [-data-dir DIR] [-fsync always|interval|never] [-wal-segment-bytes N]
 //	hyperd bench [-solver aligned] [-gen phased] [-tasks 4] [-steps 64]
 //	             [-switches 16] [-conc 32] [-duration 2s]
-//	hyperd bench -sessions [-solver exact] [-gen dense] [-tasks 4] [-steps 64]
-//	             [-switches 16] [-batch 2]
 //	hyperd bench -cluster [-nodes 3] [-twins 24] [-json out.json]
 //	             [-router URL -peers URL,URL,...]
-//	hyperd bench -restart-midway [-restart-jobs 24] [-fsync always]
-//	             [-json out.json]
 //	hyperd route -peers URL,URL,... [-addr 127.0.0.1:8078] [-vnodes 64]
 //	             [-sticky N] [-max-timeout 60s] [-max-frontier-bytes N]
 //
@@ -44,13 +40,13 @@
 // over real HTTP with synthetic internal/workload instances: first an
 // uncached phase (every request a distinct instance, measuring solver
 // throughput), then a cached phase (one hot instance, measuring
-// serving throughput).
+// serving throughput).  -cpuprofile and -memprofile profile the daemon
+// under that load.
 //
-// bench -sessions streams one workload.Streaming trace through the
-// session API batch by batch, checks the final schedule against the
-// one-shot /v1/solve of the full trace, and reports the incremental
-// re-solve cost (states expanded per batch) against the from-scratch
-// cost.
+// bench -cluster spawns (or attaches to) an N-node cluster behind a
+// router, measures its cached throughput against a single node, and
+// hard-fails if a structural twin sent to a non-owner node is not
+// answered through peer cache fill with the single node's schedule.
 package main
 
 import (
@@ -274,35 +270,16 @@ func runBench(args []string, w io.Writer) error {
 		workers  = fs.Int("workers", 0, "server worker pool size (0 = GOMAXPROCS)")
 		cpuProf  = fs.String("cpuprofile", "", "write a CPU profile of the bench run to this file")
 		memProf  = fs.String("memprofile", "", "write an allocation profile after the bench run to this file")
-		sessions = fs.Bool("sessions", false, "bench the streaming session API instead of the job queue")
-		batch    = fs.Int("batch", 2, "mean rows per streamed batch (sessions mode)")
 
 		clusterM  = fs.Bool("cluster", false, "bench an N-node cluster behind a router instead of a single daemon")
 		nodes     = fs.Int("nodes", 3, "in-process cluster size (cluster mode)")
 		routerURL = fs.String("router", "", "existing router base URL; with -peers, bench that cluster instead of spawning one")
 		peersF    = fs.String("peers", "", "existing cluster node base URLs, comma-separated (with -router)")
 		twins     = fs.Int("twins", 24, "twin pairs driven through the peer-fill correctness phase (cluster mode)")
-		jsonOut   = fs.String("json", "", "write the cluster bench report to this file (cluster or restart-midway mode)")
-
-		restartMid  = fs.Bool("restart-midway", false, "load a durable daemon, crash it in-process (kill -9 shape) and measure recovery on restart")
-		restartJobs = fs.Int("restart-jobs", 24, "distinct solves journaled before the crash (restart-midway mode)")
-		benchFsync  = fs.String("fsync", "always", "WAL flush policy for the durable daemon (restart-midway mode)")
+		jsonOut   = fs.String("json", "", "write the cluster bench report to this file (cluster mode)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-	if *restartMid {
-		fsync, err := durable.ParseFsyncPolicy(*benchFsync)
-		if err != nil {
-			return fmt.Errorf("-fsync: %w", err)
-		}
-		return restartBench(w, restartBenchOpts{
-			solver: *solver, gen: *gen, tasks: *tasks, steps: *steps, switches: *switches,
-			workers: *workers, jobs: *restartJobs, fsync: fsync, jsonPath: *jsonOut,
-		})
-	}
-	if *sessions {
-		return sessionBench(w, *solver, *gen, *tasks, *steps, *switches, *batch, *workers)
 	}
 	if *clusterM || *routerURL != "" {
 		return clusterBench(w, clusterBenchOpts{
@@ -412,119 +389,6 @@ func runBench(args []string, w io.Writer) error {
 		return fmt.Errorf("%d requests failed", uncached.failures+cached.failures)
 	}
 	return nil
-}
-
-// sessionBench streams one generated trace through the session API and
-// compares the incremental re-solve cost against the one-shot solve of
-// the same full trace.
-func sessionBench(w io.Writer, solver, gen string, tasks, steps, switches, batch, workers int) error {
-	stream, err := workload.Streaming(workload.StreamConfig{
-		Workload:  workload.Config{Tasks: tasks, Steps: steps, Switches: switches},
-		Generator: gen,
-		MeanBatch: batch,
-	})
-	if err != nil {
-		return err
-	}
-	srv := service.New(service.Config{Workers: workers})
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return err
-	}
-	httpSrv := &http.Server{Handler: srv.Handler()}
-	go httpSrv.Serve(ln)
-	base := "http://" + ln.Addr().String()
-	defer func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		srv.Shutdown(ctx)
-		httpSrv.Shutdown(ctx)
-	}()
-
-	if err := preflightSolver(http.DefaultClient, base, solver); err != nil {
-		return err
-	}
-	wire := service.WireInstanceFrom(stream.Instance)
-	call := func(url string, body any, out any) error {
-		data, err := json.Marshal(body)
-		if err != nil {
-			return err
-		}
-		resp, err := http.Post(url, "application/json", bytes.NewReader(data))
-		if err != nil {
-			return err
-		}
-		defer resp.Body.Close()
-		raw, err := io.ReadAll(resp.Body)
-		if err != nil {
-			return err
-		}
-		if resp.StatusCode/100 != 2 {
-			return fmt.Errorf("%s: status %d: %s", url, resp.StatusCode, raw)
-		}
-		return json.Unmarshal(raw, out)
-	}
-
-	initial := len(stream.Initial)
-	var st service.SessionStatus
-	if err := call(base+"/v1/sessions", service.SessionRequest{
-		Solver:   solver,
-		Instance: &service.WireInstance{Tasks: wire.Tasks, Reqs: wire.Reqs[:initial]},
-	}, &st); err != nil {
-		return err
-	}
-
-	start := time.Now()
-	var incremental int64
-	step := initial
-	for _, b := range stream.Batches {
-		if err := call(base+"/v1/sessions/"+st.ID+"/steps", service.SessionSteps{
-			Reqs: wire.Reqs[step : step+len(b.Rows)],
-		}, &st); err != nil {
-			return err
-		}
-		step += len(b.Rows)
-		incremental += st.ResolveExpanded
-	}
-	streamElapsed := time.Since(start)
-
-	start = time.Now()
-	var job service.JobStatus
-	if err := call(base+"/v1/solve", service.SolveRequest{Solver: solver, Instance: wire}, &job); err != nil {
-		return err
-	}
-	oneShotElapsed := time.Since(start)
-	if job.Result == nil || st.Result == nil {
-		return fmt.Errorf("missing result: session=%v one-shot=%v", st.Result, job.Result)
-	}
-	if job.Result.Cost != st.Result.Cost {
-		return fmt.Errorf("session cost %d != one-shot cost %d", st.Result.Cost, job.Result.Cost)
-	}
-
-	fromScratch := job.Result.Stats.StatesExpanded
-	fmt.Fprintf(w, "hyperd bench -sessions: solver=%s gen=%s m=%d n=%d l=%d batch=%d\n",
-		solver, gen, tasks, steps, switches, batch)
-	fmt.Fprintf(w, "streamed %d batches over %d steps in %v; final cost %d matches one-shot (%v)\n",
-		len(stream.Batches), steps, streamElapsed.Round(time.Millisecond), st.Result.Cost, oneShotElapsed.Round(time.Millisecond))
-	fmt.Fprintf(w, "states expanded: one-shot=%d incremental-total=%d last-batch=%d (one-shot/last = %.1fx)\n",
-		fromScratch, incremental, st.ResolveExpanded, ratio(fromScratch, st.ResolveExpanded))
-	fmt.Fprintf(w, "streaming the whole trace cost %.1fx one state-expansion budget (1.0 = free, %d batches)\n",
-		float64(incremental)/float64(max64(fromScratch, 1)), len(stream.Batches))
-	return nil
-}
-
-func ratio(num, den int64) float64 {
-	if den <= 0 {
-		return 0
-	}
-	return float64(num) / float64(den)
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // preflightSolver asks the daemon which solvers it registers (GET

@@ -139,17 +139,12 @@ func steppedSolve(ctx context.Context, eng solve.StepEngine, ckptPath string, ev
 // runResumed continues a checkpointed solve.  The instance travels
 // inside the checkpoint, so nothing is loaded from -app/-reqs — which
 // also means instance-dependent outputs (-fig, -out) are unavailable.
-func runResumed(resumePath, solver, ckptPath string, ckptN, workers, beamN int, stats bool) error {
+func runResumed(resumePath, solver, ckptPath string, ckptN int, stats bool) error {
 	data, err := os.ReadFile(resumePath)
 	if err != nil {
 		return err
 	}
-	var o solve.Options
-	if solver == "beam" {
-		o = solve.Options{MaxStates: beamN, MaxCandidates: 4}
-	}
-	o.Workers = workers
-	eng, err := solve.ResumeStepEngine(context.Background(), solver, data, o)
+	eng, err := solve.ResumeStepEngine(context.Background(), solver, data)
 	if err != nil {
 		return err
 	}
@@ -180,7 +175,7 @@ func run(app, reqsPath, solver, upload, gran string, fig bool, pop, gens int, se
 		if fig || outPath != "" {
 			return fmt.Errorf("-fig and -out need the original instance and are not supported with -resume")
 		}
-		return runResumed(resumePath, solver, ckptPath, ckptN, workers, beamN, stats)
+		return runResumed(resumePath, solver, ckptPath, ckptN, stats)
 	}
 	ins, err := load(app, reqsPath, gran)
 	if err != nil {

@@ -21,9 +21,8 @@ import (
 //
 // Deliberately NOT serialized:
 //
-//   - Options.Workers: the packed engine does not use it, so the
-//     resuming process may pass any value and the schedule cannot
-//     change.
+//   - Options.Workers: the packed engine does not read it, so a
+//     resumed engine needs none.
 //   - The candidate catalog, warm-start incumbent, bound tables and
 //     preprocessing outcome: all are deterministic functions of the
 //     instance and options, recomputed on resume and cross-checked
@@ -319,15 +318,11 @@ func stray(words []uint64, n int) bool {
 // omits — preprocessing, warm start, candidate catalog — is recomputed
 // deterministically from the serialized instance and options, and the
 // recomputed step axis is cross-checked against the serialized one.
-// workers is stored in the resumed engine's options (0 = GOMAXPROCS);
-// the schedule is bit-identical for every choice.
-func ResumeEngine(ctx context.Context, data []byte, workers int, incremental bool) (*Engine, error) {
+func ResumeEngine(ctx context.Context, data []byte, incremental bool) (*Engine, error) {
 	cp, err := decodeCheckpoint(data)
 	if err != nil {
 		return nil, err
 	}
-	o := cp.o
-	o.Workers = workers
 	reqs := make([][]bitset.Set, len(cp.rows))
 	for j := range cp.rows {
 		reqs[j] = cp.rows[j]
@@ -340,7 +335,7 @@ func ResumeEngine(ctx context.Context, data []byte, workers int, incremental boo
 	ins.W = cp.w
 
 	en := &Engine{
-		opt: cp.opt, o: o, incremental: incremental,
+		opt: cp.opt, o: cp.o, incremental: incremental,
 		tasks: cp.tasks, rows: cp.rows, pub: cp.pub, w: cp.w, ins: ins,
 	}
 	if !en.canStep() {

@@ -9,10 +9,9 @@ import (
 	"repro/internal/solve"
 )
 
-// TestCheckpointRoundTripBitIdentical is the issue's serialization
-// property test: snapshot -> encode -> decode -> resume must produce a
-// schedule bit-identical to the uninterrupted solve, with the resuming
-// process free to pick any of Workers {1,2,8}, pruning on and off.
+// TestCheckpointRoundTripBitIdentical is the serialization property
+// test: snapshot -> encode -> decode -> resume must produce a schedule
+// bit-identical to the uninterrupted solve, pruning on and off.
 func TestCheckpointRoundTripBitIdentical(t *testing.T) {
 	ctx := context.Background()
 	r := rand.New(rand.NewSource(79))
@@ -41,21 +40,19 @@ func TestCheckpointRoundTripBitIdentical(t *testing.T) {
 					t.Fatalf("instance %d stop %d: checkpoint: %v", ii, stop, err)
 				}
 				eng.Close()
-				for _, workers := range agreementWorkers {
-					res, err := ResumeEngine(ctx, data, workers, true)
-					if err != nil {
-						t.Fatalf("instance %d stop %d workers %d: resume: %v", ii, stop, workers, err)
-					}
-					got, err := res.Solution(ctx)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if got.Cost != want.Cost || !sameSchedule(t, got.Schedule, want.Schedule) {
-						t.Fatalf("instance %d opt %+v disable %v stop %d workers %d: resumed cost %d, uninterrupted %d (or schedules differ)",
-							ii, opt, disable, stop, workers, got.Cost, want.Cost)
-					}
-					res.Close()
+				res, err := ResumeEngine(ctx, data, true)
+				if err != nil {
+					t.Fatalf("instance %d stop %d: resume: %v", ii, stop, err)
 				}
+				got, err := res.Solution(ctx)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got.Cost != want.Cost || !sameSchedule(t, got.Schedule, want.Schedule) {
+					t.Fatalf("instance %d opt %+v disable %v stop %d: resumed cost %d, uninterrupted %d (or schedules differ)",
+						ii, opt, disable, stop, got.Cost, want.Cost)
+				}
+				res.Close()
 			}
 		}
 	}
@@ -82,7 +79,7 @@ func TestCheckpointResumeThenExtend(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng.Close()
-	res, err := ResumeEngine(ctx, data, 1, true)
+	res, err := ResumeEngine(ctx, data, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +197,7 @@ func FuzzCheckpointDecode(f *testing.F) {
 		if n > 32 || cells > 1<<10 || cp.count > 1<<8 {
 			return
 		}
-		res, err := ResumeEngine(ctx, data, 1, true)
+		res, err := ResumeEngine(ctx, data, true)
 		if err != nil {
 			return
 		}

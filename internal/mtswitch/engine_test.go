@@ -618,7 +618,7 @@ func TestEngineResumeMatchesFreshFrames(t *testing.T) {
 							t.Fatal(err)
 						}
 						eng.Close()
-						if eng, err = ResumeEngine(ctx, data, 1, true); err != nil {
+						if eng, err = ResumeEngine(ctx, data, true); err != nil {
 							t.Fatalf("%s: resume: %v", step, err)
 						}
 					}

@@ -109,9 +109,9 @@ func SolvePrivateGlobal(ctx context.Context, ins *PrivateGlobalInstance, opt mod
 	// All O(n²) windows are independent, so the sweep fans out across
 	// the shared solve.Pool: pool task w handles window rows a ≡ w (mod
 	// workers); within a row, private unions extend incrementally as
-	// the window end grows.  The outer sweep owns the parallelism, so
-	// each inner SolveExact runs its packed frontier single-worker —
-	// stacking both levels would oversubscribe the pool's cores.
+	// the window end grows.  The packed engine is sequential, so each
+	// inner SolveExact runs on the pool goroutine that owns its row and
+	// the sweep is the only parallel level.
 	type windowResult struct {
 		cost     model.Cost
 		feasible bool
@@ -123,10 +123,6 @@ func SolvePrivateGlobal(ctx context.Context, ins *PrivateGlobalInstance, opt mod
 	workers := pool.Workers()
 	if workers > n {
 		workers = n
-	}
-	innerOpts := o
-	if workers > 1 {
-		innerOpts.Workers = 1
 	}
 	var (
 		errOnce  sync.Once
@@ -166,7 +162,7 @@ func SolvePrivateGlobal(ctx context.Context, ins *PrivateGlobalInstance, opt mod
 					errOnce.Do(func() { sweepErr = err })
 					return
 				}
-				sol, err := SolveExact(ctx, sub, opt, innerOpts)
+				sol, err := SolveExact(ctx, sub, opt, o)
 				if err != nil {
 					errOnce.Do(func() { sweepErr = err })
 					return

@@ -78,18 +78,14 @@ func Solve(ctx context.Context, ins *model.MTSwitchInstance, opt model.CostOptio
 		subs[w] = sub
 	}
 
-	// Fan the windows out on the shared pool; inner solves run
-	// single-threaded when the sweep itself is parallel (the
-	// SolvePrivateGlobal idiom).
+	// Fan the windows out on the shared pool.  The packed engine is
+	// sequential, so each inner SolveExact runs on the pool goroutine
+	// that owns its window and the sweep is the only parallel level.
 	pool := solve.NewPool(o.Workers)
 	defer pool.Close()
 	workers := pool.Workers()
 	if workers > len(subs) {
 		workers = len(subs)
-	}
-	innerOpts := o
-	if workers > 1 {
-		innerOpts.Workers = 1
 	}
 	results := make([]*mtswitch.Solution, len(subs))
 	var (
@@ -102,7 +98,7 @@ func Solve(ctx context.Context, ins *model.MTSwitchInstance, opt model.CostOptio
 				errOnce.Do(func() { sweepErr = err })
 				return
 			}
-			sol, err := mtswitch.SolveExact(winCtx, subs[t], opt, innerOpts)
+			sol, err := mtswitch.SolveExact(winCtx, subs[t], opt, o)
 			if err != nil {
 				errOnce.Do(func() { sweepErr = err })
 				return

@@ -81,10 +81,9 @@ func exactName(inst *solve.Instance) string {
 	return "exact"
 }
 
-// contenders assembles the race lineup.  The exact lane keeps the
-// caller's worker count (it is the one that scales); the heuristic
-// scouts run single-threaded so the race does not oversubscribe the
-// machine.
+// contenders assembles the race lineup.  The GA scout evaluates on
+// one worker so the race does not oversubscribe the machine; the exact
+// lane's packed engine is sequential whatever the worker count.
 func contenders(inst *solve.Instance, opts solve.Options) []contender {
 	exact := exactName(inst)
 	scout := opts

@@ -530,8 +530,7 @@ func (sess *session) snapshotRecordLocked() (*walRecord, error) {
 }
 
 // traceFromInstance builds the step-major authoritative trace from a
-// task-major model instance (the CreateSession conversion, shared with
-// recovery).
+// task-major model instance (CreateSession and recovery).
 func traceFromInstance(mt *model.MTSwitchInstance) [][]bitset.Set {
 	trace := make([][]bitset.Set, mt.Steps())
 	for i := range trace {
@@ -552,7 +551,6 @@ func wireOptionsFrom(o solve.Options) WireOptions {
 		MaxCandidates:    o.MaxCandidates,
 		MaxFrontierBytes: o.MaxFrontierBytes,
 		DisablePruning:   o.DisablePruning,
-		Workers:          o.Workers,
 		Seed:             o.Seed,
 		Pop:              o.Pop,
 		Generations:      o.Generations,
@@ -623,7 +621,8 @@ func (s *Server) closeDurable() {
 // Abandon stops the server the way kill -9 would: no drain, no final
 // snapshot, no WAL compaction — just stop touching the data directory
 // so a successor can open it.  It exists for in-process crash/recovery
-// tests and the restart-midway bench; the out-of-process harness in
+// tests and the recovery scenario of paperbench -bench9; the
+// out-of-process harness in
 // internal/resilience/faultinject/crashharness sends real SIGKILLs.
 func (s *Server) Abandon() {
 	if d := s.dur; d != nil {

@@ -45,11 +45,14 @@ func requestKey(inst *solve.Instance, solver string, opts solve.Options) (string
 }
 
 // writeOptions serializes every solve.Options field in declaration
-// order.  New fields must be appended here; the format is not
-// persisted anywhere, so changing it only empties the in-memory cache.
+// order, except Workers: the wire does not carry it and no solver's
+// answer depends on it.  New fields must be appended here.  The format
+// keys the exact cache, the canonical store (spilled to disk under
+// -data-dir) and cluster routing, so changing it costs warm hits after
+// an upgrade, never correctness.
 func writeOptions(w io.Writer, o solve.Options) {
-	fmt.Fprintf(w, "opts\x00%d\x00%d\x00%d\x00%d\x00%d\x00%d\x00%d\x00%g\x00%g\x00%d\x00%d\x00%t\x00%d\x00%d\x00%g\x00%g\x00%d\x00%d\x00%t\x00%d\x00%d\x00",
-		o.Timeout, o.MaxStates, o.MaxCandidates, o.Workers, o.Seed,
+	fmt.Fprintf(w, "opts\x00%d\x00%d\x00%d\x00%d\x00%d\x00%d\x00%g\x00%g\x00%d\x00%d\x00%t\x00%d\x00%d\x00%g\x00%g\x00%d\x00%d\x00%t\x00%d\x00%d\x00",
+		o.Timeout, o.MaxStates, o.MaxCandidates, o.Seed,
 		o.Pop, o.Generations, o.MutRate, o.CrossRate, o.TournamentK,
 		o.Elites, o.NoHeuristicSeeds, o.Crossover,
 		o.Iterations, o.InitialTemp, o.Cooling, o.IntervalK,

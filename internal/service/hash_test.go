@@ -1,6 +1,7 @@
 package service
 
 import (
+	"encoding/json"
 	"testing"
 
 	"repro/internal/core"
@@ -78,5 +79,30 @@ func TestRequestKeyDiscriminates(t *testing.T) {
 func TestRequestKeyUnsupportedKind(t *testing.T) {
 	if _, err := requestKey(solve.NewDAG(nil), "exact", solve.Options{}); err == nil {
 		t.Fatal("hashed an unsupported instance kind")
+	}
+}
+
+// TestResolveDropsRetiredWorkers decodes bodies that still carry the
+// retired "workers" option: a client-chosen count must not reach
+// solve.Options, where it would size the GA and partition pools.
+func TestResolveDropsRetiredWorkers(t *testing.T) {
+	const body = `{"solver":"exact","instance":{"tasks":[{"name":"A","local":2,"v":2}],"reqs":[["10"],["01"]]},"options":{"workers":1073741824}}`
+	var req SolveRequest
+	if err := json.Unmarshal([]byte(body), &req); err != nil {
+		t.Fatal(err)
+	}
+	if res := mustResolve(t, &req); res.opts.Workers != 0 {
+		t.Fatalf("resolve: Options.Workers = %d, want 0", res.opts.Workers)
+	}
+	var sreq SessionRequest
+	if err := json.Unmarshal([]byte(body), &sreq); err != nil {
+		t.Fatal(err)
+	}
+	_, _, opts, err := sreq.resolveSession(RouteLimits{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if opts.Workers != 0 {
+		t.Fatalf("resolveSession: Options.Workers = %d, want 0", opts.Workers)
 	}
 }

@@ -124,6 +124,31 @@ func TestHTTPSolveCounterEndToEnd(t *testing.T) {
 	}
 }
 
+// TestHTTPRetiredWorkersShareCacheLine pins that the retired "workers"
+// option no longer splits cache lines: clients that still send it get
+// one request, and the repeat is a cache hit.
+func TestHTTPRetiredWorkersShareCacheLine(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1})
+	solveWith := func(workers int) JobStatus {
+		t.Helper()
+		body := fmt.Sprintf(`{"solver":"ga","app":"counter","options":{"workers":%d,"generations":5}}`, workers)
+		resp, raw := postJSON(t, ts.URL+"/v1/solve", json.RawMessage(body))
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("workers %d: status %d: %s", workers, resp.StatusCode, raw)
+		}
+		var st JobStatus
+		if err := json.Unmarshal(raw, &st); err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
+	first, second := solveWith(1), solveWith(2)
+	if second.Hash != first.Hash || !second.CacheHit {
+		t.Fatalf("workers 2 repeat: hash %s (first %s), cache_hit %t; want the same line, hit",
+			second.Hash, first.Hash, second.CacheHit)
+	}
+}
+
 func TestHTTPAsyncLifecycle(t *testing.T) {
 	gate := make(chan struct{})
 	setTestSolver(func(ctx context.Context, inst *solve.Instance, opts solve.Options) (*solve.Solution, error) {

@@ -103,30 +103,33 @@ type metrics struct {
 
 	mu            sync.Mutex
 	perSolver     map[string]*latencyHist
-	solverStats   map[string]*solverStats
-	panics        map[string]int64 // per-solver panic counts
-	portfolioWins map[string]int64 // per-contender portfolio race wins
+	solverStats   map[string][]int64 // per solver, one value per solverStatFamilies row
+	panics        map[string]int64   // per-solver panic counts
+	portfolioWins map[string]int64   // per-contender portfolio race wins
 }
 
-// solverStats accumulates the solve.Stats counters of completed jobs
-// per solver (guarded by metrics.mu).  peakFrontier is a high-water
-// mark, not a sum: it reports the largest DP frontier any job of that
-// solver ever held, the quantity that bounds the engine's memory.
-type solverStats struct {
-	statesExpanded      int64
-	dedupHits           int64
-	peakFrontier        int64
-	statesPruned        int64
-	dominanceHits       int64
-	boundCutoffs        int64
-	preprocessReduction int64
-	budgetDropped       int64
+// solverStatFamilies are the per-solver aggregates of completed jobs'
+// solve.Stats.  Counters sum over jobs; the gauge is a high-water mark:
+// the largest DP frontier any job of that solver ever held, the
+// quantity that bounds the engine's memory.
+var solverStatFamilies = []struct {
+	name, kind string
+	field      func(solve.Stats) int64
+}{
+	{"hyperd_solver_states_expanded_total", "counter", func(s solve.Stats) int64 { return s.StatesExpanded }},
+	{"hyperd_solver_dedup_hits_total", "counter", func(s solve.Stats) int64 { return s.DedupHits }},
+	{"hyperd_solver_peak_frontier", "gauge", func(s solve.Stats) int64 { return s.PeakFrontier }},
+	{"hyperd_solver_states_pruned_total", "counter", func(s solve.Stats) int64 { return s.StatesPruned }},
+	{"hyperd_solver_dominance_hits_total", "counter", func(s solve.Stats) int64 { return s.DominanceHits }},
+	{"hyperd_solver_bound_cutoffs_total", "counter", func(s solve.Stats) int64 { return s.BoundCutoffs }},
+	{"hyperd_solver_preprocess_reduction_total", "counter", func(s solve.Stats) int64 { return s.PreprocessReduction }},
+	{"hyperd_solver_budget_dropped_total", "counter", func(s solve.Stats) int64 { return s.BudgetDropped }},
 }
 
 func newMetrics() *metrics {
 	return &metrics{
 		perSolver:     map[string]*latencyHist{},
-		solverStats:   map[string]*solverStats{},
+		solverStats:   map[string][]int64{},
 		panics:        map[string]int64{},
 		portfolioWins: map[string]int64{},
 	}
@@ -193,19 +196,16 @@ func (m *metrics) observeStats(solver string, st solve.Stats) {
 	defer m.mu.Unlock()
 	agg, ok := m.solverStats[solver]
 	if !ok {
-		agg = &solverStats{}
+		agg = make([]int64, len(solverStatFamilies))
 		m.solverStats[solver] = agg
 	}
-	agg.statesExpanded += st.StatesExpanded
-	agg.dedupHits += st.DedupHits
-	if st.PeakFrontier > agg.peakFrontier {
-		agg.peakFrontier = st.PeakFrontier
+	for i, f := range solverStatFamilies {
+		if v := f.field(st); f.kind == "counter" {
+			agg[i] += v
+		} else if v > agg[i] {
+			agg[i] = v
+		}
 	}
-	agg.statesPruned += st.StatesPruned
-	agg.dominanceHits += st.DominanceHits
-	agg.boundCutoffs += st.BoundCutoffs
-	agg.preprocessReduction += st.PreprocessReduction
-	agg.budgetDropped += st.BudgetDropped
 }
 
 // gauges are point-in-time values the server snapshots at render time.
@@ -294,27 +294,13 @@ func (m *metrics) render(w io.Writer, g gauges) {
 		fmt.Fprintf(w, "hyperd_jobs{state=%q} %d\n", st, g.jobsByState[st])
 	}
 
-	if len(g.breakerStates) > 0 {
-		names := make([]string, 0, len(g.breakerStates))
-		for name := range g.breakerStates {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		// 0 closed, 1 half-open, 2 open — the resilience.BreakerState
-		// enumeration order.
-		fmt.Fprintf(w, "# TYPE hyperd_breaker_state gauge\n")
-		for _, name := range names {
-			fmt.Fprintf(w, "hyperd_breaker_state{solver=%q} %d\n", name, g.breakerStates[name])
-		}
-	}
+	// 0 closed, 1 half-open, 2 open — the resilience.BreakerState
+	// enumeration order.
+	writeLabelled(w, "hyperd_breaker_state", "gauge", g.breakerStates)
 
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	solvers := make([]string, 0, len(m.perSolver))
-	for name := range m.perSolver {
-		solvers = append(solvers, name)
-	}
-	sort.Strings(solvers)
+	solvers := sortedKeys(m.perSolver)
 	if len(solvers) > 0 {
 		fmt.Fprintf(w, "# TYPE hyperd_solve_seconds histogram\n")
 	}
@@ -328,69 +314,37 @@ func (m *metrics) render(w io.Writer, g gauges) {
 		fmt.Fprintf(w, "hyperd_solve_seconds_count{solver=%q} %d\n", name, h.count)
 	}
 
-	if len(m.portfolioWins) > 0 {
-		names := make([]string, 0, len(m.portfolioWins))
-		for name := range m.portfolioWins {
-			names = append(names, name)
+	writeLabelled(w, "hyperd_portfolio_wins_total", "counter", m.portfolioWins)
+	writeLabelled(w, "hyperd_solver_panics_total", "counter", m.panics)
+	for i, f := range solverStatFamilies {
+		values := make(map[string]int64, len(m.solverStats))
+		for name, agg := range m.solverStats {
+			values[name] = agg[i]
 		}
-		sort.Strings(names)
-		fmt.Fprintf(w, "# TYPE hyperd_portfolio_wins_total counter\n")
-		for _, name := range names {
-			fmt.Fprintf(w, "hyperd_portfolio_wins_total{solver=%q} %d\n", name, m.portfolioWins[name])
-		}
+		writeLabelled(w, f.name, f.kind, values)
 	}
+}
 
-	if len(m.panics) > 0 {
-		names := make([]string, 0, len(m.panics))
-		for name := range m.panics {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		fmt.Fprintf(w, "# TYPE hyperd_solver_panics_total counter\n")
-		for _, name := range names {
-			fmt.Fprintf(w, "hyperd_solver_panics_total{solver=%q} %d\n", name, m.panics[name])
-		}
+// writeLabelled renders one family with one series per solver label,
+// sorted by solver; an empty family renders nothing.
+func writeLabelled[V ~int | ~int64](w io.Writer, name, kind string, values map[string]V) {
+	if len(values) == 0 {
+		return
 	}
+	fmt.Fprintf(w, "# TYPE %s %s\n", name, kind)
+	for _, solver := range sortedKeys(values) {
+		fmt.Fprintf(w, "%s{solver=%q} %d\n", name, solver, values[solver])
+	}
+}
 
-	statNames := make([]string, 0, len(m.solverStats))
-	for name := range m.solverStats {
-		statNames = append(statNames, name)
+// sortedKeys returns a map's keys in order.
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
 	}
-	sort.Strings(statNames)
-	if len(statNames) > 0 {
-		fmt.Fprintf(w, "# TYPE hyperd_solver_states_expanded_total counter\n")
-		for _, name := range statNames {
-			fmt.Fprintf(w, "hyperd_solver_states_expanded_total{solver=%q} %d\n", name, m.solverStats[name].statesExpanded)
-		}
-		fmt.Fprintf(w, "# TYPE hyperd_solver_dedup_hits_total counter\n")
-		for _, name := range statNames {
-			fmt.Fprintf(w, "hyperd_solver_dedup_hits_total{solver=%q} %d\n", name, m.solverStats[name].dedupHits)
-		}
-		fmt.Fprintf(w, "# TYPE hyperd_solver_peak_frontier gauge\n")
-		for _, name := range statNames {
-			fmt.Fprintf(w, "hyperd_solver_peak_frontier{solver=%q} %d\n", name, m.solverStats[name].peakFrontier)
-		}
-		fmt.Fprintf(w, "# TYPE hyperd_solver_states_pruned_total counter\n")
-		for _, name := range statNames {
-			fmt.Fprintf(w, "hyperd_solver_states_pruned_total{solver=%q} %d\n", name, m.solverStats[name].statesPruned)
-		}
-		fmt.Fprintf(w, "# TYPE hyperd_solver_dominance_hits_total counter\n")
-		for _, name := range statNames {
-			fmt.Fprintf(w, "hyperd_solver_dominance_hits_total{solver=%q} %d\n", name, m.solverStats[name].dominanceHits)
-		}
-		fmt.Fprintf(w, "# TYPE hyperd_solver_bound_cutoffs_total counter\n")
-		for _, name := range statNames {
-			fmt.Fprintf(w, "hyperd_solver_bound_cutoffs_total{solver=%q} %d\n", name, m.solverStats[name].boundCutoffs)
-		}
-		fmt.Fprintf(w, "# TYPE hyperd_solver_preprocess_reduction_total counter\n")
-		for _, name := range statNames {
-			fmt.Fprintf(w, "hyperd_solver_preprocess_reduction_total{solver=%q} %d\n", name, m.solverStats[name].preprocessReduction)
-		}
-		fmt.Fprintf(w, "# TYPE hyperd_solver_budget_dropped_total counter\n")
-		for _, name := range statNames {
-			fmt.Fprintf(w, "hyperd_solver_budget_dropped_total{solver=%q} %d\n", name, m.solverStats[name].budgetDropped)
-		}
-	}
+	sort.Strings(keys)
+	return keys
 }
 
 // trimFloat renders a bucket bound the way Prometheus clients do

@@ -255,14 +255,7 @@ func (s *Server) CreateSession(ctx context.Context, req *SessionRequest) (*sessi
 		genCh:   make(chan struct{}),
 		created: time.Now(),
 	}
-	sess.trace = make([][]bitset.Set, mt.Steps())
-	for i := range sess.trace {
-		row := make([]bitset.Set, mt.NumTasks())
-		for j := range row {
-			row[j] = mt.Reqs[j][i].Clone()
-		}
-		sess.trace[i] = row
-	}
+	sess.trace = traceFromInstance(mt)
 	st.sessions[sess.ID] = sess
 	st.mu.Unlock()
 
@@ -479,7 +472,7 @@ func (sess *session) restoreEngineLocked(ctx context.Context) error {
 		ckpt = sess.srv.diskCkpt(sess.ID)
 	}
 	if ckpt != nil {
-		eng, err := solve.ResumeStepEngine(ctx, sess.Solver, ckpt, sess.opts)
+		eng, err := solve.ResumeStepEngine(ctx, sess.Solver, ckpt)
 		if err == nil {
 			if eng.Steps() == len(sess.trace) {
 				sess.eng = eng

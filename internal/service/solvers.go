@@ -54,7 +54,6 @@ func optionRanges() []OptionRange {
 		{Name: "max_candidates", Type: "int", Range: "[0,∞)", Doc: "per-task install candidate cap; 0 = unlimited (required for exactness)"},
 		{Name: "max_frontier_bytes", Type: "int", Range: "[0,∞)", Doc: "frontier arena memory budget; 0 = unbudgeted"},
 		{Name: "disable_pruning", Type: "bool", Range: "{false,true}", Doc: "turn off dominance/bound pruning (baselining only)"},
-		{Name: "workers", Type: "int", Range: "[0,∞)", Doc: "parallel stage goroutine bound; 0 = GOMAXPROCS"},
 		{Name: "seed", Type: "int", Range: "(-∞,∞)", Doc: "deterministic random seed; 0 = 1"},
 		{Name: "pop", Type: "int", Range: "[0,∞)", Doc: "GA population size; 0 = 80"},
 		{Name: "generations", Type: "int", Range: "[0,∞)", Doc: "GA generations; 0 = 300"},

@@ -92,12 +92,13 @@ type WireTask struct {
 	V     int64  `json:"v"`
 }
 
-// WireOptions is the JSON view of solve.Options (minus Timeout, which
-// travels as SolveRequest.TimeoutMS).
+// WireOptions is the JSON view of solve.Options, minus Timeout (it
+// travels as SolveRequest.TimeoutMS) and Workers: the node owns its
+// parallelism, so a request cannot size goroutines.  Bodies that still
+// carry the retired "workers" field decode with it ignored.
 type WireOptions struct {
 	MaxStates     int     `json:"max_states,omitempty"`
 	MaxCandidates int     `json:"max_candidates,omitempty"`
-	Workers       int     `json:"workers,omitempty"`
 	Seed          int64   `json:"seed,omitempty"`
 	Pop           int     `json:"pop,omitempty"`
 	Generations   int     `json:"generations,omitempty"`
@@ -133,7 +134,6 @@ func (o WireOptions) toSolve() (solve.Options, error) {
 		MaxCandidates:    o.MaxCandidates,
 		MaxFrontierBytes: o.MaxFrontierBytes,
 		DisablePruning:   o.DisablePruning,
-		Workers:          o.Workers,
 		Seed:             o.Seed,
 		Pop:              o.Pop,
 		Generations:      o.Generations,

@@ -109,10 +109,9 @@ func (s *stepperSolver) NewStepEngine(ctx context.Context, inst *solve.Instance,
 	return &mtStepEngine{eng: eng, exact: s.exact}, nil
 }
 
-func (s *stepperSolver) ResumeStepEngine(ctx context.Context, data []byte, opts solve.Options) (solve.StepEngine, error) {
-	// The checkpoint carries the solve-shaping options itself; only the
-	// resuming process's parallelism is taken from opts.
-	eng, err := mtswitch.ResumeEngine(ctx, data, opts.Workers, true)
+func (s *stepperSolver) ResumeStepEngine(ctx context.Context, data []byte) (solve.StepEngine, error) {
+	// The checkpoint carries the solve-shaping options itself.
+	eng, err := mtswitch.ResumeEngine(ctx, data, true)
 	if err != nil {
 		return nil, err
 	}

@@ -100,7 +100,7 @@ func TestStepEngineCheckpointHandoff(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng.Close()
-	res, err := solve.ResumeStepEngine(ctx, "exact", data, solve.Options{Workers: 8})
+	res, err := solve.ResumeStepEngine(ctx, "exact", data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +162,7 @@ func TestStepEngineResumeThenExtend(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng.Close()
-	res, err := solve.ResumeStepEngine(ctx, "exact", data, solve.Options{})
+	res, err := solve.ResumeStepEngine(ctx, "exact", data)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -42,7 +42,7 @@ type StepEngine interface {
 	Solution(ctx context.Context) (*Solution, error)
 
 	// Checkpoint serializes the engine so ResumeStepEngine can continue
-	// it later, in another process, with any worker count.
+	// it later, in another process.
 	Checkpoint(ctx context.Context) ([]byte, error)
 
 	// LastResolveStart reports the step of the trace (the original
@@ -69,7 +69,7 @@ type StepperProvider interface {
 	Solver
 
 	NewStepEngine(ctx context.Context, inst *Instance, opts Options) (StepEngine, error)
-	ResumeStepEngine(ctx context.Context, data []byte, opts Options) (StepEngine, error)
+	ResumeStepEngine(ctx context.Context, data []byte) (StepEngine, error)
 }
 
 // ErrNotSteppable reports that a solver (or a solver/instance-kind
@@ -101,18 +101,14 @@ func NewStepEngine(ctx context.Context, name string, inst *Instance, opts Option
 }
 
 // ResumeStepEngine resolves a solver by name and rebuilds one of its
-// step engines from a Checkpoint blob.  Only Options.Workers is taken
-// from opts — everything else a solve depends on travels inside the
-// checkpoint.
-func ResumeStepEngine(ctx context.Context, name string, data []byte, opts Options) (StepEngine, error) {
+// step engines from a Checkpoint blob.  Everything a solve depends on
+// travels inside the checkpoint.
+func ResumeStepEngine(ctx context.Context, name string, data []byte) (StepEngine, error) {
 	sp, err := stepper(name)
 	if err != nil {
 		return nil, err
 	}
-	if err := opts.Validate(); err != nil {
-		return nil, err
-	}
-	return sp.ResumeStepEngine(ctx, data, opts)
+	return sp.ResumeStepEngine(ctx, data)
 }
 
 func stepper(name string) (StepperProvider, error) {
