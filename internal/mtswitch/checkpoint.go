@@ -26,7 +26,9 @@ import (
 //   - The candidate catalog, warm-start incumbent, bound tables and
 //     preprocessing outcome: all are deterministic functions of the
 //     instance and options, recomputed on resume and cross-checked
-//     against the serialized axis (a mismatch fails the resume).
+//     against the serialized axis (a mismatch fails the resume).  So a
+//     checkpoint written under an older, looser bound still resumes to
+//     the same optimum (DESIGN.md §10).
 //   - Per-step frontier frames: a resumed engine re-solves from its
 //     restore point; amendments before it trigger a full rebuild.
 //
@@ -315,8 +317,8 @@ func stray(words []uint64, n int) bool {
 
 // ResumeEngine rebuilds an Engine from a checkpoint and positions it
 // exactly where Checkpoint captured it.  Everything the checkpoint
-// omits — preprocessing, warm start, candidate catalog — is recomputed
-// deterministically from the serialized instance and options, and the
+// omits — preprocessing, warm start, bound tables, candidate catalog —
+// is recomputed deterministically from the serialized instance and options, and the
 // recomputed step axis is cross-checked against the serialized one.
 func ResumeEngine(ctx context.Context, data []byte, incremental bool) (*Engine, error) {
 	cp, err := decodeCheckpoint(data)

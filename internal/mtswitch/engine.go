@@ -585,9 +585,10 @@ func (en *Engine) Rewind(step int) error {
 }
 
 // reconcile brings a prepared solve in line with the mutated trace: it
-// re-prepares the new trace (preprocessing, warm start, bounds,
-// candidate catalog), finds the first step b whose decisions can
-// differ from the retained run's, and resumes from frame b.
+// re-prepares the new trace (preprocessing, warm start, bound and
+// projection tables, candidate catalog), finds the first step b whose
+// decisions can differ from the retained run's, and resumes from
+// frame b.
 //
 // Exactness, by induction over steps.  If the frontier entering step t
 // equals a fresh solve's, the step's decision inputs are equal and
@@ -613,6 +614,8 @@ func (en *Engine) Rewind(step int) error {
 //     alike iff its largest kept q stays ≤ 0 and its smallest cut q
 //     stays > 0 after the shift (margins.holds).  Reused steps'
 //     margins are re-based by d_t, as a fresh run would record them.
+//     The projection term of sufLB reaches over the whole suffix, so
+//     an appended row can move it, and d_t, at every t.
 //
 // The frame stats carry the steps' own flags; catalog-scoped stats
 // come from the new preparation.  The solve is rebuilt from the root
@@ -777,24 +780,121 @@ func (en *Engine) ResolveExpanded() int64 {
 	return en.e.stats.StatesExpanded - en.baseExpanded
 }
 
-// SizeBytes estimates the engine's retained memory: the packed
-// frontier, the back-pointer generations and the per-step frames.
-// The service layer's session eviction budget is denominated in it.
+// SizeBytes estimates the heap the engine retains: the trace, the
+// preparation (reduced instance, warm-start mask, candidate catalog,
+// packed rows, bound tables), the retained capacity of the expansion
+// tables and the dominance scratch, the frontier, the back-pointer
+// generations, the per-step frames and the cached solution.  The
+// service layer's session eviction budget is denominated in it.
 func (en *Engine) SizeBytes() int64 {
-	var total int64
-	for j := range en.rows {
-		if len(en.rows[j]) > 0 {
-			total += int64(len(en.rows[j])) * int64(bitset.WordsFor(en.tasks[j].Local)*8+16)
+	total := int64(unsafe.Sizeof(*en)) + setRowsBytes(en.rows) + boolRowsBytes(en.incMask)
+	if en.ins != nil {
+		// The instance's rows are en.rows, counted above.
+		total += int64(unsafe.Sizeof(*en.ins)) + sliceBytes(en.ins.Reqs)
+	}
+	if r := en.red; r != nil {
+		total += int64(unsafe.Sizeof(*r)) + int64(unsafe.Sizeof(*r.ins)) + sliceBytes(r.ins.Tasks) +
+			sliceBytes(r.ins.Reqs) + setRowsBytes(r.ins.Reqs) + sliceBytes(r.weights) +
+			sliceBytes(r.mult) + sliceBytes(r.runStart)
+		for _, w := range r.weights {
+			total += sliceBytes(w)
 		}
 	}
 	if en.e != nil {
-		total += int64(cap(en.e.slab))*8 + int64(cap(en.e.costs))*8
-		for _, g := range en.e.gens {
-			total += int64(len(g.prev))*4 + int64(len(g.hyper))*8
+		total += en.e.sizeBytes()
+	}
+	total += sliceBytes(en.frames)
+	for _, f := range en.frames {
+		total += sliceBytes(f.slab) + sliceBytes(f.costs)
+	}
+	if en.sol != nil {
+		total += int64(unsafe.Sizeof(*en.sol)) + scheduleBytes(en.sol.Schedule)
+	}
+	return total
+}
+
+// sizeBytes is the packed engine's share of Engine.SizeBytes.
+func (e *engine) sizeBytes() int64 {
+	total := int64(unsafe.Sizeof(*e)) + sliceBytes(e.cands) + sliceBytes(e.reqs) +
+		sliceBytes(e.sufUnion) + sliceBytes(e.tailReconf) + sliceBytes(e.sufLB) +
+		e.table.sizeBytes() + e.keys.sizeBytes() +
+		sliceBytes(e.key) + sliceBytes(e.cur) + sliceBytes(e.keepCnt) + sliceBytes(e.skip) + sliceBytes(e.minCnt) +
+		sliceBytes(e.domRes) + sliceBytes(e.domCnt) + sliceBytes(e.domResBuf) + sliceBytes(e.domCntBuf) +
+		sliceBytes(e.slab) + sliceBytes(e.costs) + sliceBytes(e.gens) + sliceBytes(e.perm)
+	for _, row := range e.cands {
+		total += sliceBytes(row)
+		for i := range row {
+			total += sliceBytes(row[i].words) + sliceBytes(row[i].counts)
 		}
 	}
-	for _, f := range en.frames {
-		total += int64(cap(f.slab))*8 + int64(cap(f.costs))*8 + int64(unsafe.Sizeof(f))
+	for j := range e.reqs {
+		total += sliceBytes(e.reqs[j])
+	}
+	for j := range e.sufUnion {
+		total += sliceBytes(e.sufUnion[j])
+	}
+	for j := range e.tailReconf {
+		total += sliceBytes(e.tailReconf[j])
+	}
+	// A map keeps the buckets of its largest size; domPeak tracks it.
+	total += int64(e.domPeak) * mapEntryBytes
+	for _, g := range e.domGroups {
+		total += sliceBytes(g)
+	}
+	for _, g := range e.gens {
+		total += sliceBytes(g.prev) + sliceBytes(g.hyper)
+	}
+	return total
+}
+
+// sizeBytes is the retained capacity of a state table.
+func (t *stateTable) sizeBytes() int64 {
+	return sliceBytes(t.buckets) + sliceBytes(t.slab) + sliceBytes(t.hashes) + sliceBytes(t.costs) + sliceBytes(t.prevs)
+}
+
+// mapEntryBytes estimates one entry of the dominance filter's
+// map[uint64][]int32: its key, value and a share of the control words
+// and spare slots.
+const mapEntryBytes = 48
+
+// sliceBytes is the backing array a slice retains.
+func sliceBytes[T any](s []T) int64 {
+	var zero T
+	return int64(cap(s)) * int64(unsafe.Sizeof(zero))
+}
+
+// setRowsBytes counts task-major rows of requirement sets: the row
+// arrays and every set's words.
+func setRowsBytes(rows [][]bitset.Set) int64 {
+	var total int64
+	for _, row := range rows {
+		total += sliceBytes(row)
+		for _, s := range row {
+			total += sliceBytes(s.Words())
+		}
+	}
+	return total
+}
+
+func boolRowsBytes(rows [][]bool) int64 {
+	total := sliceBytes(rows)
+	for _, row := range rows {
+		total += sliceBytes(row)
+	}
+	return total
+}
+
+// scheduleBytes counts a schedule's masks, its hypercontext rows and
+// each segment's set once (a segment's steps share it).
+func scheduleBytes(s *model.MTSchedule) int64 {
+	total := int64(unsafe.Sizeof(*s)) + boolRowsBytes(s.Hyper) + sliceBytes(s.Hctx)
+	for j, row := range s.Hctx {
+		total += sliceBytes(row)
+		for i, h := range row {
+			if s.Hyper[j][i] {
+				total += sliceBytes(h.Words())
+			}
+		}
 	}
 	return total
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -629,5 +630,64 @@ func TestEngineResumeMatchesFreshFrames(t *testing.T) {
 	}
 	if resumed == 0 {
 		t.Fatal("no pruned batch resumed past step 0")
+	}
+}
+
+// TestSizeBytesCoversRetainedHeap checks Engine.SizeBytes, the unit of
+// the service's session memory budget, against the heap solved
+// incremental engines actually retain: eight engines per shape, summed
+// SizeBytes against the HeapAlloc delta after a collection, must cover
+// at least 90% of it.
+func TestSizeBytesCoversRetainedHeap(t *testing.T) {
+	ctx := context.Background()
+	shapes := []struct {
+		name string
+		gen  func(workload.Config) (*model.MTSwitchInstance, error)
+		cfg  workload.Config
+	}{
+		{"phased-2x100", workload.Phased, workload.Config{Tasks: 2, Steps: 100, Switches: 12, MeanPhase: 10}},
+		{"dense-2x100", workload.Dense, workload.Config{Tasks: 2, Steps: 100, Switches: 16, MeanPhase: 10}},
+		{"blocked-2x2000", workload.Blocked, workload.Config{Tasks: 2, Steps: 2000, Switches: 72, MeanPhase: 8}},
+	}
+	for _, sh := range shapes {
+		var instances [8]*model.MTSwitchInstance
+		for k := range instances {
+			cfg := sh.cfg
+			cfg.Seed = int64(k + 1)
+			ins, err := sh.gen(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			instances[k] = ins
+		}
+		var engines [8]*Engine
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		for k, ins := range instances {
+			en, err := NewEngine(ctx, ins, parallel, solve.Options{}, true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := en.Solution(ctx); err != nil {
+				t.Fatal(err)
+			}
+			engines[k] = en
+		}
+		runtime.GC()
+		runtime.ReadMemStats(&after)
+		var sized int64
+		for _, en := range engines {
+			sized += en.SizeBytes()
+		}
+		runtime.KeepAlive(&engines)
+		heap := int64(after.HeapAlloc) - int64(before.HeapAlloc)
+		cover := float64(sized) / float64(heap)
+		t.Logf("%s: SizeBytes %d, retained heap %d, coverage %.2f", sh.name, sized, heap, cover)
+		if cover < 0.9 {
+			t.Errorf("%s: SizeBytes covers %.0f%% of the %d bytes eight solved engines retain, want at least 90%%",
+				sh.name, 100*cover, heap)
+		}
 	}
 }

@@ -306,6 +306,7 @@ type engine struct {
 	domResBuf []uint64
 	domCntBuf []model.Cost
 	domGroups map[uint64][]int32
+	domPeak   int // most groups domGroups has held
 
 	// Current frontier.
 	slab  []uint64
@@ -412,7 +413,6 @@ func (e *engine) prepare(ins *model.MTSwitchInstance, opt model.CostOptions, o s
 		e.incumbent = px.incumbent
 		e.mult = px.mult
 		e.weights = px.weights
-		e.computeBounds()
 	}
 
 	e.gens = e.gens[:0]
@@ -929,6 +929,11 @@ func (e *engine) beginSolve(ctx context.Context, ins *model.MTSwitchInstance, op
 		e.budgetCapped = true
 	}
 	e.maxStates = maxStates
+	if e.pruneOn {
+		if err := e.computeBounds(ctx); err != nil {
+			return err
+		}
+	}
 	if err := e.buildCandidates(ctx, o); err != nil {
 		e.stats.StatesPruned = e.stats.DominanceHits + e.stats.BoundCutoffs
 		return err

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/bitset"
 	"repro/internal/model"
+	"repro/internal/phc"
 )
 
 // Pruned search layer for the packed frontier engine (DESIGN.md §9):
@@ -134,9 +135,28 @@ func (e *engine) multAt(i int) model.Cost {
 //     hypercontext can never be smaller than the requirement it
 //     satisfies.
 //   - sufLB[i]: an admissible bound on the total cost of steps i..n-1
-//     (per-step requirement sizes plus the public-global term, times
-//     the step multiplicity; hyper terms are bounded by zero).
-func (e *engine) computeBounds() {
+//     from any state entering step i, the larger of the size bound and
+//     the projection bound below.
+//
+// The size bound adds up per-step requirement sizes plus the
+// public-global term, times the step multiplicity; hyper terms are
+// bounded by zero.
+//
+// The projection bound is max_j (opt_j(i) − v_j), where opt_j(i) is
+// task j's single-task Switch optimum over steps i..n-1 with W = v_j and
+// a forced hyperreconfiguration at i.  Projecting a joint schedule onto
+// task j gives such a schedule, and every joint per-step term (a max or
+// a sum of nonnegative task terms) is at least its task-j term.  Only
+// the first segment may run on the state's current hypercontext instead
+// of an install at i.  That hypercontext is free, but no smaller than
+// the requirement union it keeps covering, so the projection costs at
+// least opt_j(i) minus the one v_j it did not pay.
+//
+// opt_j comes from phc.SwitchPrefixTable over task j's reversed rows,
+// with the engine's column weights and step multiplicities, so the
+// bound holds on the axis the DP runs on.  The context is checked once
+// per (task, step) of that build.
+func (e *engine) computeBounds(ctx context.Context) error {
 	m, n := e.lay.m, e.ins.Steps()
 	pub := model.Cost(e.ins.PublicGlobal)
 
@@ -186,6 +206,31 @@ func (e *engine) computeBounds() {
 		}
 		e.sufLB[i] = e.sufLB[i+1] + step*e.multAt(i)
 	}
+
+	// The projection bound: reversed rows turn SwitchPrefixTable's
+	// prefix optima into suffix optima, opt_j(i) = Cost[n−i].
+	rev := make([]bitset.Set, n)
+	var revMult []model.Cost
+	if e.mult != nil {
+		revMult = make([]model.Cost, n)
+		for i, k := range e.mult {
+			revMult[n-1-i] = k
+		}
+	}
+	for j := 0; j < m; j++ {
+		for i := range rev {
+			rev[i] = e.ins.Reqs[j][n-1-i]
+		}
+		task := e.ins.Tasks[j]
+		tab, err := phc.SwitchPrefixTable(ctx, task.Local, task.V, rev, e.taskWeightsOf(j), revMult)
+		if err != nil {
+			return err
+		}
+		for i := 0; i < n; i++ {
+			e.sufLB[i] = max(e.sufLB[i], tab.Cost[n-i]-task.V)
+		}
+	}
+	return nil
 }
 
 func growCosts(s []model.Cost, n int) []model.Cost {
@@ -281,4 +326,5 @@ func (e *engine) dominanceFilter(t *stateTable) {
 		out++
 	}
 	e.perm = e.perm[:out]
+	e.domPeak = max(e.domPeak, len(e.domGroups))
 }

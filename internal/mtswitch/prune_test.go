@@ -2,6 +2,7 @@ package mtswitch
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -178,6 +179,123 @@ func duplicateSteps(t *testing.T, ins *model.MTSwitchInstance, times int) *model
 	return mustMT(t, tasks, rows)
 }
 
+// duplicateColumns gives every switch column of every task one to
+// three adjacent copies, so duplicate-column grouping has weights above
+// 1 to price.
+func duplicateColumns(t testing.TB, ins *model.MTSwitchInstance, r *rand.Rand) *model.MTSwitchInstance {
+	t.Helper()
+	m, n := ins.NumTasks(), ins.Steps()
+	tasks := make([]model.Task, m)
+	rows := make([][]bitset.Set, m)
+	for j := 0; j < m; j++ {
+		// first[c] is the first copy of column c; copies are adjacent.
+		first := make([]int, ins.Tasks[j].Local+1)
+		for c := 0; c < ins.Tasks[j].Local; c++ {
+			first[c+1] = first[c] + 1 + r.Intn(3)
+		}
+		tasks[j] = ins.Tasks[j]
+		tasks[j].Local = first[ins.Tasks[j].Local]
+		rows[j] = make([]bitset.Set, n)
+		for i := 0; i < n; i++ {
+			s := bitset.New(tasks[j].Local)
+			ins.Reqs[j][i].ForEach(func(c int) {
+				for k := first[c]; k < first[c+1]; k++ {
+					s.Add(k)
+				}
+			})
+			rows[j][i] = s
+		}
+	}
+	return mustMT(t, tasks, rows)
+}
+
+// TestPrunedProjectionBoundAdmissible checks the pruned layer's
+// remaining-cost bound against optimal schedules.  Each generated
+// instance also runs as a step-duplicated and a column-duplicated twin,
+// so run multiplicities and column weights enter the projection tables.
+// Per instance and frontier upload mode, the pruned optimum must equal
+// the exhaustive one, and at every step t of the axis the DP runs on,
+// the cost the optimal schedule paid before t plus sufLB[t] must not
+// exceed the optimum.
+func TestPrunedProjectionBoundAdmissible(t *testing.T) {
+	ctx := context.Background()
+	r := rand.New(rand.NewSource(29))
+	gens := []struct {
+		name string
+		gen  func(seed int64) (*model.MTSwitchInstance, error)
+	}{
+		{"phased", func(seed int64) (*model.MTSwitchInstance, error) {
+			return workload.Phased(workload.Config{Tasks: 2, Steps: 48, Switches: 10, MeanPhase: 8, Seed: seed})
+		}},
+		{"dense", func(seed int64) (*model.MTSwitchInstance, error) {
+			return workload.Dense(workload.Config{Tasks: 3, Steps: 24, Switches: 8, MeanPhase: 6, Seed: seed})
+		}},
+		{"blocked", func(seed int64) (*model.MTSwitchInstance, error) {
+			return workload.Blocked(workload.Config{Tasks: 2, Steps: 32, Switches: 12, MeanPhase: 8, Seed: seed})
+		}},
+		{"streaming", func(seed int64) (*model.MTSwitchInstance, error) {
+			st, err := workload.Streaming(workload.StreamConfig{Generator: "markov",
+				Workload: workload.Config{Tasks: 2, Steps: 32, Switches: 8, MeanPhase: 6, Seed: seed}})
+			if err != nil {
+				return nil, err
+			}
+			return st.Instance, nil
+		}},
+	}
+	for _, g := range gens {
+		for seed := int64(1); seed <= 2; seed++ {
+			base, err := g.gen(seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			twins := []*model.MTSwitchInstance{base, duplicateSteps(t, base, 2+r.Intn(2)), duplicateColumns(t, base, r)}
+			for k, ins := range twins {
+				withPG(r, ins)
+				for oi, opt := range frontierOpts {
+					name := fmt.Sprintf("%s seed %d twin %d opt %d", g.name, seed, k, oi)
+					checkProjectionBound(t, ctx, ins, opt, name)
+				}
+			}
+		}
+	}
+}
+
+// checkProjectionBound runs one instance pruned and unpruned and checks
+// the pruned engine's sufLB along the optimal schedule.
+func checkProjectionBound(t *testing.T, ctx context.Context, ins *model.MTSwitchInstance, opt model.CostOptions, name string) {
+	t.Helper()
+	plain, err := SolveExact(ctx, ins, opt, solve.Options{DisablePruning: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	en, err := NewEngine(ctx, ins, opt, solve.Options{}, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer en.Close()
+	sol, err := en.Solution(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sol.Cost != plain.Cost {
+		t.Fatalf("%s: pruned cost %d, exhaustive %d", name, sol.Cost, plain.Cost)
+	}
+	hyper, reconf, err := ins.StepCosts(sol.Schedule, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	paid, i := ins.W, 0
+	for step := 0; step <= en.target.Steps(); step++ {
+		for start := en.originalStep(step); i < start; i++ {
+			paid += hyper[i] + reconf[i]
+		}
+		if lb := en.e.sufLB[step]; paid+lb > sol.Cost {
+			t.Fatalf("%s: at step %d (original %d) the optimum paid %d and sufLB is %d, above the optimum %d",
+				name, step, i, paid, lb, sol.Cost)
+		}
+	}
+}
+
 // denseStress is the workload/budget pair behind EXPERIMENTS.md E17: a
 // block-structured dense instance whose unpruned peak frontier (~3700
 // packed states) breaches a 128 KiB arena budget (~2000 states), while
@@ -250,15 +368,24 @@ func TestDenseBudgetNowExact(t *testing.T) {
 // engines and requires identical optimal costs — the soundness net for
 // every interaction of preprocessing, dominance and bounds.
 func FuzzPruningAgreement(f *testing.F) {
-	f.Add(int64(1), uint8(2), uint8(3), uint8(4), uint8(0))
-	f.Add(int64(7), uint8(3), uint8(4), uint8(5), uint8(1))
-	f.Add(int64(99), uint8(1), uint8(2), uint8(6), uint8(2))
-	f.Fuzz(func(t *testing.T, seed int64, maxM, maxL, maxN, mode uint8) {
+	f.Add(int64(1), uint8(2), uint8(3), uint8(4), uint8(0), uint8(0))
+	f.Add(int64(7), uint8(3), uint8(4), uint8(5), uint8(1), uint8(1))
+	f.Add(int64(99), uint8(1), uint8(2), uint8(6), uint8(2), uint8(2))
+	f.Fuzz(func(t *testing.T, seed int64, maxM, maxL, maxN, mode, twin uint8) {
 		m := 1 + int(maxM)%3
 		l := 1 + int(maxL)%5
 		n := 1 + int(maxN)%6
 		r := rand.New(rand.NewSource(seed))
-		ins := withPG(r, randomMT(r, m, l, n))
+		ins := randomMT(r, m, l, n)
+		// Step- and column-duplicated twins give the pruned engine
+		// nontrivial run multiplicities and column weights.
+		switch twin % 3 {
+		case 1:
+			ins = duplicateSteps(t, ins, 2+r.Intn(2))
+		case 2:
+			ins = duplicateColumns(t, ins, r)
+		}
+		withPG(r, ins)
 		opt := frontierOpts[int(mode)%len(frontierOpts)]
 		ctx := context.Background()
 		plain, err := SolveExact(ctx, ins, opt, solve.Options{DisablePruning: true})

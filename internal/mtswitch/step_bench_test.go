@@ -12,8 +12,10 @@ import (
 
 // stepShapes are the instance families of BenchmarkStepExpansion: the
 // frontier-engine families of perfbench's exact-cold mix, the 2×100
-// traces its stream-durable sessions re-solve, and one large phased
-// shape whose steps generate thousands of successors.
+// traces its stream-durable sessions re-solve, one large phased shape
+// whose steps generate thousands of successors, and two blocked shapes
+// with exact-cold's blocked generator settings, solved monolithically
+// (hyperd sends 288 steps to exact-partitioned instead).
 var stepShapes = []struct {
 	name string
 	gen  func(workload.Config) (*model.MTSwitchInstance, error)
@@ -25,6 +27,8 @@ var stepShapes = []struct {
 	{"stream-phased-2x100", workload.Phased, workload.Config{Tasks: 2, Steps: 100, Switches: 12, MeanPhase: 10}},
 	{"stream-dense-2x100", workload.Dense, workload.Config{Tasks: 2, Steps: 100, Switches: 16, MeanPhase: 10}},
 	{"phased-4x64", workload.Phased, workload.Config{Tasks: 4, Steps: 64, Switches: 12, MeanPhase: 8}},
+	{"blocked-2x288", workload.Blocked, workload.Config{Tasks: 2, Steps: 288, Switches: 72, MeanPhase: 8}},
+	{"blocked-3x512", workload.Blocked, workload.Config{Tasks: 3, Steps: 512, Switches: 72, MeanPhase: 8}},
 }
 
 // BenchmarkStepExpansion times exact solves (pruning on, the served

@@ -283,3 +283,96 @@ func TestGreedyEmptyAndNil(t *testing.T) {
 		t.Fatal("accepted nil instance")
 	}
 }
+
+// TestSwitchPrefixTableWeightedSuffixes checks the weighted, multiplied
+// table against the plain DP.  A reduced instance (column c weighs
+// weights[c], step i stands for mult[i] steps) expands into an ordinary
+// one by repeating columns and steps.  Run over the reduced rows
+// reversed, Cost[k] must equal SolveSwitch on the expanded instance's
+// suffix that the last k reduced steps stand for.
+func TestSwitchPrefixTableWeightedSuffixes(t *testing.T) {
+	ctx := context.Background()
+	r := rand.New(rand.NewSource(37))
+	for k := 0; k < 150; k++ {
+		l := 1 + r.Intn(6)
+		weights := make([]model.Cost, l)
+		first := make([]int, l+1) // expanded columns of c: first[c]..first[c+1]-1
+		for c := range weights {
+			weights[c] = model.Cost(1 + r.Intn(3))
+			first[c+1] = first[c] + int(weights[c])
+		}
+		var rows []bitset.Set
+		var mult []model.Cost
+		var expanded []bitset.Set
+		for len(expanded) < 40 {
+			s := bitset.New(l)
+			big := bitset.New(first[l])
+			for c := 0; c < l; c++ {
+				if r.Intn(3) == 0 {
+					s.Add(c)
+					for b := first[c]; b < first[c+1]; b++ {
+						big.Add(b)
+					}
+				}
+			}
+			times := min(1+r.Intn(3), 40-len(expanded))
+			rows = append(rows, s)
+			mult = append(mult, model.Cost(times))
+			for i := 0; i < times; i++ {
+				expanded = append(expanded, big)
+			}
+			if r.Intn(8) == 0 {
+				break
+			}
+		}
+		n := len(rows)
+		w := model.Cost(1 + r.Intn(6))
+		if r.Intn(4) == 0 {
+			weights, mult = nil, nil // the unit form: every column and step counts once
+			expanded = rows
+			first = nil
+		}
+		rev := make([]bitset.Set, n)
+		var revMult []model.Cost
+		if mult != nil {
+			revMult = make([]model.Cost, n)
+		}
+		for i := range rows {
+			rev[n-1-i] = rows[i]
+			if mult != nil {
+				revMult[n-1-i] = mult[i]
+			}
+		}
+		universe := l
+		if first != nil {
+			universe = first[l]
+		}
+		tab, err := SwitchPrefixTable(ctx, l, w, rev, weights, revMult)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Suffix of the last q reduced steps starts at expanded step at.
+		at := len(expanded)
+		for q := 0; q <= n; q++ {
+			if q > 0 {
+				at -= int(multAt(mult, n-q))
+			}
+			ins := mustSwitch(t, universe, w, expanded[at:])
+			want, err := SolveSwitch(ctx, ins)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tab.Cost[q] != want.Cost {
+				t.Fatalf("instance %d: table entry %d = %d, SolveSwitch on the expanded suffix from step %d = %d",
+					k, q, tab.Cost[q], at, want.Cost)
+			}
+		}
+	}
+}
+
+func multAt(mult []model.Cost, i int) model.Cost {
+	if mult == nil {
+		return 1
+	}
+	return mult[i]
+}
