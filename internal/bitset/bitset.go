@@ -14,8 +14,10 @@
 package bitset
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/bits"
+	"slices"
 	"strings"
 )
 
@@ -340,26 +342,67 @@ func (s Set) Key() string {
 	return b.String()
 }
 
+// bitChars maps a byte to its eight bits as '0'/'1' characters, bit 0
+// in the lowest byte: stored little-endian, a byte of a set's word
+// expands to eight characters of its bit string in one store.
+var bitChars = func() (t [256]uint64) {
+	for b := range t {
+		for i := 0; i < 8; i++ {
+			t[b] |= uint64('0'+(b>>i)&1) << (8 * i)
+		}
+	}
+	return t
+}()
+
+// AppendString appends the set's bit string (see String) to dst and
+// returns the extended slice.  It grows dst at most once and
+// allocates nothing when dst has room for Universe() more bytes.
+func (s Set) AppendString(dst []byte) []byte {
+	dst = slices.Grow(dst, s.n)
+	start := len(dst)
+	dst = dst[:start+s.n]
+	out := dst[start:]
+	full := s.n / 8
+	for k := 0; k < full; k++ {
+		binary.LittleEndian.PutUint64(out[8*k:], bitChars[byte(s.words[k/8]>>(8*(k%8)))])
+	}
+	if rem := s.n % 8; rem != 0 {
+		var tail [8]byte
+		binary.LittleEndian.PutUint64(tail[:], bitChars[byte(s.words[full/8]>>(8*(full%8)))])
+		copy(out[8*full:], tail[:rem])
+	}
+	return dst
+}
+
 // String renders the set as a bit string, LSB (element 0) first, e.g.
 // "10110000" for {0, 2, 3} over a universe of 8.  Matches the visual
 // style of Figure 2 in the paper.
 func (s Set) String() string {
-	var b strings.Builder
-	b.Grow(s.n)
-	for i := 0; i < s.n; i++ {
-		if s.Contains(i) {
-			b.WriteByte('1')
-		} else {
-			b.WriteByte('0')
-		}
-	}
-	return b.String()
+	var stack [64]byte
+	return string(s.AppendString(stack[:0]))
 }
 
-// Parse parses a bit string produced by String back into a set.
+// Parse parses a bit string produced by String back into a set.  It
+// reads eight characters at a time; a chunk holding anything but '0'
+// and '1' is rescanned one character at a time, so the error names the
+// first invalid character and its position.
 func Parse(bitstr string) (Set, error) {
 	s := New(len(bitstr))
-	for i := 0; i < len(bitstr); i++ {
+	i := 0
+	for ; i+8 <= len(bitstr); i += 8 {
+		c := bitstr[i : i+8]
+		x := uint64(c[0]) | uint64(c[1])<<8 | uint64(c[2])<<16 | uint64(c[3])<<24 |
+			uint64(c[4])<<32 | uint64(c[5])<<40 | uint64(c[6])<<48 | uint64(c[7])<<56
+		v := x ^ 0x3030303030303030 // '0' -> 0, '1' -> 1
+		if v&^0x0101010101010101 != 0 {
+			break
+		}
+		// Gather the eight 0/1 bytes into one byte: byte k's bit lands
+		// at bit 56+k of the product, and no two partial products
+		// collide or carry.
+		s.words[i/wordBits] |= (v * 0x0102040810204080 >> 56) << uint(i%wordBits)
+	}
+	for ; i < len(bitstr); i++ {
 		switch bitstr[i] {
 		case '1':
 			s.Add(i)

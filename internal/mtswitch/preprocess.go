@@ -3,7 +3,9 @@ package mtswitch
 import (
 	"bytes"
 	"fmt"
+	"math/bits"
 	"sort"
+	"strconv"
 
 	"repro/internal/bitset"
 	"repro/internal/model"
@@ -236,43 +238,49 @@ func CanonicalForm(ins *model.MTSwitchInstance) ([]byte, []int) {
 // signature is its membership pattern across all steps.  Column order,
 // unused columns and the task name do not enter the fingerprint.
 func taskFingerprint(ins *model.MTSwitchInstance, j int) []byte {
-	n := ins.Steps()
+	n, local := ins.Steps(), ins.Tasks[j].Local
 	sigLen := (n + 7) / 8
+	// sigs holds every column's signature, sigLen bytes each, filled by
+	// walking each step's set bits.
+	sigs := make([]byte, local*sigLen)
+	used := make([]bool, local)
+	for t, r := range ins.Reqs[j] {
+		for wi, w := range r.Words() {
+			for ; w != 0; w &= w - 1 {
+				b := wi*64 + bits.TrailingZeros64(w)
+				sigs[b*sigLen+t/8] |= 1 << (t % 8)
+				used[b] = true
+			}
+		}
+	}
 	type group struct {
 		sig    string
 		weight int64
 	}
 	index := make(map[string]int)
 	var groups []group
-	buf := make([]byte, sigLen)
-	for b := 0; b < ins.Tasks[j].Local; b++ {
-		for i := range buf {
-			buf[i] = 0
-		}
-		used := false
-		for t := 0; t < n; t++ {
-			if ins.Reqs[j][t].Contains(b) {
-				buf[t/8] |= 1 << (t % 8)
-				used = true
-			}
-		}
-		if !used {
+	for b := 0; b < local; b++ {
+		if !used[b] {
 			continue
 		}
-		key := string(buf)
-		if g, ok := index[key]; ok {
+		sig := sigs[b*sigLen : (b+1)*sigLen]
+		if g, ok := index[string(sig)]; ok {
 			groups[g].weight++
 		} else {
+			key := string(sig)
 			index[key] = len(groups)
 			groups = append(groups, group{sig: key, weight: 1})
 		}
 	}
 	sort.Slice(groups, func(a, b int) bool { return groups[a].sig < groups[b].sig })
-	var out bytes.Buffer
-	fmt.Fprintf(&out, "task\x00%d\x00%d\x00%d\x00", ins.Tasks[j].V, len(groups), sigLen)
+	out := make([]byte, 0, 32+len(groups)*(sigLen+8))
+	out = append(out, "task\x00"...)
+	out = append(strconv.AppendInt(out, int64(ins.Tasks[j].V), 10), 0)
+	out = append(strconv.AppendInt(out, int64(len(groups)), 10), 0)
+	out = append(strconv.AppendInt(out, int64(sigLen), 10), 0)
 	for _, g := range groups {
-		fmt.Fprintf(&out, "%d\x00", g.weight)
-		out.WriteString(g.sig)
+		out = append(strconv.AppendInt(out, g.weight, 10), 0)
+		out = append(out, g.sig...)
 	}
-	return out.Bytes()
+	return out
 }

@@ -3,8 +3,19 @@ package service
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"testing"
 )
+
+// decodeSolveRequest parses one solve request body through the
+// handlers' decodeBody.
+func decodeSolveRequest(body io.Reader) (*SolveRequest, error) {
+	var req SolveRequest
+	if err := decodeBody(body, &req); err != nil {
+		return nil, err
+	}
+	return &req, nil
+}
 
 // FuzzSolveRequest drives the /v1/solve JSON decode-and-resolve path
 // with arbitrary bytes: whatever arrives, the server must answer with
@@ -37,9 +48,16 @@ func FuzzSolveRequest(f *testing.F) {
 	f.Add([]byte(`{`))
 	f.Add([]byte(`null`))
 	f.Add([]byte(``))
+	f.Add([]byte(`{"solver":"aligned","app":"counter"} garbage`))
+	f.Add([]byte(`{"solver":"aligned","app":"counter"}{"solver":"nope"}`))
+	f.Add([]byte(`{"solver":"aligned","app":"counter"}]`))
+	f.Add([]byte("{\"solver\":\"aligned\",\"app\":\"counter\"} \n\t"))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		req, err := decodeSolveRequest(bytes.NewReader(data))
+		if (err == nil) != (json.Unmarshal(data, new(SolveRequest)) == nil) {
+			t.Fatalf("decode accepted=%t, json.Unmarshal disagrees on %q", err == nil, data)
+		}
 		if err != nil {
 			return
 		}

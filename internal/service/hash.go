@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 
+	"repro/internal/bitset"
 	"repro/internal/solve"
 )
 
@@ -23,25 +24,43 @@ func requestKey(inst *solve.Instance, solver string, opts solve.Options) (string
 	case solve.KindSwitch:
 		s := inst.Switch
 		fmt.Fprintf(h, "switch\x00%d\x00%d\x00%d\x00", s.Universe, s.W, len(s.Reqs))
-		for _, r := range s.Reqs {
-			io.WriteString(h, r.String())
-			h.Write([]byte{0})
-		}
+		writeCells(h, nil, s.Reqs)
 	case solve.KindMTSwitch:
 		mt := inst.MT
+		var cells []byte
 		fmt.Fprintf(h, "mtswitch\x00%d\x00%d\x00%d\x00%d\x00",
 			inst.Cost.HyperUpload, inst.Cost.ReconfUpload, mt.NumTasks(), mt.Steps())
 		for j, t := range mt.Tasks {
 			fmt.Fprintf(h, "task\x00%s\x00%d\x00%d\x00", t.Name, t.Local, t.V)
-			for _, r := range mt.Reqs[j] {
-				io.WriteString(h, r.String())
-				h.Write([]byte{0})
-			}
+			cells = writeCells(h, cells, mt.Reqs[j])
 		}
 	default:
 		return "", fmt.Errorf("service: unhashable instance kind %v", inst.Kind())
 	}
 	return hex.EncodeToString(h.Sum(nil)), nil
+}
+
+// writeCells writes each requirement's bit string and a NUL to w,
+// rendering them from the sets' words into buf (reused across calls;
+// the grown buffer is returned) and flushing it every 32 KiB.
+func writeCells(w io.Writer, buf []byte, reqs []bitset.Set) []byte {
+	const flushAt = 32 << 10
+	if len(reqs) > 0 {
+		cell := reqs[0].Universe() + 1
+		if need := min(len(reqs)*cell, flushAt+cell); cap(buf) < need {
+			buf = make([]byte, 0, need)
+		}
+	}
+	buf = buf[:0]
+	for _, r := range reqs {
+		buf = append(r.AppendString(buf), 0)
+		if len(buf) >= flushAt {
+			w.Write(buf)
+			buf = buf[:0]
+		}
+	}
+	w.Write(buf)
+	return buf
 }
 
 // writeOptions serializes every solve.Options field in declaration

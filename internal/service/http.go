@@ -68,7 +68,55 @@ type errorBody struct {
 func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
+	if st, ok := v.(resultStatus); ok {
+		writeStatus(w, st)
+		return
+	}
 	json.NewEncoder(w).Encode(v)
+}
+
+// resultStatus is a status whose last two fields are Result and Error,
+// in that order: JobStatus and SessionStatus.
+type resultStatus interface {
+	// splitResult returns a copy of the status without result and
+	// error, and the two.
+	splitResult() (envelope any, ws *WireSolution, errText string)
+}
+
+// writeStatus writes the bytes json.NewEncoder(w).Encode(st) writes,
+// without encoding or scanning the result again: it encodes the
+// envelope without result and error, then splices the result's
+// rendered bytes in where encoding/json puts the field, followed by
+// the error.  A status without a rendered result is encoded as usual.
+func writeStatus(w io.Writer, st resultStatus) error {
+	env, ws, errText := st.splitResult()
+	if ws == nil || ws.raw == nil {
+		return json.NewEncoder(w).Encode(st)
+	}
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	if err := enc.Encode(env); err != nil {
+		return err
+	}
+	buf.Truncate(buf.Len() - len("}\n"))
+	buf.WriteString(`,"result":`)
+	if _, err := w.Write(buf.Bytes()); err != nil {
+		return err
+	}
+	if _, err := w.Write(ws.raw); err != nil {
+		return err
+	}
+	buf.Reset()
+	if errText != "" {
+		buf.WriteString(`,"error":`)
+		if err := enc.Encode(errText); err != nil {
+			return err
+		}
+		buf.Truncate(buf.Len() - len("\n"))
+	}
+	buf.WriteString("}\n")
+	_, err := w.Write(buf.Bytes())
+	return err
 }
 
 func writeError(w http.ResponseWriter, code int, err error) {
@@ -87,15 +135,42 @@ func writeRetryError(w http.ResponseWriter, code int, err error, d time.Duration
 	writeJSON(w, code, errorBody{Error: err.Error(), RetryAfterMS: ms})
 }
 
-// decodeSolveRequest parses one request body.  It is the exact decode
-// path the fuzzer drives: any input must come back as a value or an
-// error, never a panic.
-func decodeSolveRequest(body io.Reader) (*SolveRequest, error) {
-	var req SolveRequest
-	if err := json.NewDecoder(body).Decode(&req); err != nil {
-		return nil, err
+// decodeBody decodes exactly one JSON value from body into v.  Like
+// json.Unmarshal, and so like the cluster router, it rejects anything
+// but whitespace after the value; the decoder's More would miss a
+// stray ']', so the next token must be io.EOF.  Any input comes back
+// as a value or an error, never a panic (FuzzSolveRequest).
+func decodeBody(body io.Reader, v any) error {
+	dec := json.NewDecoder(body)
+	if err := dec.Decode(v); err != nil {
+		return err
 	}
-	return &req, nil
+	switch tok, err := dec.Token(); {
+	case err == io.EOF:
+		return nil
+	case err != nil:
+		return err
+	default:
+		return fmt.Errorf("invalid data after top-level value: %v", tok)
+	}
+}
+
+// readBody decodes a POST body into v under the maxBodyBytes limit.
+// It answers 413 for an oversized body and 400 for anything that is
+// not exactly one JSON value of v's shape, and reports whether v was
+// filled.
+func readBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	err := decodeBody(http.MaxBytesReader(w, r.Body, maxBodyBytes), v)
+	if err == nil {
+		return true
+	}
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		writeError(w, http.StatusRequestEntityTooLarge, err)
+	} else {
+		writeError(w, http.StatusBadRequest, err)
+	}
+	return false
 }
 
 // retryAfterHeader renders a Retry-After duration in whole seconds,
@@ -113,17 +188,11 @@ func retryAfterHeader(w http.ResponseWriter, d time.Duration) {
 // dimensions 413, full queue 429 (with Retry-After), open circuit
 // breaker or shutdown 503.
 func (s *Server) submit(w http.ResponseWriter, r *http.Request) (*Job, bool, bool) {
-	req, err := decodeSolveRequest(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	if err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			writeError(w, http.StatusRequestEntityTooLarge, err)
-		} else {
-			writeError(w, http.StatusBadRequest, err)
-		}
+	var req SolveRequest
+	if !readBody(w, r, &req) {
 		return nil, false, false
 	}
-	job, deduped, err := s.Submit(req)
+	job, deduped, err := s.Submit(&req)
 	var (
 		tooLarge    *TooLargeError
 		unavailable *SolverUnavailableError
@@ -259,13 +328,7 @@ var errSolveFailed = errors.New("solve failed")
 
 func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 	var req SessionRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(&req); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			writeError(w, http.StatusRequestEntityTooLarge, err)
-		} else {
-			writeError(w, http.StatusBadRequest, err)
-		}
+	if !readBody(w, r, &req) {
 		return
 	}
 	sess, err := s.CreateSession(r.Context(), &req)
@@ -298,13 +361,7 @@ func (s *Server) handleSessionSteps(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var batch SessionSteps
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(&batch); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			writeError(w, http.StatusRequestEntityTooLarge, err)
-		} else {
-			writeError(w, http.StatusBadRequest, err)
-		}
+	if !readBody(w, r, &batch) {
 		return
 	}
 	st, err := sess.Steps(r.Context(), &batch)

@@ -283,6 +283,26 @@ func TestHTTPBadRequests(t *testing.T) {
 		t.Fatalf("malformed JSON status %d", resp2.StatusCode)
 	}
 
+	// A valid request followed by anything but whitespace: the router's
+	// json.Unmarshal answers 400 to these, and so must a node.
+	valid := `{"solver":"aligned","app":"counter"}`
+	for _, path := range []string{"/v1/solve", "/v1/jobs"} {
+		for _, body := range []string{valid + " garbage", valid + `{"solver":"nope"}`, valid + "]"} {
+			resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			raw, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Fatalf("%s with trailing data %q: %d %s, want 400", path, body, resp.StatusCode, raw)
+			}
+		}
+	}
+	if resp, _ := postJSON(t, ts.URL+"/v1/solve", json.RawMessage(valid+" \n\t")); resp.StatusCode != http.StatusOK {
+		t.Fatalf("trailing whitespace: %d, want 200", resp.StatusCode)
+	}
+
 	// Unknown job id.
 	resp3, _ := getBody(t, ts.URL+"/v1/jobs/job-999999")
 	if resp3.StatusCode != http.StatusNotFound {

@@ -161,6 +161,13 @@ type SessionStatus struct {
 	Error  string        `json:"error,omitempty"`
 }
 
+// splitResult implements resultStatus.
+func (st *SessionStatus) splitResult() (any, *WireSolution, string) {
+	env := *st
+	env.Result, env.Error = nil, ""
+	return &env, st.Result, st.Error
+}
+
 // resolveSession validates the session opener and builds the model
 // instance, cost options and clamped solve options (the shared
 // resolution behind CreateSession and the cluster routing key).

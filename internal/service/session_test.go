@@ -420,7 +420,7 @@ func TestSessionBreakerAdmission(t *testing.T) {
 }
 
 func TestSessionBadRequests(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 1})
+	s, ts := newTestServer(t, Config{Workers: 1})
 	mt := sessionInstance(t)
 	wi := WireInstanceFrom(mt)
 
@@ -438,6 +438,25 @@ func TestSessionBadRequests(t *testing.T) {
 	if resp, _ := postJSON(t, ts.URL+"/v1/sessions", strings.Repeat("x", 64)); resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("garbage body: %d, want 400", resp.StatusCode)
 	}
+	// trailing posts a valid body followed by anything but whitespace.
+	trailing := func(path string, v any) {
+		t.Helper()
+		valid, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, tail := range []string{" garbage", `{"solver":"nope"}`, "]"} {
+			resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(string(valid)+tail))
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Errorf("%s with trailing %q: %d, want 400", path, tail, resp.StatusCode)
+			}
+		}
+	}
+	trailing("/v1/sessions", sessionRequest(mt, "exact", 2))
 
 	_, raw := postJSON(t, ts.URL+"/v1/sessions", sessionRequest(mt, "exact", 2))
 	var st SessionStatus
@@ -454,6 +473,10 @@ func TestSessionBadRequests(t *testing.T) {
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("%s: %d %s, want 400", name, resp.StatusCode, raw)
 		}
+	}
+	trailing("/v1/sessions/"+st.ID+"/steps", &SessionSteps{Reqs: wi.Reqs[2:3]})
+	if sess, _ := s.Session(st.ID); sess.Status().Steps != 2 {
+		t.Errorf("a rejected batch changed the trace: %d steps, want 2", sess.Status().Steps)
 	}
 	if resp, _ := postJSON(t, ts.URL+"/v1/sessions/nope/steps", &SessionSteps{Reqs: wi.Reqs[:1]}); resp.StatusCode != http.StatusNotFound {
 		t.Errorf("unknown session: %d, want 404", resp.StatusCode)

@@ -1,7 +1,6 @@
 package service
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"sync"
@@ -358,7 +357,7 @@ type WireStats struct {
 
 // WireSolution is the JSON view of a solve.Solution.  Switch schedules
 // carry segment starts and hypercontext bit strings; mtswitch schedules
-// carry the traceio schedule JSON document verbatim.
+// carry the traceio schedule JSON document in its compact form.
 type WireSolution struct {
 	Kind       string    `json:"kind"`
 	Cost       int64     `json:"cost"`
@@ -369,6 +368,11 @@ type WireSolution struct {
 	SegStarts     []int           `json:"seg_starts,omitempty"`
 	Hypercontexts []string        `json:"hypercontexts,omitempty"`
 	Schedule      json.RawMessage `json:"schedule,omitempty"`
+
+	// raw is the server-rendered compact JSON of this whole object,
+	// which the status writer splices into responses; Schedule is a
+	// subslice of it.  Decoded values leave it nil.
+	raw []byte
 }
 
 // wireMemo renders a solution's wire form exactly once and shares it
@@ -431,8 +435,15 @@ func statsFromWire(ws WireStats) solve.Stats {
 	}
 }
 
+// scheduleField joins the schedule document onto the rendered head.
+const scheduleField = `,"schedule":`
+
 // wireSolution renders a solution; mt is the instance the schedule was
-// solved for (nil for single-task kinds).
+// solved for (nil for single-task kinds).  The result object's final
+// compact bytes are rendered once, into one buffer of exactly their
+// size: the head (kind through stats, plus a switch schedule) through
+// encoding/json, then an mtswitch schedule document appended straight
+// after it.
 func wireSolution(sol *solve.Solution, mt *model.MTSwitchInstance) (*WireSolution, error) {
 	out := &WireSolution{
 		Kind:  sol.Kind.String(),
@@ -449,14 +460,24 @@ func wireSolution(sol *solve.Solution, mt *model.MTSwitchInstance) (*WireSolutio
 		}
 	case solve.KindMTSwitch:
 		out.HyperSteps = core.HyperCount(sol.MTSched)
-		if mt != nil && sol.MTSched != nil {
-			var buf bytes.Buffer
-			if err := traceio.WriteScheduleJSON(&buf, mt, sol.MTSched); err != nil {
-				return nil, err
-			}
-			out.Schedule = json.RawMessage(buf.Bytes())
-		}
 	}
+	head, err := json.Marshal(out)
+	if err != nil {
+		return nil, err
+	}
+	if sol.Kind != solve.KindMTSwitch || mt == nil || sol.MTSched == nil {
+		out.raw = head
+		return out, nil
+	}
+	// head ends in the object's closing brace, which moves to the end.
+	buf := make([]byte, 0, len(head)+len(scheduleField)+traceio.ScheduleJSONLen(mt))
+	buf = append(append(buf, head[:len(head)-1]...), scheduleField...)
+	start := len(buf)
+	if buf, err = traceio.AppendScheduleJSON(buf, mt, sol.MTSched); err != nil {
+		return nil, err
+	}
+	out.Schedule = buf[start:len(buf):len(buf)]
+	out.raw = append(buf, '}')
 	return out, nil
 }
 
@@ -484,4 +505,11 @@ type JobStatus struct {
 
 	Result *WireSolution `json:"result,omitempty"`
 	Error  string        `json:"error,omitempty"`
+}
+
+// splitResult implements resultStatus.
+func (st *JobStatus) splitResult() (any, *WireSolution, string) {
+	env := *st
+	env.Result, env.Error = nil, ""
+	return &env, st.Result, st.Error
 }

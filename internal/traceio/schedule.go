@@ -1,9 +1,11 @@
 package traceio
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
+	"strconv"
 
 	"repro/internal/bitset"
 	"repro/internal/model"
@@ -24,36 +26,100 @@ type jsonScheduleTask struct {
 }
 
 // WriteScheduleJSON serializes a schedule solved for the given
-// instance.
+// instance: AppendScheduleJSON's document indented by two spaces, plus
+// a newline.
 func WriteScheduleJSON(w io.Writer, ins *model.MTSwitchInstance, s *model.MTSchedule) error {
-	if ins == nil || s == nil {
-		return fmt.Errorf("traceio: nil instance or schedule")
+	compact, err := AppendScheduleJSON(nil, ins, s)
+	if err != nil {
+		return err
 	}
-	if err := ins.Validate(s); err != nil {
+	var out bytes.Buffer
+	if err := json.Indent(&out, compact, "", "  "); err != nil {
 		return fmt.Errorf("traceio: %w", err)
 	}
-	out := jsonSchedule{}
-	for j, task := range ins.Tasks {
-		hyper := make([]byte, ins.Steps())
-		hctx := make([]string, ins.Steps())
-		for i := 0; i < ins.Steps(); i++ {
-			hyper[i] = '0'
-			if s.Hyper[j][i] {
-				hyper[i] = '1'
-			}
-			hctx[i] = s.Hctx[j][i].String()
-		}
-		out.Tasks = append(out.Tasks, jsonScheduleTask{
-			Name:  task.Name,
-			Local: task.Local,
-			V:     int64(task.V),
-			Hyper: string(hyper),
-			Hctx:  hctx,
-		})
+	out.WriteByte('\n')
+	_, err = w.Write(out.Bytes())
+	return err
+}
+
+// AppendScheduleJSON validates a schedule solved for ins and appends
+// its compact schedule document to dst: the bytes encoding/json writes
+// for the jsonSchedule form, without indentation.  The bit strings are
+// rendered straight from the sets' words.  On error dst is returned
+// unchanged.
+func AppendScheduleJSON(dst []byte, ins *model.MTSwitchInstance, s *model.MTSchedule) ([]byte, error) {
+	if ins == nil || s == nil {
+		return dst, fmt.Errorf("traceio: nil instance or schedule")
 	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(out)
+	if err := ins.Validate(s); err != nil {
+		return dst, fmt.Errorf("traceio: %w", err)
+	}
+	dst = append(dst, `{"tasks":`...)
+	if len(ins.Tasks) == 0 {
+		return append(dst, "null}"...), nil
+	}
+	for j, task := range ins.Tasks {
+		if j == 0 {
+			dst = append(dst, '[')
+		} else {
+			dst = append(dst, ',')
+		}
+		dst = append(dst, `{"name":`...)
+		dst = appendJSONString(dst, task.Name)
+		dst = append(dst, `,"local":`...)
+		dst = strconv.AppendInt(dst, int64(task.Local), 10)
+		dst = append(dst, `,"v":`...)
+		dst = strconv.AppendInt(dst, int64(task.V), 10)
+		dst = append(dst, `,"hyper":"`...)
+		for _, h := range s.Hyper[j] {
+			if h {
+				dst = append(dst, '1')
+			} else {
+				dst = append(dst, '0')
+			}
+		}
+		dst = append(dst, `","hctx":[`...)
+		for i, h := range s.Hctx[j] {
+			if i > 0 {
+				dst = append(dst, ',')
+			}
+			dst = append(h.AppendString(append(dst, '"')), '"')
+		}
+		dst = append(dst, "]}"...)
+	}
+	return append(dst, "]}"...), nil
+}
+
+// ScheduleJSONLen is the exact length AppendScheduleJSON appends for
+// any schedule valid for ins.  The document's shape depends only on
+// the instance (every hyper mask has Steps characters, every
+// hypercontext Local), so a caller can size one buffer for the whole
+// rendering before it starts.
+func ScheduleJSONLen(ins *model.MTSwitchInstance) int {
+	n := len(`{"tasks":}`)
+	if len(ins.Tasks) == 0 {
+		return n + len("null")
+	}
+	steps := ins.Steps()
+	n += len("[]") + len(ins.Tasks) - 1
+	for _, task := range ins.Tasks {
+		n += len(`{"name":,"local":,"v":,"hyper":"","hctx":[]}`) +
+			len(appendJSONString(nil, task.Name)) +
+			len(strconv.Itoa(task.Local)) + len(strconv.FormatInt(int64(task.V), 10)) +
+			steps + steps*(task.Local+2)
+		if steps > 1 {
+			n += steps - 1
+		}
+	}
+	return n
+}
+
+// appendJSONString appends s as encoding/json quotes it (HTML-escaped,
+// invalid UTF-8 replaced), so names render as the struct encoder
+// renders them.
+func appendJSONString(dst []byte, s string) []byte {
+	q, _ := json.Marshal(s) // a string always marshals
+	return append(dst, q...)
 }
 
 // ReadScheduleJSON parses a schedule and the task shapes it was written

@@ -62,6 +62,9 @@ func TestWriteScheduleJSONRejectsInvalid(t *testing.T) {
 	if err := WriteScheduleJSON(&bytes.Buffer{}, ins, bad); err == nil {
 		t.Fatal("accepted invalid schedule")
 	}
+	if out, err := AppendScheduleJSON([]byte("keep"), ins, bad); err == nil || string(out) != "keep" {
+		t.Fatalf("AppendScheduleJSON on an invalid schedule: %q, %v", out, err)
+	}
 }
 
 func TestReadScheduleJSONErrors(t *testing.T) {

@@ -52,7 +52,9 @@
 # downstream diffing compare like with like.
 #   scripts/bench_baseline.txt raw `go test -bench` output of the
 #                             frontier/scaling/step-expansion/session
-#                             stream benchmarks, the input of
+#                             stream benchmarks and of the hyperd
+#                             request path outside the solver
+#                             (BenchmarkRequestPath), the input of
 #                             the --check mode and of CI's
 #                             informational benchstat step.
 set -eu
@@ -60,8 +62,8 @@ cd "$(dirname "$0")/.."
 
 # BENCH_PATTERN and BENCH_PKGS must match the regex and packages of CI's
 # bench-compare job (.github/workflows/ci.yml).
-BENCH_PATTERN='BenchmarkFrontierEngines|BenchmarkScalingTasks|BenchmarkPartitionedSolve|BenchmarkStepExpansion|BenchmarkSessionStream'
-BENCH_PKGS='. ./internal/mtswitch'
+BENCH_PATTERN='BenchmarkFrontierEngines|BenchmarkScalingTasks|BenchmarkPartitionedSolve|BenchmarkStepExpansion|BenchmarkSessionStream|BenchmarkRequestPath'
+BENCH_PKGS='. ./internal/mtswitch ./internal/service'
 
 if [ "${1:-}" = "--check" ]; then
 	# Every committed bench artifact must exist: a silently skipped
