@@ -495,7 +495,11 @@ func BenchmarkFrontierEngines(b *testing.B) {
 // the same comparison): aligned blocks with block-disjoint working
 // sets, where the step-axis decomposition is exact and each window's
 // frontier is tiny.  Both variants return identical costs, asserted
-// by internal/partition's tests and by -bench8 itself.
+// by internal/partition's tests and by -bench8 itself.  blocked-2x288
+// runs perfbench exact-cold's blocked family (2 tasks × 288 steps, the
+// shape hyperd sends to exact-partitioned) on one worker: one op solves
+// four seeds (planning, nine window solves and the stitch's coupling
+// correction each) and cost is their sum.
 func BenchmarkPartitionedSolve(b *testing.B) {
 	ins, err := workload.Blocked(workload.Config{Tasks: 4, Steps: 64, Switches: 24, MeanPhase: 8, Seed: 2})
 	if err != nil {
@@ -529,6 +533,27 @@ func BenchmarkPartitionedSolve(b *testing.B) {
 				return 0, err
 			}
 			return sol.Cost, nil
+		})
+	})
+	var blocked []*model.MTSwitchInstance
+	for seed := int64(1); seed <= 4; seed++ {
+		ins, err := workload.Blocked(workload.Config{Tasks: 2, Steps: 288, Switches: 72, MeanPhase: 8, Seed: seed})
+		if err != nil {
+			b.Fatal(err)
+		}
+		blocked = append(blocked, ins)
+	}
+	b.Run("blocked-2x288", func(b *testing.B) {
+		run(b, func() (model.Cost, error) {
+			var total model.Cost
+			for _, ins := range blocked {
+				sol, err := partition.Solve(context.Background(), ins, parallel, solve.Options{Workers: 1})
+				if err != nil {
+					return 0, err
+				}
+				total += sol.Cost
+			}
+			return total, nil
 		})
 	})
 }

@@ -162,25 +162,12 @@ func (ins *MTSwitchInstance) Cost(s *MTSchedule, opt CostOptions) (Cost, error) 
 	if err := ins.Validate(s); err != nil {
 		return 0, err
 	}
-	m, n := ins.NumTasks(), ins.Steps()
+	var rows stepRows
+	install, size := rows.of(ins.NumTasks())
 	total := ins.W
-	for i := 0; i < n; i++ {
-		var hyper Cost
-		for j := 0; j < m; j++ {
-			if s.Hyper[j][i] {
-				hyper = opt.HyperUpload.Combine(hyper, ins.Tasks[j].V)
-			}
-		}
-		reconf := Cost(ins.PublicGlobal)
-		if opt.ReconfUpload == TaskSequential {
-			reconf = 0
-		}
-		for j := 0; j < m; j++ {
-			reconf = opt.ReconfUpload.Combine(reconf, Cost(s.Hctx[j][i].Count()))
-		}
-		if opt.ReconfUpload == TaskSequential {
-			reconf += Cost(ins.PublicGlobal)
-		}
+	for i := 0; i < ins.Steps(); i++ {
+		s.stepRow(i, install, size)
+		hyper, reconf := ins.StepCost(install, size, opt)
 		total += hyper + reconf
 	}
 	return total, nil
@@ -192,30 +179,58 @@ func (ins *MTSwitchInstance) StepCosts(s *MTSchedule, opt CostOptions) ([]Cost, 
 	if err := ins.Validate(s); err != nil {
 		return nil, nil, err
 	}
-	m, n := ins.NumTasks(), ins.Steps()
+	var rows stepRows
+	install, size := rows.of(ins.NumTasks())
+	n := ins.Steps()
 	hyperCosts := make([]Cost, n)
 	reconfCosts := make([]Cost, n)
 	for i := 0; i < n; i++ {
-		var hyper Cost
-		for j := 0; j < m; j++ {
-			if s.Hyper[j][i] {
-				hyper = opt.HyperUpload.Combine(hyper, ins.Tasks[j].V)
-			}
-		}
-		reconf := Cost(ins.PublicGlobal)
-		if opt.ReconfUpload == TaskSequential {
-			reconf = 0
-		}
-		for j := 0; j < m; j++ {
-			reconf = opt.ReconfUpload.Combine(reconf, Cost(s.Hctx[j][i].Count()))
-		}
-		if opt.ReconfUpload == TaskSequential {
-			reconf += Cost(ins.PublicGlobal)
-		}
-		hyperCosts[i] = hyper
-		reconfCosts[i] = reconf
+		s.stepRow(i, install, size)
+		hyperCosts[i], reconfCosts[i] = ins.StepCost(install, size, opt)
 	}
 	return hyperCosts, reconfCosts, nil
+}
+
+// stepRows holds one step's per-task install flags and hypercontext
+// sizes, on the stack for up to eight tasks.
+type stepRows struct {
+	install [8]bool
+	size    [8]Cost
+}
+
+func (r *stepRows) of(m int) ([]bool, []Cost) {
+	if m > len(r.install) {
+		return make([]bool, m), make([]Cost, m)
+	}
+	return r.install[:m], r.size[:m]
+}
+
+// stepRow reads step i's install flags and hypercontext sizes.
+func (s *MTSchedule) stepRow(i int, install []bool, size []Cost) {
+	for j := range install {
+		install[j] = s.Hyper[j][i]
+		size[j] = Cost(s.Hctx[j][i].Count())
+	}
+}
+
+// StepCost is the price of one synchronized step, given each task's
+// hyperreconfiguration flag I_{j,i} (install) and hypercontext size
+// |h_{j,i}| (size): the hyper term max_j I_{j,i}·v_j and the reconf term
+// max{ |h^pub|, max_j |h_{j,i}| } under task-parallel uploads, the
+// corresponding sums under task-sequential ones.  It is the model's
+// one per-step formula: Cost, StepCosts and every caller that prices a
+// step without a schedule go through it.
+func (ins *MTSwitchInstance) StepCost(install []bool, size []Cost, opt CostOptions) (hyper, reconf Cost) {
+	for j, in := range install {
+		if in {
+			hyper = opt.HyperUpload.Combine(hyper, ins.Tasks[j].V)
+		}
+	}
+	reconf = Cost(ins.PublicGlobal)
+	for _, c := range size {
+		reconf = opt.ReconfUpload.Combine(reconf, c)
+	}
+	return hyper, reconf
 }
 
 // CanonicalSchedule expands hyperreconfiguration masks into a full

@@ -820,6 +820,7 @@ func (e *engine) sizeBytes() int64 {
 		e.table.sizeBytes() + e.keys.sizeBytes() +
 		sliceBytes(e.key) + sliceBytes(e.cur) + sliceBytes(e.keepCnt) + sliceBytes(e.skip) + sliceBytes(e.minCnt) +
 		sliceBytes(e.domRes) + sliceBytes(e.domCnt) + sliceBytes(e.domResBuf) + sliceBytes(e.domCntBuf) +
+		sliceBytes(e.domSlots) + sliceBytes(e.domNext) +
 		sliceBytes(e.slab) + sliceBytes(e.costs) + sliceBytes(e.gens) + sliceBytes(e.perm)
 	for _, row := range e.cands {
 		total += sliceBytes(row)
@@ -836,11 +837,6 @@ func (e *engine) sizeBytes() int64 {
 	for j := range e.tailReconf {
 		total += sliceBytes(e.tailReconf[j])
 	}
-	// A map keeps the buckets of its largest size; domPeak tracks it.
-	total += int64(e.domPeak) * mapEntryBytes
-	for _, g := range e.domGroups {
-		total += sliceBytes(g)
-	}
 	for _, g := range e.gens {
 		total += sliceBytes(g.prev) + sliceBytes(g.hyper)
 	}
@@ -851,11 +847,6 @@ func (e *engine) sizeBytes() int64 {
 func (t *stateTable) sizeBytes() int64 {
 	return sliceBytes(t.buckets) + sliceBytes(t.slab) + sliceBytes(t.hashes) + sliceBytes(t.costs) + sliceBytes(t.prevs)
 }
-
-// mapEntryBytes estimates one entry of the dominance filter's
-// map[uint64][]int32: its key, value and a share of the control words
-// and spare slots.
-const mapEntryBytes = 48
 
 // sliceBytes is the backing array a slice retains.
 func sliceBytes[T any](s []T) int64 {

@@ -305,8 +305,8 @@ type engine struct {
 	domCnt    []model.Cost
 	domResBuf []uint64
 	domCntBuf []model.Cost
-	domGroups map[uint64][]int32
-	domPeak   int // most groups domGroups has held
+	domSlots  []domSlot // residue-hash groups, sized to each step's frontier
+	domNext   []int32   // [kept] the next kept state of its group, +1 (0 = none)
 
 	// Current frontier.
 	slab  []uint64

@@ -85,33 +85,26 @@ func preprocess(ins *model.MTSwitchInstance) *reduction {
 	weights := make([][]model.Cost, m)
 	grouped := false
 	var cells int64
-	sigLen := (nr + 7) / 8
+	runRows := make([]bitset.Set, nr)
 	for j := 0; j < m; j++ {
 		l := ins.Tasks[j].Local
+		for t, i := range runStart {
+			runRows[t] = ins.Reqs[j][i]
+		}
+		sigs, sigLen, used := columnSignatures(runRows, l)
 		groupOf := make([]int, l)
 		index := make(map[string]int)
 		var wts []model.Cost
-		buf := make([]byte, sigLen)
 		for b := 0; b < l; b++ {
-			for i := range buf {
-				buf[i] = 0
-			}
-			used := false
-			for t := 0; t < nr; t++ {
-				if ins.Reqs[j][runStart[t]].Contains(b) {
-					buf[t/8] |= 1 << (t % 8)
-					used = true
-				}
-			}
-			if !used {
+			if !used[b] {
 				groupOf[b] = -1
 				continue
 			}
-			key := string(buf)
-			g, ok := index[key]
+			sig := sigs[b*sigLen : (b+1)*sigLen]
+			g, ok := index[string(sig)]
 			if !ok {
 				g = len(wts)
-				index[key] = g
+				index[string(sig)] = g
 				wts = append(wts, 0)
 			}
 			groupOf[b] = g
@@ -120,9 +113,9 @@ func preprocess(ins *model.MTSwitchInstance) *reduction {
 		lr := len(wts)
 		tasks[j] = model.Task{Name: ins.Tasks[j].Name, Local: lr, V: ins.Tasks[j].V}
 		rr := make([]bitset.Set, nr)
-		for t := 0; t < nr; t++ {
+		for t, row := range runRows {
 			s := bitset.New(lr)
-			ins.Reqs[j][runStart[t]].ForEach(func(b int) {
+			row.ForEach(func(b int) {
 				s.Add(groupOf[b])
 			})
 			rr[t] = s
@@ -238,29 +231,15 @@ func CanonicalForm(ins *model.MTSwitchInstance) ([]byte, []int) {
 // signature is its membership pattern across all steps.  Column order,
 // unused columns and the task name do not enter the fingerprint.
 func taskFingerprint(ins *model.MTSwitchInstance, j int) []byte {
-	n, local := ins.Steps(), ins.Tasks[j].Local
-	sigLen := (n + 7) / 8
-	// sigs holds every column's signature, sigLen bytes each, filled by
-	// walking each step's set bits.
-	sigs := make([]byte, local*sigLen)
-	used := make([]bool, local)
-	for t, r := range ins.Reqs[j] {
-		for wi, w := range r.Words() {
-			for ; w != 0; w &= w - 1 {
-				b := wi*64 + bits.TrailingZeros64(w)
-				sigs[b*sigLen+t/8] |= 1 << (t % 8)
-				used[b] = true
-			}
-		}
-	}
+	sigs, sigLen, used := columnSignatures(ins.Reqs[j], ins.Tasks[j].Local)
 	type group struct {
 		sig    string
 		weight int64
 	}
 	index := make(map[string]int)
 	var groups []group
-	for b := 0; b < local; b++ {
-		if !used[b] {
+	for b, u := range used {
+		if !u {
 			continue
 		}
 		sig := sigs[b*sigLen : (b+1)*sigLen]
@@ -283,4 +262,24 @@ func taskFingerprint(ins *model.MTSwitchInstance, j int) []byte {
 		out = append(out, g.sig...)
 	}
 	return out
+}
+
+// columnSignatures returns every column's membership pattern over
+// rows — sigLen = ⌈len(rows)/8⌉ bytes a column, row t at bit t%8 of
+// byte t/8 — and which columns any row requires, built by walking each
+// row's set bits.
+func columnSignatures(rows []bitset.Set, local int) (sigs []byte, sigLen int, used []bool) {
+	sigLen = (len(rows) + 7) / 8
+	sigs = make([]byte, local*sigLen)
+	used = make([]bool, local)
+	for t, r := range rows {
+		for wi, w := range r.Words() {
+			for ; w != 0; w &= w - 1 {
+				b := wi*64 + bits.TrailingZeros64(w)
+				sigs[b*sigLen+t/8] |= 1 << (t % 8)
+				used[b] = true
+			}
+		}
+	}
+	return sigs, sigLen, used
 }

@@ -246,6 +246,14 @@ func growCosts(s []model.Cost, n int) []model.Cost {
 // prunes, never soundness, and the cap is position-deterministic.
 const domGroupCap = 64
 
+// domSlot is one group of the dominance filter's table: the 64-bit
+// residue hash shared by the group's kept states, and its first and
+// last kept state (kept index + 1; first == 0 marks an empty slot).
+type domSlot struct {
+	hash        uint64
+	first, last int32
+}
+
 // dominanceFilter compacts the sorted frontier order e.perm in place,
 // dropping every state B for which an earlier-sorted state A (hence
 // cost(A) ≤ cost(B)) exists with, for every task, an identical residue
@@ -257,6 +265,15 @@ const domGroupCap = 64
 // redundant.  The rule is transitive, so comparing only against kept
 // states loses nothing.
 //
+// Candidates are compared against the kept states of their group —
+// the kept states with the same 64-bit residue hash, equal residues
+// or colliding ones — in insertion order, at most domGroupCap of them.
+// The groups live in an open-addressed slot array sized to a power of
+// two at least twice this step's frontier, and their members chain in
+// insertion order through domNext.  Each call clears only the slots it
+// sizes, so the filter costs what the step's frontier costs, however
+// large a frontier the (pooled) engine filtered before.
+//
 // The filter runs between the deterministic (cost, vector) sort and
 // the beam truncation: its outcome depends only on the sorted frontier
 // and the precomputed suffix tables, and
@@ -266,13 +283,18 @@ func (e *engine) dominanceFilter(t *stateTable) {
 	m, sw := e.lay.m, e.lay.setWords
 	next := e.step + 1
 
-	if e.domGroups == nil {
-		e.domGroups = make(map[uint64][]int32)
-	} else {
-		for k := range e.domGroups {
-			delete(e.domGroups, k)
-		}
+	size := 1
+	for size < 2*len(e.perm) {
+		size <<= 1
 	}
+	if cap(e.domSlots) < size {
+		e.domSlots = make([]domSlot, size)
+	} else {
+		e.domSlots = e.domSlots[:size]
+		clear(e.domSlots)
+	}
+	mask := uint64(size - 1)
+	e.domNext = e.domNext[:0]
 	e.domRes = e.domRes[:0]
 	e.domCnt = e.domCnt[:0]
 	e.domResBuf = growWords(e.domResBuf, sw)
@@ -292,18 +314,18 @@ func (e *engine) dominanceFilter(t *stateTable) {
 			cnt[j] = weightedCountWords(st[off:off+tw], e.taskWeightsOf(j))
 		}
 		h := bitset.HashWords(res)
-		group := e.domGroups[h]
-		lim := len(group)
-		if lim > domGroupCap {
-			lim = domGroupCap
+		i := h & mask
+		for e.domSlots[i].first != 0 && e.domSlots[i].hash != h {
+			i = (i + 1) & mask
 		}
+		g := &e.domSlots[i]
 		dominated := false
-		for _, k := range group[:lim] {
-			if !wordsEqual(e.domRes[int(k)*sw:(int(k)+1)*sw], res) {
+		for k, seen := g.first, 0; k != 0 && seen < domGroupCap; k, seen = e.domNext[k-1], seen+1 {
+			if !wordsEqual(e.domRes[int(k-1)*sw:int(k)*sw], res) {
 				continue
 			}
 			le := true
-			base := int(k) * m
+			base := int(k-1) * m
 			for j := 0; j < m; j++ {
 				if e.domCnt[base+j] > cnt[j] {
 					le = false
@@ -320,11 +342,16 @@ func (e *engine) dominanceFilter(t *stateTable) {
 		}
 		e.domRes = append(e.domRes, res...)
 		e.domCnt = append(e.domCnt, cnt...)
-		e.domGroups[h] = append(group, nk)
+		e.domNext = append(e.domNext, 0)
 		nk++
+		if g.first == 0 {
+			g.hash, g.first = h, nk
+		} else {
+			e.domNext[g.last-1] = nk
+		}
+		g.last = nk
 		e.perm[out] = p
 		out++
 	}
 	e.perm = e.perm[:out]
-	e.domPeak = max(e.domPeak, len(e.domGroups))
 }

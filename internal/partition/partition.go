@@ -1,18 +1,19 @@
 // Package partition decomposes large MT-Switch instances along the
-// step axis: a multilevel hypergraph partitioner chooses window
-// boundaries that cut as little shared switch-column activity as
-// possible, the windows are solved independently (and concurrently)
-// by the exact engine, and the window schedules are stitched back
-// together with a coupling-correction pass.
+// step axis: a multilevel partitioner chooses window boundaries that
+// cut as little shared switch-column activity as possible, the windows
+// are solved independently (and concurrently) by the exact engine, and
+// the window schedules are stitched back together with a
+// coupling-correction pass.
 //
-// The hypergraph is the instance's column-activity structure: each
-// duplicate-group of switch columns (columns of one task with
-// identical requirement patterns) is a weighted hyperedge spanning
-// the step interval on which the group is required.  A window
-// boundary before step s cuts an edge iff the edge's interval spans
-// s — the group's hypercontext then has to be paid for on both sides
-// of the boundary.  Minimizing the weighted cut minimizes the
-// coupling the stitch has to correct for.
+// The activity structure is one step interval per switch column: the
+// column of task j is required somewhere on [first, last].  A window
+// boundary before step s cuts the column iff first < s ≤ last — its
+// hypercontext then has to be paid for on both sides of the boundary.
+// (Grouping a task's columns with identical requirement patterns, as
+// the exact engine's preprocess layer does, changes nothing here: a
+// group's interval is each member's interval and its weight is its
+// member count.)  Minimizing the cut minimizes the coupling the stitch
+// has to correct for.
 //
 // The stitched schedule is always feasible, so its cost is an upper
 // bound on the optimum; forcing an all-task install at each boundary
@@ -30,92 +31,53 @@
 package partition
 
 import (
+	"math/bits"
 	"sort"
 
-	"repro/internal/bitset"
 	"repro/internal/model"
 )
 
-// Edge is one hyperedge of the column-activity hypergraph: a
-// duplicate-group of switch columns of one task, required somewhere
-// on the step interval [First, Last].  A window boundary before step
-// s cuts the edge iff First < s ≤ Last.
-type Edge struct {
-	Task   int
-	Weight int64
-	First  int
-	Last   int
-}
-
-// Hypergraph is the column-activity hypergraph of an instance.
-type Hypergraph struct {
-	Steps int
-	Edges []Edge
-}
-
-// BuildHypergraph groups each task's switch columns by identical
-// requirement pattern (the same duplicate-column grouping the exact
-// engine's preprocess layer performs) and emits one weighted
-// interval edge per group.  Columns never required anywhere produce
-// no edge.
-func BuildHypergraph(ins *model.MTSwitchInstance) *Hypergraph {
+// CutProfile returns w[s] for every candidate boundary s ∈ [1, n−1]:
+// the number of (task, column) pairs whose required steps lie on both
+// sides of a window boundary before step s, first < s ≤ last.  Index 0
+// is unused and zero.  Each column's first and last required step come
+// from one walk over every step's set bits, and a difference array
+// turns the intervals into the profile: O(requirement bits + columns +
+// steps).
+func CutProfile(ins *model.MTSwitchInstance) []int64 {
 	n := ins.Steps()
-	h := &Hypergraph{Steps: n}
+	diff := make([]int64, n+1)
+	var first, last []int
 	for j, reqs := range ins.Reqs {
-		groups := make(map[string]*Edge, ins.Tasks[j].Local)
-		for c := 0; c < ins.Tasks[j].Local; c++ {
-			pat := bitset.New(n)
-			for i := 0; i < n; i++ {
-				if reqs[i].Contains(c) {
-					pat.Add(i)
+		l := ins.Tasks[j].Local
+		if cap(first) < l {
+			first, last = make([]int, l), make([]int, l)
+		}
+		first, last = first[:l], last[:l]
+		for c := range first {
+			first[c] = -1
+		}
+		for i, r := range reqs {
+			for wi, w := range r.Words() {
+				for ; w != 0; w &= w - 1 {
+					c := wi*64 + bits.TrailingZeros64(w)
+					if first[c] < 0 {
+						first[c] = i
+					}
+					last[c] = i
 				}
 			}
-			if pat.IsEmpty() {
-				continue
-			}
-			key := pat.Key()
-			if e, ok := groups[key]; ok {
-				e.Weight++
-				continue
-			}
-			members := pat.Members()
-			groups[key] = &Edge{Task: j, Weight: 1, First: members[0], Last: members[len(members)-1]}
 		}
-		for _, e := range groups {
-			h.Edges = append(h.Edges, *e)
+		for c, f := range first {
+			if f >= 0 && last[c] > f {
+				diff[f+1]++
+				diff[last[c]+1]--
+			}
 		}
 	}
-	sort.Slice(h.Edges, func(a, b int) bool {
-		ea, eb := h.Edges[a], h.Edges[b]
-		if ea.Task != eb.Task {
-			return ea.Task < eb.Task
-		}
-		if ea.First != eb.First {
-			return ea.First < eb.First
-		}
-		if ea.Last != eb.Last {
-			return ea.Last < eb.Last
-		}
-		return ea.Weight < eb.Weight
-	})
-	return h
-}
-
-// CutProfile returns w[s] for every candidate boundary s ∈ [1, n−1]:
-// the total weight of edges a window boundary before step s cuts.
-// Index 0 is unused and zero.  Computed with a difference array in
-// O(edges + steps).
-func (h *Hypergraph) CutProfile() []int64 {
-	diff := make([]int64, h.Steps+1)
-	for _, e := range h.Edges {
-		if e.Last > e.First {
-			diff[e.First+1] += e.Weight
-			diff[e.Last+1] -= e.Weight
-		}
-	}
-	w := make([]int64, h.Steps)
+	w := make([]int64, n)
 	var acc int64
-	for s := 1; s < h.Steps; s++ {
+	for s := 1; s < n; s++ {
 		acc += diff[s]
 		w[s] = acc
 	}
@@ -125,9 +87,9 @@ func (h *Hypergraph) CutProfile() []int64 {
 // Plan is a chosen step-axis decomposition: interior boundaries in
 // increasing order (window w spans [Boundaries[w−1], Boundaries[w]),
 // with 0 and n implied at the ends), the per-boundary cut weights,
-// and their total.  CutColumns counts (edge, boundary) incidences —
-// a duplicate-group spanning two boundaries contributes its weight
-// twice, matching the per-boundary certified bound Σ_s Δ(s).
+// and their total.  CutColumns counts (column, boundary) incidences —
+// a column spanning two boundaries counts twice, matching the
+// per-boundary certified bound Σ_s Δ(s).
 type Plan struct {
 	Boundaries []int
 	Weights    []int64
@@ -169,10 +131,10 @@ func AutoPartitions(steps int) int {
 	return k
 }
 
-// PlanWindows runs the multilevel partitioner: build the
-// column-activity hypergraph, coarsen by merging the adjacent step
-// ranges joined by the heaviest boundaries (only the cheapest
-// candidate boundaries survive to the coarse level), place k−1
+// PlanWindows runs the multilevel partitioner: take the instance's
+// CutProfile, coarsen by merging the adjacent step ranges joined by
+// the heaviest boundaries (only the cheapest candidate boundaries
+// survive to the coarse level), place k−1
 // boundaries balanced over the coarse candidates, then refine each
 // boundary at full resolution with greedy FM-style moves that lower
 // the cut under a minimum-window-length balance constraint.
@@ -190,7 +152,7 @@ func PlanWindows(ins *model.MTSwitchInstance, k, maxCut int) *Plan {
 	if k <= 1 || n < 2 {
 		return &Plan{}
 	}
-	profile := BuildHypergraph(ins).CutProfile()
+	profile := CutProfile(ins)
 
 	// Coarsening: treat every step as an atom and merge across the
 	// heaviest boundaries until at most coarseTarget candidates remain

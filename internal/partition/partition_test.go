@@ -1,6 +1,9 @@
 package partition
 
 import (
+	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 
 	"repro/internal/bitset"
@@ -34,42 +37,89 @@ func buildInstance(t *testing.T) *model.MTSwitchInstance {
 	return ins
 }
 
-func TestBuildHypergraph(t *testing.T) {
-	h := BuildHypergraph(buildInstance(t))
-	if h.Steps != 4 {
-		t.Fatalf("Steps = %d, want 4", h.Steps)
-	}
-	// Task 0 contributes two single-column edges ([0,1] and [2,3]);
-	// task 1's two identical columns collapse into one weight-2 edge
-	// spanning [0,3].
-	want := []Edge{
-		{Task: 0, Weight: 1, First: 0, Last: 1},
-		{Task: 0, Weight: 1, First: 2, Last: 3},
-		{Task: 1, Weight: 2, First: 0, Last: 3},
-	}
-	if len(h.Edges) != len(want) {
-		t.Fatalf("edges = %+v, want %+v", h.Edges, want)
-	}
-	for i, e := range want {
-		if h.Edges[i] != e {
-			t.Fatalf("edge %d = %+v, want %+v", i, h.Edges[i], e)
-		}
-	}
-}
-
 func TestCutProfile(t *testing.T) {
-	h := BuildHypergraph(buildInstance(t))
-	// Boundary 1 cuts task 0's first edge (+1) and task 1's group
-	// (+2); boundary 2 cuts only the group; boundary 3 cuts the group
-	// and task 0's second edge.
+	// Boundary 1 cuts task 0's column 0 (+1) and both of task 1's
+	// columns (+2); boundary 2 cuts only task 1's columns; boundary 3
+	// cuts task 1's columns and task 0's column 1.
 	want := []int64{0, 3, 2, 3}
-	got := h.CutProfile()
+	got := CutProfile(buildInstance(t))
 	if len(got) != len(want) {
 		t.Fatalf("profile = %v, want %v", got, want)
 	}
 	for s := range want {
 		if got[s] != want[s] {
 			t.Fatalf("profile[%d] = %d, want %d (full: %v)", s, got[s], want[s], got)
+		}
+	}
+}
+
+// cutProfileReference is CutProfile's per-column reference: it finds
+// each column's first and last required step with one Contains per
+// (column, step) and counts the column at every boundary between them.
+func cutProfileReference(ins *model.MTSwitchInstance) []int64 {
+	n := ins.Steps()
+	w := make([]int64, n)
+	for j, reqs := range ins.Reqs {
+		for c := 0; c < ins.Tasks[j].Local; c++ {
+			first, last := -1, -1
+			for i := 0; i < n; i++ {
+				if reqs[i].Contains(c) {
+					if first < 0 {
+						first = i
+					}
+					last = i
+				}
+			}
+			for s := first + 1; s <= last; s++ {
+				w[s]++
+			}
+		}
+	}
+	return w
+}
+
+// TestCutProfileMatchesPerColumnReference pins CutProfile to the
+// per-column reference on every generator, with cut columns, wide
+// (multi-word) universes, one-step traces and never-required columns.
+func TestCutProfileMatchesPerColumnReference(t *testing.T) {
+	r := rand.New(rand.NewSource(5))
+	gens := workload.Generators()
+	names := make([]string, 0, len(gens))
+	for name := range gens {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	var instances []*model.MTSwitchInstance
+	for trial := 0; trial < 300; trial++ {
+		cfg := workload.Config{
+			Tasks:     1 + r.Intn(4),
+			Steps:     1 + r.Intn(60),
+			Switches:  1 + r.Intn(140),
+			MeanPhase: 1 + r.Intn(8),
+			CutWidth:  r.Intn(3),
+			Seed:      1 + r.Int63n(1000),
+		}
+		ins, err := gens[names[trial%len(names)]](cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		instances = append(instances, ins)
+	}
+	// Empty columns and an empty step, by hand.
+	tasks := []model.Task{{Name: "A", Local: 70, V: 3}, {Name: "B", Local: 5, V: 1}}
+	reqs := [][]bitset.Set{
+		{bitset.FromMembers(70, 1, 66), bitset.New(70), bitset.FromMembers(70, 66, 69)},
+		{bitset.New(5), bitset.New(5), bitset.FromMembers(5, 4)},
+	}
+	ins, err := model.NewMTSwitchInstance(tasks, reqs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	instances = append(instances, ins)
+	for k, ins := range instances {
+		got, want := CutProfile(ins), cutProfileReference(ins)
+		if !slices.Equal(got, want) {
+			t.Fatalf("instance %d (%d×%d): profile %v, reference %v", k, ins.NumTasks(), ins.Steps(), got, want)
 		}
 	}
 }

@@ -201,16 +201,47 @@ func IsExact(s *mtswitch.Solution) bool {
 // window boundaries: for each boundary it tries clearing the install
 // jointly for all tasks and for each single task, accepts any strict
 // cost decrease, and sweeps until a fixpoint (bounded at four
-// sweeps).  Clearing an install merges the adjacent segments, whose
-// canonical hypercontext is re-derived by CanonicalSchedule, so every
-// trial stays feasible; the accepted schedule's cost only decreases.
+// sweeps).  Clearing task j's install at s merges its segments [a, s)
+// and [s, b) into one whose canonical hypercontext is the union of
+// the two, so every trial stays feasible and changes only the steps
+// of the merged ranges: a trial is priced as the change of those
+// steps' model.StepCost terms against the tracked cost.  If any trial
+// was accepted, the final mask is rebuilt once by CanonicalSchedule
+// and re-priced once by Cost, which must agree with the tracked cost.
 func correctCoupling(ctx context.Context, ins *model.MTSwitchInstance, opt model.CostOptions, hyper [][]bool, boundaries []int, cost model.Cost, sched *model.MTSchedule) (model.Cost, *model.MTSchedule, error) {
-	m := ins.NumTasks()
-	best, bestSched := cost, sched
-	trial := make([][]bool, m)
-	for j := range trial {
-		trial[j] = make([]bool, len(hyper[j]))
+	m, n := ins.NumTasks(), ins.Steps()
+	segs := make([]segments, m)
+	for j := range segs {
+		segs[j] = newSegments(hyper[j], sched.Hctx[j])
 	}
+	// A trial clears the installs at s of the tasks with merged[j] ≥ 0,
+	// each merging [lo[j], hi[j]) into one segment of size merged[j].
+	// price is step i's cost under the trial (under the current mask
+	// when no task merges).
+	merged := make([]model.Cost, m)
+	lo, hi := make([]int, m), make([]int, m)
+	install := make([]bool, m)
+	size := make([]model.Cost, m)
+	price := func(i, s int) model.Cost {
+		for j := range segs {
+			install[j], size[j] = hyper[j][i], segs[j].size[i]
+			if merged[j] >= 0 && lo[j] <= i && i < hi[j] {
+				install[j] = install[j] && i != s
+				size[j] = merged[j]
+			}
+		}
+		h, r := ins.StepCost(install, size, opt)
+		return h + r
+	}
+	for j := range merged {
+		merged[j] = -1
+	}
+	steps := make([]model.Cost, n)
+	for i := range steps {
+		steps[i] = price(i, -1)
+	}
+
+	accepted := false
 	for sweep := 0; sweep < 4; sweep++ {
 		if err := solve.Checkpoint(ctx); err != nil {
 			return 0, nil, err
@@ -223,41 +254,97 @@ func correctCoupling(ctx context.Context, ins *model.MTSwitchInstance, opt model
 				if variant >= 0 && !hyper[variant][s] {
 					continue
 				}
-				any := false
-				for j := 0; j < m; j++ {
-					copy(trial[j], hyper[j])
-					if variant < 0 && trial[j][s] {
-						trial[j][s] = false
-						any = true
+				from, to := n, 0
+				for j := range merged {
+					merged[j] = -1
+					if !hyper[j][s] || (variant >= 0 && j != variant) {
+						continue
 					}
+					lo[j], hi[j] = segs[j].start[s-1], s+1
+					for hi[j] < n && !hyper[j][hi[j]] {
+						hi[j]++
+					}
+					merged[j] = model.Cost(segs[j].union[lo[j]].UnionCount(segs[j].union[s]))
+					from, to = min(from, lo[j]), max(to, hi[j])
 				}
-				if variant >= 0 {
-					trial[variant][s] = false
-					any = true
-				}
-				if !any {
+				if from >= to {
 					continue
 				}
-				cand, err := ins.CanonicalSchedule(trial)
-				if err != nil {
-					return 0, nil, fmt.Errorf("partition: correction: %w", err)
+				var delta model.Cost
+				for i := from; i < to; i++ {
+					delta += price(i, s) - steps[i]
 				}
-				c, err := ins.Cost(cand, opt)
-				if err != nil {
-					return 0, nil, fmt.Errorf("partition: correction cost: %w", err)
+				if delta >= 0 {
+					continue
 				}
-				if c < best {
-					best, bestSched = c, cand
-					for j := 0; j < m; j++ {
-						copy(hyper[j], trial[j])
+				cost += delta
+				for i := from; i < to; i++ {
+					steps[i] = price(i, s)
+				}
+				for j, c := range merged {
+					if c >= 0 {
+						hyper[j][s] = false
+						segs[j].merge(lo[j], s, hi[j], c)
 					}
-					improved = true
 				}
+				improved, accepted = true, true
 			}
 		}
 		if !improved {
 			break
 		}
 	}
-	return best, bestSched, nil
+	if !accepted {
+		return cost, sched, nil
+	}
+	out, err := ins.CanonicalSchedule(hyper)
+	if err != nil {
+		return 0, nil, fmt.Errorf("partition: correction: %w", err)
+	}
+	c, err := ins.Cost(out, opt)
+	if err != nil {
+		return 0, nil, fmt.Errorf("partition: correction cost: %w", err)
+	}
+	if c != cost {
+		return 0, nil, fmt.Errorf("partition: correction tracked cost %d, model prices %d", cost, c)
+	}
+	return cost, out, nil
+}
+
+// segments is one task's segment bookkeeping in correctCoupling:
+// start[i] is the first step of step i's segment, size[i] that
+// segment's hypercontext size, and union[a] the requirement union of
+// the segment starting at a (stale for steps that no longer start one).
+type segments struct {
+	start []int
+	size  []model.Cost
+	union []bitset.Set
+}
+
+// newSegments reads a task's segments off its install row and its
+// canonical hypercontexts (step 0 always starts a segment).
+func newSegments(row []bool, hctx []bitset.Set) segments {
+	n := len(row)
+	sg := segments{start: make([]int, n), size: make([]model.Cost, n), union: make([]bitset.Set, n)}
+	a, c := 0, model.Cost(0)
+	for i := 0; i < n; i++ {
+		if i == 0 || row[i] {
+			a, c = i, model.Cost(hctx[i].Count())
+			sg.union[a] = hctx[i]
+		}
+		sg.start[i] = a
+		sg.size[i] = c
+	}
+	return sg
+}
+
+// merge joins the segments [a, s) and [s, b) into [a, b) of size c.
+func (sg *segments) merge(a, s, b int, c model.Cost) {
+	sg.union[a] = sg.union[a].Union(sg.union[s])
+	for i := s; i < b; i++ {
+		sg.start[i] = a
+	}
+	for i := a; i < b; i++ {
+		sg.size[i] = c
+	}
 }

@@ -167,14 +167,18 @@ func assertFeasible(t *testing.T, ins *model.MTSwitchInstance, sol *mtswitch.Sol
 }
 
 // FuzzPartitionStitch asserts the stitch certificate on arbitrary
-// blocked shapes: for any task/step/switch/cut/window mix the true
-// optimum lies in [Cost − StitchBound, Cost] and the schedule prices
-// at its reported cost.
+// blocked shapes, upload modes and public-global terms: for any
+// task/step/switch/cut/window mix the true optimum lies in
+// [Cost − StitchBound, Cost] and the schedule prices at its reported
+// cost.  The oracle is the packed engine without pruning, which
+// TestPackedMatchesReference pins to the reference DP; the reference
+// itself can run for tens of seconds on 3-task traces with one-step
+// blocks, past the fuzz worker's hang limit.
 func FuzzPartitionStitch(f *testing.F) {
-	f.Add(2, 10, 6, 3, 1, int64(1), 3)
-	f.Add(1, 2, 2, 1, 0, int64(7), 2)
-	f.Add(3, 9, 9, 4, 2, int64(42), 4)
-	f.Fuzz(func(t *testing.T, tasks, steps, switches, meanPhase, cutWidth int, seed int64, parts int) {
+	f.Add(2, 10, 6, 3, 1, int64(1), 3, false, false, 0)
+	f.Add(1, 2, 2, 1, 0, int64(7), 2, true, false, 2)
+	f.Add(3, 9, 9, 4, 2, int64(42), 4, false, true, 1)
+	f.Fuzz(func(t *testing.T, tasks, steps, switches, meanPhase, cutWidth int, seed int64, parts int, hyperSeq, reconfSeq bool, pub int) {
 		cfg := workload.Config{
 			Tasks:     1 + abs(tasks)%3,
 			Steps:     2 + abs(steps)%10,
@@ -190,27 +194,35 @@ func FuzzPartitionStitch(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sol, err := Solve(context.Background(), ins, parallel, solve.Options{Partitions: abs(parts) % 5})
+		ins.PublicGlobal = abs(pub) % 5
+		opt := parallel
+		if hyperSeq {
+			opt.HyperUpload = model.TaskSequential
+		}
+		if reconfSeq {
+			opt.ReconfUpload = model.TaskSequential
+		}
+		sol, err := Solve(context.Background(), ins, opt, solve.Options{Partitions: abs(parts) % 5})
 		if err != nil {
 			t.Fatal(err)
 		}
-		ref, err := mtswitch.SolveExactReference(context.Background(), ins, parallel, solve.Options{})
+		ref, err := mtswitch.SolveExact(context.Background(), ins, opt, solve.Options{DisablePruning: true})
 		if err != nil {
 			t.Fatal(err)
 		}
 		lo := sol.Cost - model.Cost(sol.Stats.StitchBound)
 		if ref.Cost > sol.Cost || ref.Cost < lo {
-			t.Fatalf("optimum %d outside certified [%d, %d] (cfg %+v)", ref.Cost, lo, sol.Cost, cfg)
+			t.Fatalf("optimum %d outside certified [%d, %d] (cfg %+v, %+v, pub %d)", ref.Cost, lo, sol.Cost, cfg, opt, ins.PublicGlobal)
 		}
 		if err := ins.Validate(sol.Schedule); err != nil {
-			t.Fatalf("invalid schedule: %v (cfg %+v)", err, cfg)
+			t.Fatalf("invalid schedule: %v (cfg %+v, %+v)", err, cfg, opt)
 		}
-		c, err := ins.Cost(sol.Schedule, parallel)
+		c, err := ins.Cost(sol.Schedule, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if c != sol.Cost {
-			t.Fatalf("reported cost %d, schedule prices at %d (cfg %+v)", sol.Cost, c, cfg)
+			t.Fatalf("reported cost %d, schedule prices at %d (cfg %+v, %+v)", sol.Cost, c, cfg, opt)
 		}
 	})
 }

@@ -26,9 +26,9 @@ type Features struct {
 	// DensityPct is the percentage of (task, step) cells with a
 	// non-empty requirement.
 	DensityPct int
-	// BlockPct is the percentage of interior step boundaries with zero
-	// hyperedge cut (PR8 CutProfile) — high for blocked instances that
-	// decompose well, zero for dense ones.
+	// BlockPct is the percentage of interior step boundaries that cut
+	// no switch column (partition.CutProfile) — high for blocked
+	// instances that decompose well, zero for dense ones.
 	BlockPct int
 }
 
@@ -50,7 +50,7 @@ func Extract(ins *model.MTSwitchInstance) Features {
 	}
 	f.DensityPct = (filled*100 + m*n/2) / (m * n)
 	if n > 1 {
-		cut := partition.BuildHypergraph(ins).CutProfile()
+		cut := partition.CutProfile(ins)
 		zero := 0
 		for s := 1; s < n; s++ {
 			if cut[s] == 0 {

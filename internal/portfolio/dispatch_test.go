@@ -1,10 +1,13 @@
 package portfolio
 
 import (
+	"math/rand"
 	"os"
 	"path/filepath"
+	"sort"
 	"testing"
 
+	"repro/internal/model"
 	"repro/internal/workload"
 )
 
@@ -123,5 +126,82 @@ func TestExtractFeatures(t *testing.T) {
 	if Extract(blocked).Bucket() != Extract(blocked2).Bucket() {
 		t.Fatalf("sibling seeds bucketed apart: %s vs %s",
 			Extract(blocked).Bucket(), Extract(blocked2).Bucket())
+	}
+}
+
+// extractReference is Extract with BlockPct counted per column: a
+// boundary before step s is cut-free when no column of any task is
+// required both before s and at or after it, found with one Contains
+// per (column, step).
+func extractReference(ins *model.MTSwitchInstance) Features {
+	m, n := ins.NumTasks(), ins.Steps()
+	f := Features{Tasks: m, Steps: n}
+	if m == 0 || n == 0 {
+		return f
+	}
+	filled := 0
+	for _, row := range ins.Reqs {
+		for _, r := range row {
+			if !r.IsEmpty() {
+				filled++
+			}
+		}
+	}
+	f.DensityPct = (filled*100 + m*n/2) / (m * n)
+	if n > 1 {
+		cut := make([]bool, n)
+		for j, reqs := range ins.Reqs {
+			for c := 0; c < ins.Tasks[j].Local; c++ {
+				first, last := -1, -1
+				for i := 0; i < n; i++ {
+					if reqs[i].Contains(c) {
+						if first < 0 {
+							first = i
+						}
+						last = i
+					}
+				}
+				for s := first + 1; s <= last; s++ {
+					cut[s] = true
+				}
+			}
+		}
+		zero := 0
+		for s := 1; s < n; s++ {
+			if !cut[s] {
+				zero++
+			}
+		}
+		f.BlockPct = (zero*100 + (n-1)/2) / (n - 1)
+	}
+	return f
+}
+
+// TestExtractMatchesColumnReference pins Extract to the per-column
+// reference on every generator, with cut columns and one-step traces.
+func TestExtractMatchesColumnReference(t *testing.T) {
+	r := rand.New(rand.NewSource(17))
+	gens := workload.Generators()
+	names := make([]string, 0, len(gens))
+	for name := range gens {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for trial := 0; trial < 240; trial++ {
+		cfg := workload.Config{
+			Tasks:     1 + r.Intn(4),
+			Steps:     1 + r.Intn(300),
+			Switches:  1 + r.Intn(100),
+			MeanPhase: 1 + r.Intn(10),
+			CutWidth:  r.Intn(3),
+			Seed:      1 + r.Int63n(1000),
+		}
+		ins, err := gens[names[trial%len(names)]](cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := Extract(ins), extractReference(ins); got != want {
+			t.Fatalf("%s %+v: features %+v, reference %+v", names[trial%len(names)], cfg, got, want)
+		}
 	}
 }

@@ -214,7 +214,7 @@ func init() {
 			}
 		})})
 
-	// exact-partitioned: the step-axis hypergraph decomposition of the
+	// exact-partitioned: the step-axis window decomposition of the
 	// exact MT-Switch DP — windows solved concurrently, stitched with
 	// a coupling correction and a certified additive bound
 	// (Stats.{Partitions, CutColumns, StitchBound, StitchTime}).  Not
