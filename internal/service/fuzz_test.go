@@ -1,17 +1,15 @@
 package service
 
 import (
-	"bytes"
 	"encoding/json"
-	"io"
 	"testing"
 )
 
-// decodeSolveRequest parses one solve request body through the
-// handlers' decodeBody.
-func decodeSolveRequest(body io.Reader) (*SolveRequest, error) {
+// decodeSolveRequest parses one solve request body through
+// decodeRequest, the decode readBody runs.
+func decodeSolveRequest(body []byte) (*SolveRequest, error) {
 	var req SolveRequest
-	if err := decodeBody(body, &req); err != nil {
+	if err := decodeRequest(body, &req); err != nil {
 		return nil, err
 	}
 	return &req, nil
@@ -20,10 +18,13 @@ func decodeSolveRequest(body io.Reader) (*SolveRequest, error) {
 // FuzzSolveRequest drives the /v1/solve JSON decode-and-resolve path
 // with arbitrary bytes: whatever arrives, the server must answer with
 // a value or an error — never a panic, and never an instance that
-// slips past the dimension bounds.
+// slips past the dimension bounds.  The decode must accept exactly
+// when json.Unmarshal does, with a reflect.DeepEqual value, whether
+// the body took the one-pass parser or decodeBody.
 func FuzzSolveRequest(f *testing.F) {
 	// Seeds from the service test fixtures: the canonical request
-	// shapes plus near-miss corruptions of each.
+	// shapes plus near-miss corruptions of each, and every body form
+	// outside the one-pass parser's subset.
 	seed := func(v any) {
 		data, err := json.Marshal(v)
 		if err != nil {
@@ -45,20 +46,12 @@ func FuzzSolveRequest(f *testing.F) {
 	seed(&SolveRequest{Solver: "exact", App: "counter", Options: WireOptions{MaxFrontierBytes: 256}})
 	f.Add([]byte(`{"solver":"exact","instance":{"tasks":[{"name":"A","local":-1}],"reqs":[["1"]]}}`))
 	f.Add([]byte(`{"solver":"exact","instance":{"tasks":[],"reqs":[[]]}}`))
-	f.Add([]byte(`{`))
-	f.Add([]byte(`null`))
-	f.Add([]byte(``))
-	f.Add([]byte(`{"solver":"aligned","app":"counter"} garbage`))
-	f.Add([]byte(`{"solver":"aligned","app":"counter"}{"solver":"nope"}`))
-	f.Add([]byte(`{"solver":"aligned","app":"counter"}]`))
 	f.Add([]byte("{\"solver\":\"aligned\",\"app\":\"counter\"} \n\t"))
+	addBodySeeds(f)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		req, err := decodeSolveRequest(bytes.NewReader(data))
-		if (err == nil) != (json.Unmarshal(data, new(SolveRequest)) == nil) {
-			t.Fatalf("decode accepted=%t, json.Unmarshal disagrees on %q", err == nil, data)
-		}
-		if err != nil {
+		req := checkAgainstUnmarshal[SolveRequest](t, data)
+		if req == nil {
 			return
 		}
 		res, err := req.resolve()

@@ -139,7 +139,8 @@ func writeRetryError(w http.ResponseWriter, code int, err error, d time.Duration
 // json.Unmarshal, and so like the cluster router, it rejects anything
 // but whitespace after the value; the decoder's More would miss a
 // stray ']', so the next token must be io.EOF.  Any input comes back
-// as a value or an error, never a panic (FuzzSolveRequest).
+// as a value or an error, never a panic (FuzzSolveRequest).  It is
+// the decode of every body outside decodeCanonical's subset.
 func decodeBody(body io.Reader, v any) error {
 	dec := json.NewDecoder(body)
 	if err := dec.Decode(v); err != nil {
@@ -155,12 +156,65 @@ func decodeBody(body io.Reader, v any) error {
 	}
 }
 
+// decodeRequest decodes one POST body into the zero value v: in one
+// pass when the body is in the canonical subset, else through
+// decodeBody.  Either way the result is json.Unmarshal's.  The body is
+// copied into one string, which the decoded requirement cells share.
+func decodeRequest(body []byte, v any) error {
+	if decodeCanonical(string(body), v) {
+		return nil
+	}
+	return decodeBody(bytes.NewReader(body), v)
+}
+
+// bodyPresize caps the read buffer that a request's Content-Length
+// sizes up front; a larger body grows the buffer with the bytes that
+// actually arrive.
+const bodyPresize = 64 << 10
+
+// readAll reads r to EOF, like io.ReadAll, into a buffer presized from
+// contentLength up to bodyPresize.  io.ReadAll starts at 512 bytes and
+// would reallocate exact-cold's 43 KiB bodies a dozen times.
+func readAll(r io.Reader, contentLength int64) ([]byte, error) {
+	size := 512
+	if contentLength > 0 {
+		size = int(min(contentLength, bodyPresize)) + 1 // +1: the read that sees EOF
+	}
+	buf := make([]byte, 0, size)
+	for {
+		if len(buf) == cap(buf) {
+			buf = append(buf, 0)[:len(buf)]
+		}
+		n, err := r.Read(buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+n]
+		if err == io.EOF {
+			return buf, nil
+		}
+		if err != nil {
+			return buf, err
+		}
+	}
+}
+
+// errReader fails every read with err.
+type errReader struct{ err error }
+
+func (r errReader) Read([]byte) (int, error) { return 0, r.err }
+
 // readBody decodes a POST body into v under the maxBodyBytes limit.
 // It answers 413 for an oversized body and 400 for anything that is
 // not exactly one JSON value of v's shape, and reports whether v was
 // filled.
 func readBody(w http.ResponseWriter, r *http.Request, v any) bool {
-	err := decodeBody(http.MaxBytesReader(w, r.Body, maxBodyBytes), v)
+	body, err := readAll(http.MaxBytesReader(w, r.Body, maxBodyBytes), r.ContentLength)
+	if err == nil {
+		err = decodeRequest(body, v)
+	} else {
+		// The bytes that arrived, then the read error, through the
+		// decoder: the answer a streaming decode gives, so a syntax
+		// error before the limit stays a 400.
+		err = decodeBody(io.MultiReader(bytes.NewReader(body), errReader{err}), v)
+	}
 	if err == nil {
 		return true
 	}

@@ -1,7 +1,6 @@
 package service
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"net/http"
@@ -50,7 +49,7 @@ func BenchmarkRequestPath(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		req, err := decodeSolveRequest(bytes.NewReader(body))
+		req, err := decodeSolveRequest(body)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -74,7 +73,7 @@ func BenchmarkRequestPath(b *testing.B) {
 			b.ReportAllocs()
 			b.SetBytes(int64(len(body)))
 			for i := 0; i < b.N; i++ {
-				if _, err := decodeSolveRequest(bytes.NewReader(body)); err != nil {
+				if _, err := decodeSolveRequest(body); err != nil {
 					b.Fatal(err)
 				}
 			}

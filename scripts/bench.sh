@@ -83,21 +83,39 @@ if [ "${1:-}" = "--check" ]; then
 	go test -run '^$' -bench "$BENCH_PATTERN" -benchmem -count 1 $BENCH_PKGS | tee "$new"
 	# Join the two runs on benchmark name and compare ns/op (column 3
 	# of a `go test -bench` result line). >10% slower fails the check.
+	# `go test` appends -N to a name when GOMAXPROCS is N > 1, so the
+	# join strips one trailing -<digits> from both sides: a baseline
+	# captured on another core count still compares.  Two names that
+	# strip to the same one would be joined wrongly, so they fail.
 	awk '
+		function key(name) {
+			sub(/-[0-9]+$/, "", name)
+			return name
+		}
+		$2 ~ /^[0-9]+$/ && $4 == "ns/op" {
+			k = key($1)
+			if ((FILENAME, k) in seen) {
+				printf "bench.sh --check: %s and %s in %s are the same benchmark without their -N suffix\n", seen[FILENAME, k], $1, FILENAME
+				collided = 1
+				exit 1
+			}
+			seen[FILENAME, k] = $1
+		}
 		FNR == NR {
-			if ($2 ~ /^[0-9]+$/ && $4 == "ns/op") base[$1] = $3
+			if ($2 ~ /^[0-9]+$/ && $4 == "ns/op") base[key($1)] = $3
 			next
 		}
-		$2 ~ /^[0-9]+$/ && $4 == "ns/op" && ($1 in base) {
+		$2 ~ /^[0-9]+$/ && $4 == "ns/op" && (key($1) in base) {
 			matched++
-			ratio = $3 / base[$1]
-			printf "%-60s %12.0f -> %12.0f ns/op  (%.2fx)\n", $1, base[$1], $3, ratio
+			ratio = $3 / base[key($1)]
+			printf "%-60s %12.0f -> %12.0f ns/op  (%.2fx)\n", $1, base[key($1)], $3, ratio
 			if (ratio > 1.10) {
 				printf "REGRESSION: %s is %.0f%% slower than the baseline\n", $1, (ratio - 1) * 100
 				bad++
 			}
 		}
 		END {
+			if (collided) exit 1
 			if (matched == 0) {
 				print "bench.sh --check: warning: no benchmark names matched the baseline (renamed benchmarks?); nothing compared"
 				exit 0
