@@ -423,16 +423,17 @@ func BenchmarkScalingTasks(b *testing.B) {
 }
 
 // BenchmarkFrontierEngines compares the MT-Switch frontier engines
-// (E14/E17) on the m=4 phased workload of BenchmarkScalingTasks:
-// Reference is the seed map-keyed frontier DP, PackedW1 the
-// packed-state engine restricted to one expansion worker (isolates
-// the representation change), Packed the engine at GOMAXPROCS
-// workers — these three run with pruning disabled, the PR3 baseline —
-// and PrunedW1/Pruned add the pruned-search layer (preprocessing,
-// dominance elimination, bound cutoffs) on top.  All variants produce
-// identical costs (asserted in internal/mtswitch and
-// internal/solve/solvers tests); scripts/bench.sh records the same
-// comparisons into BENCH_PR3.json and BENCH_PR5.json.
+// (E14/E17) on the m=4 phased workload of BenchmarkScalingTasks under
+// beam caps: Reference is the seed map-keyed frontier DP, PackedW1 and
+// Packed the packed-state engine at Workers 1 and at the default (the
+// engine reads no worker count, so both time the same computation) —
+// these three run with pruning disabled and return the same cost,
+// pinned by TestPackedMatchesReferencePhased4x64 — and PrunedW1/Pruned
+// add the pruned-search layer (preprocessing, dominance elimination,
+// bound cutoffs), whose beam keeps other states.  dense-4x48 is E17's
+// dense instance (24 switches, density 0.5, mean phase 12, seed 3),
+// solved exactly with pruning off and on; both reach the optimum
+// (TestDenseBudgetNowExact) and report states/op.
 func BenchmarkFrontierEngines(b *testing.B) {
 	ins, err := workload.Phased(workload.Config{Tasks: 4, Steps: 64, Switches: 12, Seed: 1})
 	if err != nil {
@@ -487,6 +488,29 @@ func BenchmarkFrontierEngines(b *testing.B) {
 	b.Run("Pruned", func(b *testing.B) {
 		run(b, packed(pruned))
 	})
+	dense, err := workload.Dense(workload.Config{Tasks: 4, Steps: 48, Switches: 24, Density: 0.5, MeanPhase: 12, Seed: 3})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, disable := range []bool{true, false} {
+		name := "dense-4x48/pruned"
+		if disable {
+			name = "dense-4x48/unpruned"
+		}
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			var sol *mtswitch.Solution
+			for i := 0; i < b.N; i++ {
+				s, err := mtswitch.SolveExact(context.Background(), dense, parallel, solve.Options{DisablePruning: disable})
+				if err != nil {
+					b.Fatal(err)
+				}
+				sol = s
+			}
+			b.ReportMetric(float64(sol.Cost), "cost")
+			b.ReportMetric(float64(sol.Stats.StatesExpanded), "states/op")
+		})
+	}
 }
 
 // BenchmarkPartitionedSolve compares the monolithic pruned exact

@@ -7,7 +7,7 @@
 //
 //	hyperd [-addr :8077] [-workers N] [-queue N] [-cache N] [-max-timeout 60s]
 //	       [-max-frontier-bytes N] [-breaker-threshold N] [-breaker-cooldown 10s]
-//	       [-max-sessions N] [-session-bytes N] [-partition-steps N]
+//	       [-max-sessions N] [-session-bytes N]
 //	       [-data-dir DIR] [-fsync always|interval|never] [-wal-segment-bytes N]
 //	hyperd bench [-solver aligned] [-gen phased] [-tasks 4] [-steps 64]
 //	             [-switches 16] [-conc 32] [-duration 2s]
@@ -110,7 +110,6 @@ func runServe(args []string) error {
 		brkCool    = fs.Duration("breaker-cooldown", 10*time.Second, "how long a tripped breaker fails fast before probing")
 		maxSess    = fs.Int("max-sessions", 64, "concurrent streaming sessions")
 		sessBytes  = fs.Int64("session-bytes", 64<<20, "total session engine memory before LRU engines are checkpointed out (negative disables)")
-		partSteps  = fs.Int("partition-steps", 256, "auto-dispatch exact mtswitch solves at or above this step count to the exact-partitioned solver (0 disables)")
 		drain      = fs.Duration("drain", 30*time.Second, "graceful shutdown budget")
 
 		dataDir  = fs.String("data-dir", "", "durable state directory: journal jobs/sessions to a WAL and spill caches/checkpoints for crash recovery (empty = in-memory only)")
@@ -144,7 +143,6 @@ func runServe(args []string) error {
 		BreakerCooldown:  *brkCool,
 		MaxSessions:      *maxSess,
 		SessionBytes:     *sessBytes,
-		PartitionSteps:   *partSteps,
 		NodeID:           *nodeID,
 		DataDir:          *dataDir,
 		Fsync:            fsync,

@@ -25,6 +25,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"testing"
 
 	"repro/internal/model"
 	"repro/internal/mtswitch"
@@ -127,6 +128,32 @@ type partitionBaseline struct {
 	Cut        partitionCutScenario `json:"cut"`
 	// Budget is omitted under -bench8small (the smoke keeps CI fast).
 	Budget *partitionBudgetScenario `json:"budget,omitempty"`
+}
+
+// budgetRun is one engine variant's outcome under the MaxFrontierBytes
+// budget of the degradation scenario.
+type budgetRun struct {
+	PruningEnabled bool  `json:"pruning_enabled"`
+	Cost           int64 `json:"cost"`
+	Degraded       bool  `json:"degraded"`
+	Truncated      bool  `json:"truncated"`
+	BudgetDropped  int64 `json:"budget_dropped"`
+}
+
+// measureEngine benchmarks one solve closure with testing.Benchmark.
+func measureEngine(run func() (model.Cost, error)) (testing.BenchmarkResult, model.Cost, error) {
+	var cost model.Cost
+	var err error
+	res := testing.Benchmark(func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			cost, err = run()
+			if err != nil {
+				return
+			}
+		}
+	})
+	return res, cost, err
 }
 
 // measurePartitionRun benchmarks one solve closure and collects the

@@ -18,9 +18,6 @@
 //	paperbench -exp privglobal # private global resources (E11)
 //	paperbench -exp mtdag      # the Multi Task DAG cost model (E13)
 //	paperbench -exp mesh       # the reconfigurable-mesh machine (E15)
-//	paperbench -bench          # frontier-engine bench baseline (E14)
-//	paperbench -bench5         # pruned-search bench baseline (E17)
-//	paperbench -bench6         # incremental-solve bench baseline (E18)
 //	paperbench -bench8         # partition-and-conquer bench baseline (E20)
 //	paperbench -bench9         # durability & crash-recovery baseline (E21)
 //	paperbench -bench10        # portfolio racing baseline (E22)
@@ -68,12 +65,6 @@ func main() {
 		exp        = flag.String("exp", "", "experiment: costs, modes, solvers, changeover, apps, gran, async, privglobal, mtdag, mesh, all")
 		fig        = flag.Int("fig", 0, "figure to regenerate: 1, 2 or 3")
 		svgDir     = flag.String("svgdir", "", "also write Figure 2/3 as SVG files into this directory")
-		bench      = flag.Bool("bench", false, "measure the MT-Switch frontier engines and write a JSON baseline (E14)")
-		benchOut   = flag.String("benchout", "BENCH_PR3.json", "output path for the -bench baseline")
-		bench5     = flag.Bool("bench5", false, "measure pruning vs the unpruned packed engine and write a JSON baseline (E17)")
-		bench5Out  = flag.String("bench5out", "BENCH_PR5.json", "output path for the -bench5 baseline")
-		bench6     = flag.Bool("bench6", false, "measure incremental suffix re-solve vs from-scratch and write a JSON baseline (E18)")
-		bench6Out  = flag.String("bench6out", "BENCH_PR6.json", "output path for the -bench6 baseline")
 		bench8     = flag.Bool("bench8", false, "measure the partitioned solver vs the monolithic exact engine and write a JSON baseline (E20)")
 		bench8Out  = flag.String("bench8out", "BENCH_PR8.json", "output path for the -bench8 baseline")
 		bench8Sm   = flag.Bool("bench8small", false, "with -bench8: shrink the workload and skip the speedup floor and budget scenario (CI smoke)")
@@ -87,27 +78,6 @@ func main() {
 	flag.Parse()
 
 	ranBench := false
-	if *bench {
-		if err := engineBench(*benchOut); err != nil {
-			fmt.Fprintln(os.Stderr, "paperbench:", err)
-			os.Exit(1)
-		}
-		ranBench = true
-	}
-	if *bench5 {
-		if err := pruneBench(*bench5Out); err != nil {
-			fmt.Fprintln(os.Stderr, "paperbench:", err)
-			os.Exit(1)
-		}
-		ranBench = true
-	}
-	if *bench6 {
-		if err := incrBench(*bench6Out); err != nil {
-			fmt.Fprintln(os.Stderr, "paperbench:", err)
-			os.Exit(1)
-		}
-		ranBench = true
-	}
 	if *bench8 {
 		if err := partitionBench(*bench8Out, *bench8Sm); err != nil {
 			fmt.Fprintln(os.Stderr, "paperbench:", err)

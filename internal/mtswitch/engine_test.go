@@ -216,42 +216,71 @@ func TestEngineRewindMatchesFromScratch(t *testing.T) {
 }
 
 // TestEngineSuffixReuse pins the point of the refactor: appending a
-// short suffix to a long solved trace must resume from a late frontier
-// (not step 0) and expand far fewer states than the from-scratch solve
-// did — with pruning off, and with pruning on over a 2×100 stream.
+// suffix to a long solved trace must resume from a late frontier (not
+// step 0), expand far fewer states than solving the prefix did, and
+// end at the from-scratch cost — with pruning off, with pruning on over
+// a 2×100 stream, and on E18's dense 4×160 trace, whose last 16 steps
+// must re-solve at least 5× cheaper than the whole trace from scratch
+// (509 against 7,393 states).
 func TestEngineSuffixReuse(t *testing.T) {
 	ctx := context.Background()
 	stream, err := workload.Phased(workload.Config{Tasks: 2, Steps: 100, Switches: 12, MeanPhase: 10, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Candidates at step i are suffix unions, so the prefix's frames
+	// stay valid only once its unions have saturated: at 8 switches,
+	// density 0.85 and ~80 short phases they have by step 144.
+	dense, err := workload.Dense(workload.Config{Tasks: 4, Steps: 160, Switches: 8, Density: 0.85, MeanPhase: 2, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, c := range []struct {
-		full *model.MTSwitchInstance
-		o    solve.Options
+		full   *model.MTSwitchInstance
+		suffix int // steps appended by Extend
+		o      solve.Options
+		// minReduction, when positive, is the least from-scratch
+		// StatesExpanded ÷ ResolveExpanded the suffix re-solve must
+		// reach.
+		minReduction float64
 	}{
-		{phased(t), solve.Options{Workers: 1, DisablePruning: true}},
-		{stream, solve.Options{Workers: 1}},
+		{phased(t), 1, solve.Options{Workers: 1, DisablePruning: true}, 0},
+		{stream, 1, solve.Options{Workers: 1}, 0},
+		{dense, 16, solve.Options{DisablePruning: true}, 5},
 	} {
 		n := c.full.Steps()
-		eng, err := NewEngine(ctx, prefixMT(t, c.full, n-1), frontierOpts[0], c.o, true)
+		eng, err := NewEngine(ctx, prefixMT(t, c.full, n-c.suffix), frontierOpts[0], c.o, true)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if _, err := eng.Solution(ctx); err != nil {
 			t.Fatal(err)
 		}
-		fromScratch := eng.e.stats.StatesExpanded
-		if err := eng.Extend(ctx, stepRows(c.full, n-1, n)); err != nil {
+		prefixExpanded := eng.e.stats.StatesExpanded
+		if err := eng.Extend(ctx, stepRows(c.full, n-c.suffix, n)); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := eng.Solution(ctx); err != nil {
+		sol, err := eng.Solution(ctx)
+		if err != nil {
 			t.Fatal(err)
 		}
 		if eng.LastResolveStart() == 0 {
-			t.Fatalf("o %+v: appending one step re-solved from step 0; frontier reuse is broken", c.o)
+			t.Fatalf("o %+v: appending %d steps re-solved from step 0; frontier reuse is broken", c.o, c.suffix)
 		}
-		if re := eng.ResolveExpanded(); re <= 0 || re >= fromScratch {
-			t.Fatalf("o %+v: suffix re-solve expanded %d states, prefix solve expanded %d", c.o, re, fromScratch)
+		re := eng.ResolveExpanded()
+		if re <= 0 || re >= prefixExpanded {
+			t.Fatalf("o %+v: suffix re-solve expanded %d states, prefix solve expanded %d", c.o, re, prefixExpanded)
+		}
+		scratch, err := SolveExact(ctx, c.full, frontierOpts[0], c.o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sol.Cost != scratch.Cost {
+			t.Fatalf("o %+v: extended cost %d, from-scratch cost %d", c.o, sol.Cost, scratch.Cost)
+		}
+		if r := float64(scratch.Stats.StatesExpanded) / float64(re); r < c.minReduction {
+			t.Fatalf("o %+v: suffix re-solve expanded %d states, from scratch %d (%.2fx < %gx)",
+				c.o, re, scratch.Stats.StatesExpanded, r, c.minReduction)
 		}
 		eng.Close()
 	}

@@ -10,6 +10,7 @@ import (
 	"repro/internal/bitset"
 	"repro/internal/model"
 	"repro/internal/solve"
+	"repro/internal/workload"
 )
 
 // agreementWorkers are the worker counts the parallel engine must be
@@ -104,6 +105,34 @@ func TestPackedMatchesReference(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestPackedMatchesReferencePhased4x64 checks the two engines on the
+// instance BenchmarkFrontierEngines times: phased 4×64 (12 switches,
+// seed 1) under MaxStates 500 and MaxCandidates 3, pruning off.  Both
+// return cost 561.  The reference takes seconds here, so it runs once,
+// outside TestPackedMatchesReference's option loops.
+func TestPackedMatchesReferencePhased4x64(t *testing.T) {
+	ctx := context.Background()
+	ins, err := workload.Phased(workload.Config{Tasks: 4, Steps: 64, Switches: 12, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := solve.Options{MaxStates: 500, MaxCandidates: 3, DisablePruning: true}
+	ref, err := SolveExactReference(ctx, ins, parallel, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := SolveExact(ctx, ins, parallel, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Cost != ref.Cost {
+		t.Fatalf("packed cost %d, reference %d", got.Cost, ref.Cost)
+	}
+	if !sameSchedule(t, got.Schedule, ref.Schedule) {
+		t.Fatal("packed schedule differs from the reference's")
 	}
 }
 

@@ -328,10 +328,10 @@ func TestBudgetDroppedReported(t *testing.T) {
 	}
 }
 
-// TestDenseBudgetNowExact pins the issue's acceptance scenario: a dense
-// workload whose unpruned frontier breaches a byte budget (degrading to
-// a beam) is solved exactly by the pruned engine inside the very same
-// budget.
+// TestDenseBudgetNowExact pins the E17 scenario: a dense workload
+// whose unpruned frontier breaches a byte budget (degrading to a beam)
+// is solved exactly by the pruned engine inside the very same budget,
+// and without the budget both engines reach the same optimum (904).
 func TestDenseBudgetNowExact(t *testing.T) {
 	ins := denseStress(t)
 	const budget = denseStressBudget
@@ -358,6 +358,13 @@ func TestDenseBudgetNowExact(t *testing.T) {
 	}
 	if pruned.Cost != exact.Cost {
 		t.Fatalf("pruned budgeted cost %d != unbudgeted optimum %d", pruned.Cost, exact.Cost)
+	}
+	unpruned, err := SolveExact(ctx, ins, parallel, solve.Options{DisablePruning: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if unpruned.Cost != exact.Cost {
+		t.Fatalf("unpruned unbudgeted cost %d != pruned optimum %d", unpruned.Cost, exact.Cost)
 	}
 	if plain.Cost < pruned.Cost {
 		t.Fatalf("degraded beam cost %d beats pruned exact cost %d", plain.Cost, pruned.Cost)

@@ -202,10 +202,7 @@ func PlanWindows(ins *model.MTSwitchInstance, k, maxCut int) *Plan {
 	// Refinement (uncoarsened): greedily move each boundary to the
 	// cheapest position between its neighbors that keeps every window
 	// at least minLen steps long, sweeping until a fixpoint.
-	minLen := n / (4 * k)
-	if minLen < 1 {
-		minLen = 1
-	}
+	minLen := minWindowSteps(n, k)
 	for pass := 0; pass < 4; pass++ {
 		improved := false
 		for i, b := range chosen {
@@ -260,6 +257,43 @@ func PlanWindows(ins *model.MTSwitchInstance, k, maxCut int) *Plan {
 		plan.CutColumns += profile[s]
 	}
 	return plan
+}
+
+// minWindowSteps is the window length PlanWindows's refinement keeps
+// for k windows over n steps; its balanced initial split does not.
+func minWindowSteps(n, k int) int {
+	return max(1, n/(4*k))
+}
+
+// AutoDispatchSteps is the step count from which an exact MT-Switch
+// solve may be sent to the partitioned solver.
+const AutoDispatchSteps = 256
+
+// AutoDispatch reports whether an exact solve of ins should run
+// partitioned: ins has at least AutoDispatchSteps steps and its
+// automatic plan, PlanWindows(ins, 0, 0), cuts no column and keeps
+// every window at least minWindowSteps long.  Block-structured traces
+// such as workload.Blocked meet it, and their stitched cost equals the
+// monolithic optimum.  Off such shapes the plan cuts columns or breaks
+// the length (a few one-step windows beside a huge one), and the
+// stitched answer costs more than the monolithic optimum, which the
+// exact engine proves in tens of milliseconds at these sizes.
+func AutoDispatch(ins *model.MTSwitchInstance) bool {
+	n := ins.Steps()
+	if n < AutoDispatchSteps {
+		return false
+	}
+	p := PlanWindows(ins, 0, 0)
+	if p.CutColumns != 0 {
+		return false
+	}
+	minLen := minWindowSteps(n, AutoPartitions(n))
+	for _, w := range p.Windows(n) {
+		if w[1]-w[0] < minLen {
+			return false
+		}
+	}
+	return true
 }
 
 func abs(x int) int {

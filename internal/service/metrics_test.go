@@ -56,7 +56,6 @@ func TestMetricsSeriesGolden(t *testing.T) {
 	}
 
 	cfg := durableConfig(t.TempDir())
-	cfg.PartitionSteps = 256 // hyperd's default
 	s, err := Open(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -21,22 +21,24 @@ func blockedRequest(t *testing.T, solver string, steps int) *SolveRequest {
 	return &SolveRequest{Solver: solver, Instance: WireInstanceFrom(mt)}
 }
 
-// TestPartitionAutoDispatch pins the dispatch rewrite: exact mtswitch
-// submissions at or above Config.PartitionSteps run as
-// exact-partitioned (sharing cache lines with directly requested
-// partitioned solves), smaller ones and other solvers are untouched,
-// and the partition metric families appear after a partitioned solve.
+// TestPartitionAutoDispatch pins the dispatch rewrite
+// (partition.AutoDispatch): a 288-step blocked exact submission runs
+// as exact-partitioned and shares its cache line with a directly
+// requested partitioned solve, a 288-step phased one, which the
+// planner cannot split without a cut, stays exact and proven, and a
+// blocked trace below 256 steps stays exact.  The partition metric
+// families appear after a partitioned solve.
 func TestPartitionAutoDispatch(t *testing.T) {
-	s := New(Config{Workers: 2, PartitionSteps: 16})
+	s := New(Config{Workers: 2})
 	defer shutdown(t, s)
 
-	big, _, err := s.Submit(blockedRequest(t, "exact", 16))
+	big, _, err := s.Submit(blockedRequest(t, "exact", 288))
 	if err != nil {
 		t.Fatal(err)
 	}
 	waitDone(t, big)
 	if big.Solver != "exact-partitioned" {
-		t.Fatalf("16-step exact job ran as %q, want exact-partitioned", big.Solver)
+		t.Fatalf("288-step blocked exact job ran as %q, want exact-partitioned", big.Solver)
 	}
 	sol, err := big.Solution()
 	if err != nil {
@@ -48,7 +50,7 @@ func TestPartitionAutoDispatch(t *testing.T) {
 
 	// A direct exact-partitioned submit of the same instance must hit
 	// the cache line the dispatched job filled.
-	direct, _, err := s.Submit(blockedRequest(t, "exact-partitioned", 16))
+	direct, _, err := s.Submit(blockedRequest(t, "exact-partitioned", 288))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,13 +59,29 @@ func TestPartitionAutoDispatch(t *testing.T) {
 		t.Fatal("direct exact-partitioned submit missed the dispatched job's cache line")
 	}
 
-	small, _, err := s.Submit(blockedRequest(t, "exact", 12))
+	mt, err := workload.Phased(workload.Config{Tasks: 2, Steps: 288, Switches: 12, MeanPhase: 10, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	phased, _, err := s.Submit(&SolveRequest{Solver: "exact", Instance: WireInstanceFrom(mt)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitDone(t, phased)
+	if phased.Solver != "exact" {
+		t.Fatalf("288-step phased exact job ran as %q, want exact", phased.Solver)
+	}
+	if sol, err := phased.Solution(); err != nil || !sol.Exact {
+		t.Fatalf("288-step phased exact job: err %v, want a proven optimum", err)
+	}
+
+	small, _, err := s.Submit(blockedRequest(t, "exact", 255))
 	if err != nil {
 		t.Fatal(err)
 	}
 	waitDone(t, small)
 	if small.Solver != "exact" {
-		t.Fatalf("12-step exact job ran as %q, want exact", small.Solver)
+		t.Fatalf("255-step blocked exact job ran as %q, want exact", small.Solver)
 	}
 
 	var buf bytes.Buffer
@@ -76,22 +94,6 @@ func TestPartitionAutoDispatch(t *testing.T) {
 		if !strings.Contains(buf.String(), name) {
 			t.Fatalf("metrics missing %s:\n%s", name, buf.String())
 		}
-	}
-}
-
-// TestPartitionDispatchDisabled pins the default: with PartitionSteps
-// zero, huge exact submissions stay monolithic.
-func TestPartitionDispatchDisabled(t *testing.T) {
-	s := New(Config{Workers: 2})
-	defer shutdown(t, s)
-
-	job, _, err := s.Submit(blockedRequest(t, "exact", 16))
-	if err != nil {
-		t.Fatal(err)
-	}
-	waitDone(t, job)
-	if job.Solver != "exact" {
-		t.Fatalf("job ran as %q, want exact (dispatch disabled)", job.Solver)
 	}
 }
 

@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/durable"
 	"repro/internal/model"
+	"repro/internal/partition"
 	"repro/internal/portfolio"
 	"repro/internal/resilience"
 	"repro/internal/resilience/faultinject"
@@ -56,14 +57,6 @@ type Config struct {
 	// checkpointed out and closed (default 64 MiB; negative disables
 	// eviction).
 	SessionBytes int64
-
-	// PartitionSteps, when positive, auto-dispatches "exact" mtswitch
-	// submissions at or above this step count to the exact-partitioned
-	// solver (the monolithic DP's frontier is the scaling wall; the
-	// partitioned solver trades a certified stitch bound for it).  The
-	// rewrite happens before hashing, so dispatched and directly
-	// requested partitioned solves share cache lines.  0 disables.
-	PartitionSteps int
 
 	// DataDir, when set, enables durable state: job submissions,
 	// completions and session step batches journal to a write-ahead log
@@ -383,8 +376,11 @@ func (s *Server) Submit(req *SolveRequest) (job *Job, deduped bool, err error) {
 	if err != nil {
 		return nil, false, err
 	}
-	if s.cfg.PartitionSteps > 0 && res.solver == "exact" &&
-		res.inst.Kind() == solve.KindMTSwitch && res.inst.MT.Steps() >= s.cfg.PartitionSteps {
+	// Exact mtswitch solves whose trace the planner splits without a
+	// cut run partitioned (partition.AutoDispatch).  The rewrite comes
+	// before hashing, so dispatched and directly requested partitioned
+	// solves share cache lines.
+	if res.solver == "exact" && res.inst.Kind() == solve.KindMTSwitch && partition.AutoDispatch(res.inst.MT) {
 		res.solver = "exact-partitioned"
 	}
 	opts := s.limits().clamp(res.opts)

@@ -7,26 +7,12 @@
 #                               on a >10% ns/op regression against
 #                               scripts/bench_baseline.txt
 #
-# The regenerate mode writes five artifacts, all committed:
+# The regenerate mode runs every mode below, then the `go test` capture,
+# even when one fails.  It prints each failure and exits 1 if any mode
+# failed; a failing mode leaves its committed artifact as it was, since
+# paperbench writes a baseline only after its gates pass.  It writes
+# three artifacts, all committed:
 #
-#   BENCH_PR3.json            frontier-engine comparison (reference DP
-#                             vs packed engine at Workers=1 and
-#                             Workers=GOMAXPROCS, pruning disabled)
-#                             with ns/op, allocs/op and the
-#                             speedup/alloc ratios; produced by
-#                             `paperbench -bench` on the fixed-seed
-#                             BenchmarkScalingTasks m=4 workload.
-#   BENCH_PR5.json            pruned-search comparison (packed engine
-#                             with pruning off vs on) on the phased
-#                             m=4 and dense workloads, plus the
-#                             memory-budget scenario where pruning
-#                             restores exactness; produced by
-#                             `paperbench -bench5` (EXPERIMENTS.md E17).
-#   BENCH_PR6.json            incremental-solve comparison: states
-#                             expanded appending the final 10% of a
-#                             dense trace to a solved stepped engine vs
-#                             re-solving from scratch; produced by
-#                             `paperbench -bench6` (EXPERIMENTS.md E18).
 #   BENCH_PR8.json            partition-and-conquer comparison:
 #                             monolithic pruned exact engine vs the
 #                             partitioned solver on cut-free blocked
@@ -48,8 +34,11 @@
 # regenerated separately by `go run ./cmd/hyperd bench -cluster -json
 # BENCH_PR7.json`; --check still requires it to be present.
 #
-# Every JSON row records pruning_enabled explicitly, so --check and any
-# downstream diffing compare like with like.
+# The frontier-engine (E14), pruned-search (E17) and incremental-solve
+# (E18) comparisons are `go test` benchmarks (BenchmarkFrontierEngines,
+# BenchmarkSessionStream) whose checks are tier-1 tests in
+# internal/mtswitch.
+#
 #   scripts/bench_baseline.txt raw `go test -bench` output of the
 #                             frontier/scaling/step-expansion/session
 #                             stream benchmarks and of the hyperd
@@ -68,7 +57,7 @@ BENCH_PKGS='. ./internal/mtswitch ./internal/service'
 if [ "${1:-}" = "--check" ]; then
 	# Every committed bench artifact must exist: a silently skipped
 	# baseline would let a regression land unnoticed.
-	for f in BENCH_PR3.json BENCH_PR5.json BENCH_PR6.json BENCH_PR7.json BENCH_PR8.json BENCH_PR9.json BENCH_PR10.json; do
+	for f in BENCH_PR7.json BENCH_PR8.json BENCH_PR9.json BENCH_PR10.json; do
 		if [ ! -f "$f" ]; then
 			echo "bench.sh --check: committed baseline $f missing; regenerate it (scripts/bench.sh, or hyperd bench -cluster for BENCH_PR7.json)" >&2
 			exit 1
@@ -127,12 +116,26 @@ if [ "${1:-}" = "--check" ]; then
 	exit 0
 fi
 
-go run ./cmd/paperbench -bench -benchout BENCH_PR3.json
-go run ./cmd/paperbench -bench5 -bench5out BENCH_PR5.json
-go run ./cmd/paperbench -bench6 -bench6out BENCH_PR6.json
-go run ./cmd/paperbench -bench8 -bench8out BENCH_PR8.json
-go run ./cmd/paperbench -bench9 -bench9out BENCH_PR9.json
-go run ./cmd/paperbench -bench10 -bench10out BENCH_PR10.json
+failed=""
+for mode in 8 9 10; do
+	if ! go run ./cmd/paperbench -bench$mode -bench${mode}out BENCH_PR$mode.json; then
+		echo "bench.sh: paperbench -bench$mode failed; BENCH_PR$mode.json left as committed" >&2
+		failed="$failed -bench$mode"
+	fi
+done
 
-go test -run '^$' -bench "$BENCH_PATTERN" \
-	-benchmem -count 1 $BENCH_PKGS | tee scripts/bench_baseline.txt
+new=$(mktemp /tmp/bench_baseline.XXXXXX)
+trap 'rm -f "$new"' EXIT
+if go test -run '^$' -bench "$BENCH_PATTERN" -benchmem -count 1 $BENCH_PKGS >"$new"; then
+	cat "$new"
+	cp "$new" scripts/bench_baseline.txt
+else
+	cat "$new"
+	echo "bench.sh: go test -bench failed; scripts/bench_baseline.txt left as committed" >&2
+	failed="$failed go-test-bench"
+fi
+
+if [ -n "$failed" ]; then
+	echo "bench.sh: failed:$failed" >&2
+	exit 1
+fi
