@@ -424,12 +424,10 @@ func BenchmarkScalingTasks(b *testing.B) {
 
 // BenchmarkFrontierEngines compares the MT-Switch frontier engines
 // (E14/E17) on the m=4 phased workload of BenchmarkScalingTasks under
-// beam caps: Reference is the seed map-keyed frontier DP, PackedW1 and
-// Packed the packed-state engine at Workers 1 and at the default (the
-// engine reads no worker count, so both time the same computation) —
-// these three run with pruning disabled and return the same cost,
-// pinned by TestPackedMatchesReferencePhased4x64 — and PrunedW1/Pruned
-// add the pruned-search layer (preprocessing, dominance elimination,
+// beam caps: Reference is the seed map-keyed frontier DP and Packed the
+// packed-state engine — both run with pruning disabled and return the
+// same cost, pinned by TestPackedMatchesReferencePhased4x64 — and Pruned
+// adds the pruned-search layer (preprocessing, dominance elimination,
 // bound cutoffs), whose beam keeps other states.  dense-4x48 is E17's
 // dense instance (24 switches, density 0.5, mean phase 12, seed 3),
 // solved exactly with pruning off and on; both reach the optimum
@@ -470,21 +468,11 @@ func BenchmarkFrontierEngines(b *testing.B) {
 			return sol.Cost, nil
 		})
 	})
-	b.Run("PackedW1", func(b *testing.B) {
-		w1 := opts
-		w1.Workers = 1
-		run(b, packed(w1))
-	})
 	b.Run("Packed", func(b *testing.B) {
 		run(b, packed(opts))
 	})
 	pruned := opts
 	pruned.DisablePruning = false
-	b.Run("PrunedW1", func(b *testing.B) {
-		w1 := pruned
-		w1.Workers = 1
-		run(b, packed(w1))
-	})
 	b.Run("Pruned", func(b *testing.B) {
 		run(b, packed(pruned))
 	})

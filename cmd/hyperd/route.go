@@ -40,6 +40,9 @@ func runRoute(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if err := noPositional(fs); err != nil {
+		return err
+	}
 	if *peers == "" {
 		return fmt.Errorf("-peers is required")
 	}

@@ -19,7 +19,6 @@
 //	paperbench -exp mtdag      # the Multi Task DAG cost model (E13)
 //	paperbench -exp mesh       # the reconfigurable-mesh machine (E15)
 //	paperbench -bench8         # partition-and-conquer bench baseline (E20)
-//	paperbench -bench9         # durability & crash-recovery baseline (E21)
 //	paperbench -bench10        # portfolio racing baseline (E22)
 package main
 
@@ -68,9 +67,6 @@ func main() {
 		bench8     = flag.Bool("bench8", false, "measure the partitioned solver vs the monolithic exact engine and write a JSON baseline (E20)")
 		bench8Out  = flag.String("bench8out", "BENCH_PR8.json", "output path for the -bench8 baseline")
 		bench8Sm   = flag.Bool("bench8small", false, "with -bench8: shrink the workload and skip the speedup floor and budget scenario (CI smoke)")
-		bench9     = flag.Bool("bench9", false, "measure WAL durability overhead and crash recovery and write a JSON baseline (E21)")
-		bench9Out  = flag.String("bench9out", "BENCH_PR9.json", "output path for the -bench9 baseline")
-		bench9Sm   = flag.Bool("bench9small", false, "with -bench9: shrink the workload and time only the always policy next to in-memory (CI smoke)")
 		bench10    = flag.Bool("bench10", false, "measure the portfolio racing meta-solver vs its solo contenders and write a JSON baseline (E22)")
 		bench10Out = flag.String("bench10out", "BENCH_PR10.json", "output path for the -bench10 baseline")
 		bench10Sm  = flag.Bool("bench10small", false, "with -bench10: shrink the workload and skip the wall-clock floors (CI smoke)")
@@ -80,13 +76,6 @@ func main() {
 	ranBench := false
 	if *bench8 {
 		if err := partitionBench(*bench8Out, *bench8Sm); err != nil {
-			fmt.Fprintln(os.Stderr, "paperbench:", err)
-			os.Exit(1)
-		}
-		ranBench = true
-	}
-	if *bench9 {
-		if err := durableBench(*bench9Out, *bench9Sm); err != nil {
 			fmt.Fprintln(os.Stderr, "paperbench:", err)
 			os.Exit(1)
 		}

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"net/http"
@@ -66,16 +67,42 @@ func waitJob(t *testing.T, j *service.Job) {
 	}
 }
 
+// submitSnapshot submits req to s, waits for the job and returns its
+// status document.
+func submitSnapshot(t *testing.T, s *service.Server, req *service.SolveRequest) *service.JobStatus {
+	t.Helper()
+	job, _, err := s.Submit(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitJob(t, job)
+	st := job.Snapshot()
+	if st.Result == nil {
+		t.Fatalf("job %s has no result (state %s, error %q)", job.ID, st.State, st.Error)
+	}
+	return st
+}
+
 // TestPeerFillTwinAcrossNodes is the cross-node twin replay property:
 // for a family of instances, solving the original on node A and then
 // submitting a structural twin to node B (which has never seen the
 // problem) must serve the twin from A's canonical entry via peer fill
 // — same cost, no second solve, schedule re-labeled in the twin's own
-// task names.
+// task names, and the same cost and schedule bytes a single node
+// without peers serves for the twin after the original.
+//
+// It also counts what peer fill saves, from hyperd_jobs_submitted_total:
+// the twin groups cost one solve each across A and B, and two each when
+// the twin goes instead to a node that has no PeerFill.
 func TestPeerFillTwinAcrossNodes(t *testing.T) {
+	const groups = 8
 	sA, tsA := newNode(t, service.Config{Workers: 1, NodeID: "node-a"})
 	hook := &fillerHook{}
 	sB, tsB := newNode(t, service.Config{Workers: 1, NodeID: "node-b", PeerFill: hook})
+	// The oracle is one node answering the original, then the twin from
+	// its own canonical store; lone gets only the twin and must solve it.
+	oracle, _ := newNode(t, service.Config{Workers: 1, NodeID: "oracle"})
+	lone, tsLone := newNode(t, service.Config{Workers: 1, NodeID: "lone"})
 
 	set, err := NewMemberSet([]string{tsA.URL, tsB.URL}, 16)
 	if err != nil {
@@ -91,7 +118,7 @@ func TestPeerFillTwinAcrossNodes(t *testing.T) {
 	}
 	hook.set(pc)
 
-	for i := 0; i < 8; i++ {
+	for i := 0; i < groups; i++ {
 		req := solveRequest(i)
 		orig, _, err := sA.Submit(req)
 		if err != nil {
@@ -108,7 +135,7 @@ func TestPeerFillTwinAcrossNodes(t *testing.T) {
 			t.Fatalf("case %d: submit twin: %v", i, err)
 		}
 		if !twinJob.CacheHit {
-			t.Fatalf("case %d: twin was solved locally instead of peer-filled", i)
+			t.Errorf("case %d: twin was solved locally instead of peer-filled", i)
 		}
 		waitJob(t, twinJob)
 		twinSol, err := twinJob.Solution()
@@ -137,13 +164,33 @@ func TestPeerFillTwinAcrossNodes(t *testing.T) {
 		if strings.Contains(doc, "alpha") || strings.Contains(doc, "beta") {
 			t.Fatalf("case %d: twin schedule leaks the original's labels:\n%s", i, doc)
 		}
+
+		submitSnapshot(t, oracle, req)
+		want := submitSnapshot(t, oracle, twinOf(req))
+		if st.Result.Cost != want.Result.Cost {
+			t.Errorf("case %d: peer-filled twin cost %d, single-node oracle %d", i, st.Result.Cost, want.Result.Cost)
+		}
+		if !bytes.Equal(st.Result.Schedule, want.Result.Schedule) {
+			t.Errorf("case %d: peer-filled twin schedule differs from the single-node oracle's:\n%s\nvs\n%s",
+				i, st.Result.Schedule, want.Result.Schedule)
+		}
+
+		submitSnapshot(t, lone, twinOf(req))
 	}
 
-	if hits := metricValue(t, tsB.URL, "hyperd_cluster_peer_fill_hits_total"); hits != 8 {
-		t.Fatalf("node B peer fill hits = %d, want 8", hits)
+	if hits := metricValue(t, tsB.URL, "hyperd_cluster_peer_fill_hits_total"); hits != groups {
+		t.Errorf("node B peer fill hits = %d, want %d", hits, groups)
 	}
-	if served := metricValue(t, tsA.URL, "hyperd_cluster_peer_serve_hits_total"); served != 8 {
-		t.Fatalf("node A peer serve hits = %d, want 8", served)
+	if served := metricValue(t, tsA.URL, "hyperd_cluster_peer_serve_hits_total"); served != groups {
+		t.Errorf("node A peer serve hits = %d, want %d", served, groups)
+	}
+	solvedA := metricValue(t, tsA.URL, "hyperd_jobs_submitted_total")
+	if got := solvedA + metricValue(t, tsB.URL, "hyperd_jobs_submitted_total"); got != groups {
+		t.Errorf("%d twin groups cost %d solves across nodes A and B, want %d (one each)", groups, got, groups)
+	}
+	if got := solvedA + metricValue(t, tsLone.URL, "hyperd_jobs_submitted_total"); got != 2*groups {
+		t.Errorf("%d twin groups cost %d solves with the twin on a node without PeerFill, want %d (two each)",
+			groups, got, 2*groups)
 	}
 }
 

@@ -13,10 +13,6 @@ import (
 	"repro/internal/workload"
 )
 
-// agreementWorkers are the worker counts the parallel engine must be
-// byte-identical across (the issue's Workers ∈ {1, 2, 8} matrix).
-var agreementWorkers = []int{1, 2, 8}
-
 // frontierOpts are the upload-mode combinations that exercise the
 // frontier engine (fully task-sequential costs take the decomposed
 // fast path instead and never reach it).
@@ -46,8 +42,8 @@ func sameSchedule(t *testing.T, a, b *model.MTSchedule) bool {
 
 // TestPackedMatchesReference drives the packed engine against the
 // retained pointer-and-map reference implementation: identical cost and
-// identical schedule for every worker count, on the fixed demonstration
-// instance and a batch of random ones, both exact and beam-truncated.
+// identical schedule on the fixed demonstration instance and a batch of
+// random ones, both exact and beam-truncated.
 func TestPackedMatchesReference(t *testing.T) {
 	ctx := context.Background()
 	r := rand.New(rand.NewSource(7))
@@ -70,38 +66,34 @@ func TestPackedMatchesReference(t *testing.T) {
 				if err != nil {
 					t.Fatalf("instance %d: reference: %v", ii, err)
 				}
-				for _, workers := range agreementWorkers {
-					o := base
-					o.Workers = workers
-					got, err := SolveExact(ctx, ins, opt, o)
-					if err != nil {
-						t.Fatalf("instance %d workers %d: packed: %v", ii, workers, err)
-					}
-					if got.Cost != ref.Cost {
-						t.Fatalf("instance %d opt %+v budget %+v workers %d: packed cost %d, reference %d",
-							ii, opt, base, workers, got.Cost, ref.Cost)
-					}
-					if !sameSchedule(t, got.Schedule, ref.Schedule) {
-						t.Fatalf("instance %d opt %+v budget %+v workers %d: packed schedule differs from reference",
-							ii, opt, base, workers)
-					}
-					if got.Stats.Truncated != ref.Stats.Truncated {
-						t.Fatalf("instance %d workers %d: truncated %t vs reference %t",
-							ii, workers, got.Stats.Truncated, ref.Stats.Truncated)
-					}
-					// Factored expansion generates fewer successors than
-					// the reference's per-source expansion, but exactly the
-					// same distinct ones.
-					if d, want := got.Stats.StatesExpanded-got.Stats.DedupHits, ref.Stats.StatesExpanded-ref.Stats.DedupHits; d != want {
-						t.Fatalf("instance %d workers %d: %d distinct successors, reference %d", ii, workers, d, want)
-					}
-					if got.Stats.StatesExpanded > ref.Stats.StatesExpanded {
-						t.Fatalf("instance %d workers %d: expanded %d states, more than the reference's %d",
-							ii, workers, got.Stats.StatesExpanded, ref.Stats.StatesExpanded)
-					}
-					if err := ins.Validate(got.Schedule); err != nil {
-						t.Fatalf("instance %d workers %d: invalid schedule: %v", ii, workers, err)
-					}
+				got, err := SolveExact(ctx, ins, opt, base)
+				if err != nil {
+					t.Fatalf("instance %d: packed: %v", ii, err)
+				}
+				if got.Cost != ref.Cost {
+					t.Fatalf("instance %d opt %+v budget %+v: packed cost %d, reference %d",
+						ii, opt, base, got.Cost, ref.Cost)
+				}
+				if !sameSchedule(t, got.Schedule, ref.Schedule) {
+					t.Fatalf("instance %d opt %+v budget %+v: packed schedule differs from reference",
+						ii, opt, base)
+				}
+				if got.Stats.Truncated != ref.Stats.Truncated {
+					t.Fatalf("instance %d: truncated %t vs reference %t",
+						ii, got.Stats.Truncated, ref.Stats.Truncated)
+				}
+				// Factored expansion generates fewer successors than
+				// the reference's per-source expansion, but exactly the
+				// same distinct ones.
+				if d, want := got.Stats.StatesExpanded-got.Stats.DedupHits, ref.Stats.StatesExpanded-ref.Stats.DedupHits; d != want {
+					t.Fatalf("instance %d: %d distinct successors, reference %d", ii, d, want)
+				}
+				if got.Stats.StatesExpanded > ref.Stats.StatesExpanded {
+					t.Fatalf("instance %d: expanded %d states, more than the reference's %d",
+						ii, got.Stats.StatesExpanded, ref.Stats.StatesExpanded)
+				}
+				if err := ins.Validate(got.Schedule); err != nil {
+					t.Fatalf("instance %d: invalid schedule: %v", ii, err)
 				}
 			}
 		}
@@ -136,32 +128,6 @@ func TestPackedMatchesReferencePhased4x64(t *testing.T) {
 	}
 }
 
-// TestPackedWorkerCountsAgree pins the determinism claim directly:
-// every worker count yields the same schedule under heavy truncation,
-// where any order-dependence in dedup or the beam cut would show.
-func TestPackedWorkerCountsAgree(t *testing.T) {
-	ctx := context.Background()
-	r := rand.New(rand.NewSource(99))
-	for k := 0; k < 8; k++ {
-		ins := randomMT(r, 4, 6, 8)
-		for _, opt := range frontierOpts {
-			base, err := SolveExact(ctx, ins, opt, solve.Options{Workers: 1, MaxStates: 5, DisablePruning: true})
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, workers := range agreementWorkers[1:] {
-				got, err := SolveExact(ctx, ins, opt, solve.Options{Workers: workers, MaxStates: 5, DisablePruning: true})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if got.Cost != base.Cost || !sameSchedule(t, got.Schedule, base.Schedule) {
-					t.Fatalf("instance %d workers %d diverges from workers 1", k, workers)
-				}
-			}
-		}
-	}
-}
-
 // TestPackedZeroUniverseTask covers the degenerate stride: a task with
 // no local switches contributes zero words to the packed vector.
 func TestPackedZeroUniverseTask(t *testing.T) {
@@ -174,18 +140,16 @@ func TestPackedZeroUniverseTask(t *testing.T) {
 		reqs(3, []int{0}, []int{1}, []int{0, 2}),
 	}
 	ins := mustMT(t, tasks, rows)
-	for _, workers := range agreementWorkers {
-		got, err := SolveExact(context.Background(), ins, parallel, solve.Options{Workers: workers})
-		if err != nil {
-			t.Fatalf("workers %d: %v", workers, err)
-		}
-		ref, err := SolveExactReference(context.Background(), ins, parallel, solve.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.Cost != ref.Cost {
-			t.Fatalf("workers %d: cost %d, reference %d", workers, got.Cost, ref.Cost)
-		}
+	got, err := SolveExact(context.Background(), ins, parallel, solve.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := SolveExactReference(context.Background(), ins, parallel, solve.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Cost != ref.Cost {
+		t.Fatalf("cost %d, reference %d", got.Cost, ref.Cost)
 	}
 }
 

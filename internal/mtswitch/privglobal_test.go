@@ -2,11 +2,14 @@ package mtswitch
 
 import (
 	"context"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/bitset"
 	"repro/internal/model"
 	"repro/internal/solve"
+	"repro/internal/workload"
 )
 
 // pgFixture: two tasks with one local switch each; 2 private global
@@ -157,5 +160,60 @@ func TestSolvePrivateGlobalEmpty(t *testing.T) {
 	}
 	if _, err := SolvePrivateGlobal(context.Background(), nil, parallel, solve.Options{}); err == nil {
 		t.Fatal("accepted nil")
+	}
+}
+
+// TestSolvePrivateGlobalWorkersAgree checks that the window sweep, the
+// one mtswitch entry that fans out on solve.Pool, returns the same cost
+// and global windows at Workers 1, 2 and 8.  The traces have 12 steps,
+// so the sweep does not cap 8 workers at its row count.  Each private
+// switch changes owner every few steps, which forces several windows.
+func TestSolvePrivateGlobalWorkersAgree(t *testing.T) {
+	const n, g = 12, 3
+	ctx := context.Background()
+	r := rand.New(rand.NewSource(5))
+	for k := 0; k < 4; k++ {
+		base, err := workload.Phased(workload.Config{Tasks: 3, Steps: n, Switches: 4, Seed: int64(k + 1)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := base.NumTasks()
+		priv := make([][]bitset.Set, m)
+		for j := range priv {
+			priv[j] = make([]bitset.Set, n)
+			for i := range priv[j] {
+				priv[j][i] = bitset.New(g)
+			}
+		}
+		for sw := 0; sw < g; sw++ {
+			owner := -1
+			for i := 0; i < n; i++ {
+				if r.Intn(3) == 0 {
+					owner = r.Intn(m+1) - 1 // -1: nobody
+				}
+				if owner >= 0 && r.Intn(2) == 0 {
+					priv[owner][i].Add(sw)
+				}
+			}
+		}
+		ins, err := NewPrivateGlobalInstance(base, g, priv, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var first *PGSolution
+		for _, workers := range []int{1, 2, 8} {
+			sol, err := SolvePrivateGlobal(ctx, ins, parallel, solve.Options{Workers: workers})
+			if err != nil {
+				t.Fatalf("trace %d workers %d: %v", k, workers, err)
+			}
+			if first == nil {
+				first = sol
+				continue
+			}
+			if sol.Cost != first.Cost || !slices.Equal(sol.GlobalStarts, first.GlobalStarts) {
+				t.Fatalf("trace %d: workers %d give cost %d starts %v, workers 1 cost %d starts %v",
+					k, workers, sol.Cost, sol.GlobalStarts, first.Cost, first.GlobalStarts)
+			}
+		}
 	}
 }

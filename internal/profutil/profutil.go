@@ -1,7 +1,7 @@
 // Package profutil wraps runtime/pprof for the CLIs: every binary with
-// a solver hot path (mtopt, phcopt, hyperd bench) exposes -cpuprofile
-// and -memprofile flags through these two helpers, so profiles are
-// collected identically everywhere.
+// a solver hot path (mtopt, phcopt) exposes -cpuprofile and -memprofile
+// flags through these two helpers, so profiles are collected
+// identically everywhere.
 package profutil
 
 import (

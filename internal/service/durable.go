@@ -621,8 +621,7 @@ func (s *Server) closeDurable() {
 // Abandon stops the server the way kill -9 would: no drain, no final
 // snapshot, no WAL compaction — just stop touching the data directory
 // so a successor can open it.  It exists for in-process crash/recovery
-// tests and the recovery scenario of paperbench -bench9; the
-// out-of-process harness in
+// tests; the out-of-process harness in
 // internal/resilience/faultinject/crashharness sends real SIGKILLs.
 func (s *Server) Abandon() {
 	if d := s.dur; d != nil {

@@ -7,8 +7,10 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/durable"
 	"repro/internal/resilience/faultinject"
 	"repro/internal/solve"
+	"repro/internal/workload"
 )
 
 // Crash/recovery tests for the durable layer.  They crash servers with
@@ -135,6 +137,195 @@ func TestDurableWarmCacheByteIdentical(t *testing.T) {
 	if st.Result.Cost != oracleStatus.Result.Cost || st.Result.Exact != oracleStatus.Result.Exact {
 		t.Fatalf("recovered cost=%d exact=%t, oracle cost=%d exact=%t",
 			st.Result.Cost, st.Result.Exact, oracleStatus.Result.Cost, oracleStatus.Result.Exact)
+	}
+}
+
+// durableBatch builds n distinct phased aligned solve requests, seeds
+// cfg.Seed, cfg.Seed+101, ...
+func durableBatch(tb testing.TB, cfg workload.Config, n int) []*SolveRequest {
+	tb.Helper()
+	reqs := make([]*SolveRequest, n)
+	for i := range reqs {
+		c := cfg
+		c.Seed = cfg.Seed + int64(i)*101
+		mt, err := workload.Phased(c)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		reqs[i] = &SolveRequest{Solver: "aligned", Instance: WireInstanceFrom(mt)}
+	}
+	return reqs
+}
+
+// TestDurableRecoveryBatch crashes a node holding a batch of journaled
+// completions and a live streaming session, then reopens the same
+// directory.  Every literal resubmission must warm-hit with the
+// pre-crash cost and schedule bytes and run no solver, and the session
+// must revive and accept another batch.
+func TestDurableRecoveryBatch(t *testing.T) {
+	const jobs = 8
+	reqs := durableBatch(t, workload.Config{Tasks: 3, Steps: 24, Switches: 8, Seed: 3}, jobs)
+	dir := t.TempDir()
+	a := openDurable(t, dir)
+	want := make([]*JobStatus, jobs)
+	for i, req := range reqs {
+		want[i] = submitWait(t, a, req).Snapshot()
+		if want[i].Result == nil {
+			t.Fatalf("job %d: no result before the crash (state %s)", i, want[i].State)
+		}
+	}
+	// An 8-step session (opener of 4, two batches of 2) on a 9-step
+	// trace whose last step arrives after the crash.
+	ctx := context.Background()
+	mt, err := workload.Phased(workload.Config{Tasks: 3, Steps: 9, Switches: 8, Seed: 11})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wi := WireInstanceFrom(mt)
+	sess, err := a.CreateSession(ctx, sessionRequest(mt, "exact", 4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, cut := range [][2]int{{4, 6}, {6, 8}} {
+		if _, err := sess.Steps(ctx, &SessionSteps{Reqs: wi.Reqs[cut[0]:cut[1]]}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	a.Abandon()
+
+	b := openDurable(t, dir)
+	defer shutdown(t, b)
+	waitReady(t, b)
+	for i, req := range reqs {
+		job := submitWait(t, b, req)
+		if !job.CacheHit {
+			t.Errorf("job %d: resubmission after the crash missed the warm cache", i)
+		}
+		got := job.Snapshot()
+		if got.Result == nil {
+			t.Fatalf("job %d: no result after the crash (state %s)", i, got.State)
+		}
+		if got.Result.Cost != want[i].Result.Cost || !bytes.Equal(got.Result.Schedule, want[i].Result.Schedule) {
+			t.Errorf("job %d: after the crash cost %d schedule %s, before it cost %d schedule %s",
+				i, got.Result.Cost, got.Result.Schedule, want[i].Result.Cost, want[i].Result.Schedule)
+		}
+	}
+	if got := b.metrics.submitted.Load(); got != 0 {
+		t.Errorf("recovered node ran %d solves, want 0 (journaled completions must not re-solve)", got)
+	}
+	if got := b.metrics.recoverySessionsRevived.Load(); got != 1 {
+		t.Fatalf("recoverySessionsRevived = %d, want 1", got)
+	}
+	revived, ok := b.Session(sess.ID)
+	if !ok {
+		t.Fatalf("session %s did not survive the crash", sess.ID)
+	}
+	if got := revived.Status().Steps; got != 8 {
+		t.Fatalf("revived trace has %d steps, want 8", got)
+	}
+	st, err := revived.Steps(ctx, &SessionSteps{Reqs: wi.Reqs[8:9]})
+	if err != nil {
+		t.Fatalf("revived session rejected a batch: %v", err)
+	}
+	if st.Steps != 9 {
+		t.Fatalf("revived session has %d steps after another batch, want 9", st.Steps)
+	}
+}
+
+// openBatchServer opens the server BenchmarkDurableSubmit and
+// TestDurableWALCountersPerJob drive: in memory for mode "memory",
+// else journaling to a fresh directory under that fsync policy.
+func openBatchServer(tb testing.TB, mode string) *Server {
+	tb.Helper()
+	var cfg Config
+	if mode != "memory" {
+		fsync, err := durable.ParseFsyncPolicy(mode)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		cfg.DataDir, cfg.Fsync = tb.TempDir(), fsync
+	}
+	s, err := Open(cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return s
+}
+
+// driveBatch submits every request, then waits for all of them.
+func driveBatch(tb testing.TB, s *Server, reqs []*SolveRequest) {
+	tb.Helper()
+	jobs := make([]*Job, len(reqs))
+	for i, req := range reqs {
+		job, _, err := s.Submit(req)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		jobs[i] = job
+	}
+	for _, job := range jobs {
+		waitDone(tb, job)
+		if _, err := job.Solution(); err != nil {
+			tb.Fatal(err)
+		}
+	}
+}
+
+// TestDurableWALCountersPerJob pins the counters behind
+// BenchmarkDurableSubmit that do not depend on the host: every fsync
+// policy appends two WAL records per solved job (its submission and its
+// completion), and fsyncs each of them under always and none under
+// never.
+func TestDurableWALCountersPerJob(t *testing.T) {
+	const jobs = 16
+	reqs := durableBatch(t, workload.Config{Tasks: 3, Steps: 24, Switches: 8, Seed: 3}, jobs)
+	for _, mode := range []string{"always", "interval", "never"} {
+		s := openBatchServer(t, mode)
+		driveBatch(t, s, reqs)
+		st := s.dur.wal.Stats()
+		shutdown(t, s)
+		if st.Appends != 2*jobs {
+			t.Errorf("%s: %d WAL appends for %d solved jobs, want %d", mode, st.Appends, jobs, 2*jobs)
+		}
+		switch mode {
+		case "always":
+			if st.Fsyncs != st.Appends {
+				t.Errorf("always: %d fsyncs for %d appends, want one each", st.Fsyncs, st.Appends)
+			}
+		case "never":
+			if st.Fsyncs != 0 {
+				t.Errorf("never: %d fsyncs, want 0", st.Fsyncs)
+			}
+		}
+	}
+}
+
+// BenchmarkDurableSubmit times one batch of 96 distinct aligned solves
+// (phased 4×48, 16 switches) through the worker pool, in memory and
+// journaled under each fsync policy: what the WAL costs on the solve
+// path (E21).  Each op opens a fresh server on a fresh directory, so
+// every job solves; opening and shutting down are not timed.
+func BenchmarkDurableSubmit(b *testing.B) {
+	reqs := durableBatch(b, workload.Config{Tasks: 4, Steps: 48, Switches: 16, Seed: 3}, 96)
+	for _, mode := range []string{"memory", "always", "interval", "never"} {
+		b.Run(mode, func(b *testing.B) {
+			var appends, fsyncs int64
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				s := openBatchServer(b, mode)
+				b.StartTimer()
+				driveBatch(b, s, reqs)
+				b.StopTimer()
+				if s.dur != nil {
+					st := s.dur.wal.Stats()
+					appends, fsyncs = appends+st.Appends, fsyncs+st.Fsyncs
+				}
+				shutdown(b, s)
+				b.StartTimer()
+			}
+			b.ReportMetric(float64(appends)/float64(b.N), "wal_appends/op")
+			b.ReportMetric(float64(fsyncs)/float64(b.N), "wal_fsyncs/op")
+		})
 	}
 }
 

@@ -40,7 +40,7 @@ func tinyRequest(solver string) *SolveRequest {
 	}
 }
 
-func waitDone(t *testing.T, j *Job) {
+func waitDone(t testing.TB, j *Job) {
 	t.Helper()
 	select {
 	case <-j.Done():
@@ -49,7 +49,7 @@ func waitDone(t *testing.T, j *Job) {
 	}
 }
 
-func shutdown(t *testing.T, s *Server) {
+func shutdown(t testing.TB, s *Server) {
 	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()

@@ -6,11 +6,11 @@ import (
 	"repro/internal/solve"
 )
 
-// GET /v1/solvers — the registry introspection endpoint.  Clients (and
-// the hyperd bench preflight) use it to stop guessing which solver
-// names a node accepts and which option values its Validate will
-// reject: the response lists every registered solver with its
-// capabilities plus the validated range of each wire option.
+// GET /v1/solvers — the registry introspection endpoint.  Clients use
+// it to stop guessing which solver names a node accepts and which
+// option values its Validate will reject: the response lists every
+// registered solver with its capabilities plus the validated range of
+// each wire option.
 
 // SolverInfo describes one registered solver.
 type SolverInfo struct {

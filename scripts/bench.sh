@@ -19,10 +19,6 @@
 #                             workloads, plus the memory-budget and
 #                             certified-bound scenarios; produced by
 #                             `paperbench -bench8` (EXPERIMENTS.md E20).
-#   BENCH_PR9.json            durability overhead (fsync modes vs
-#                             in-memory) and crash-recovery gates;
-#                             produced by `paperbench -bench9`
-#                             (EXPERIMENTS.md E21).
 #   BENCH_PR10.json           portfolio racing: mixed-workload
 #                             head-to-head with learned dispatch,
 #                             the incumbent-exchange state-reduction
@@ -30,14 +26,12 @@
 #                             produced by `paperbench -bench10`
 #                             (EXPERIMENTS.md E22).
 #
-# BENCH_PR7.json (cluster-mode routing, EXPERIMENTS.md E19) is
-# regenerated separately by `go run ./cmd/hyperd bench -cluster -json
-# BENCH_PR7.json`; --check still requires it to be present.
-#
-# The frontier-engine (E14), pruned-search (E17) and incremental-solve
-# (E18) comparisons are `go test` benchmarks (BenchmarkFrontierEngines,
-# BenchmarkSessionStream) whose checks are tier-1 tests in
-# internal/mtswitch.
+# The frontier-engine (E14), pruned-search (E17), incremental-solve
+# (E18) and WAL-overhead (E21) comparisons are `go test` benchmarks
+# (BenchmarkFrontierEngines, BenchmarkSessionStream,
+# BenchmarkDurableSubmit) whose checks are tier-1 tests beside the code
+# they measure.  Cluster mode (E19) and crash recovery (E21) have tests
+# only: TestPeerFillTwinAcrossNodes and the TestDurable* suite.
 #
 #   scripts/bench_baseline.txt raw `go test -bench` output of the
 #                             frontier/scaling/step-expansion/session
@@ -51,15 +45,15 @@ cd "$(dirname "$0")/.."
 
 # BENCH_PATTERN and BENCH_PKGS must match the regex and packages of CI's
 # bench-compare job (.github/workflows/ci.yml).
-BENCH_PATTERN='BenchmarkFrontierEngines|BenchmarkScalingTasks|BenchmarkPartitionedSolve|BenchmarkStepExpansion|BenchmarkSessionStream|BenchmarkRequestPath'
+BENCH_PATTERN='BenchmarkFrontierEngines|BenchmarkScalingTasks|BenchmarkPartitionedSolve|BenchmarkStepExpansion|BenchmarkSessionStream|BenchmarkRequestPath|BenchmarkDurableSubmit'
 BENCH_PKGS='. ./internal/mtswitch ./internal/service'
 
 if [ "${1:-}" = "--check" ]; then
 	# Every committed bench artifact must exist: a silently skipped
 	# baseline would let a regression land unnoticed.
-	for f in BENCH_PR7.json BENCH_PR8.json BENCH_PR9.json BENCH_PR10.json; do
+	for f in BENCH_PR8.json BENCH_PR10.json; do
 		if [ ! -f "$f" ]; then
-			echo "bench.sh --check: committed baseline $f missing; regenerate it (scripts/bench.sh, or hyperd bench -cluster for BENCH_PR7.json)" >&2
+			echo "bench.sh --check: committed baseline $f missing; regenerate it with scripts/bench.sh" >&2
 			exit 1
 		fi
 	done
@@ -117,7 +111,7 @@ if [ "${1:-}" = "--check" ]; then
 fi
 
 failed=""
-for mode in 8 9 10; do
+for mode in 8 10; do
 	if ! go run ./cmd/paperbench -bench$mode -bench${mode}out BENCH_PR$mode.json; then
 		echo "bench.sh: paperbench -bench$mode failed; BENCH_PR$mode.json left as committed" >&2
 		failed="$failed -bench$mode"

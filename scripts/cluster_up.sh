@@ -13,8 +13,19 @@
 #   curl -s http://127.0.0.1:8078/v1/healthz | jq .ring
 #   curl -s -X POST -d '{"solver":"aligned","app":"counter"}' \
 #        http://127.0.0.1:8078/v1/solve | jq .
-#   go run ./cmd/hyperd bench -cluster \
-#        -router http://127.0.0.1:8078 -peers "$PEERS"
+#
+# Twin check (what CI's cluster-smoke job runs): solve an original
+# through the router, then send its structural twin (tasks swapped and
+# renamed, columns relabeled) straight to each node.  Every node answers
+# "cache_hit":true with the same .result.schedule, and the non-owner
+# nodes' hyperd_cluster_peer_fill_hits_total sum to NODES-1:
+#
+#   ORIG='{"solver":"exact","instance":{"tasks":[{"name":"alpha","local":3,"v":2},{"name":"beta","local":2,"v":1}],"reqs":[["100","10"],["010","11"],["011","01"],["001","00"]]}}'
+#   TWIN='{"solver":"exact","instance":{"tasks":[{"name":"south","local":2,"v":1},{"name":"north","local":3,"v":2}],"reqs":[["01","001"],["11","010"],["10","110"],["00","100"]]}}'
+#   curl -s -X POST -d "$ORIG" http://127.0.0.1:8078/v1/solve >/dev/null
+#   for port in 8081 8082 8083; do
+#     curl -s -X POST -d "$TWIN" http://127.0.0.1:$port/v1/solve | jq -c '[.cache_hit, .result.schedule]'
+#   done
 set -eu
 cd "$(dirname "$0")/.."
 
