@@ -53,10 +53,9 @@ type pfFamily struct {
 }
 
 // pfMixedFamilies is the -bench10 mixed workload: family sizes chosen
-// so the exact DP lane can prove optimality and cancel the race (all
-// under the automatic partition threshold — above it the partitioned
-// lane's stitch certificate rarely collapses to a point, so no lane
-// can cancel and the race honestly waits for every heuristic).
+// so the exact DP lane can prove optimality and cancel the race.  The
+// lane is monolithic on every trace partition.AutoDispatch keeps whole,
+// which includes every trace under 256 steps.
 var pfMixedFamilies = []pfFamily{
 	{Name: "phased-small", Gen: "phased", Cfg: workload.Config{Tasks: 2, Steps: 32, Switches: 12, MeanPhase: 8}},
 	{Name: "phased", Gen: "phased", Cfg: workload.Config{Tasks: 3, Steps: 40, Switches: 12, MeanPhase: 10}},
@@ -70,10 +69,10 @@ var pfMixedFamiliesSmall = []pfFamily{
 	{Name: "phased-small", Gen: "phased", Cfg: workload.Config{Tasks: 2, Steps: 32, Switches: 12, MeanPhase: 8}},
 }
 
-// pfDispatchFamilies adds a long blocked trace that crosses the
-// automatic partition threshold: its races cannot cancel (see above),
-// which is exactly where learned dispatch pays — repeat instances skip
-// straight to the partitioned lane instead of waiting out the GA.
+// pfDispatchFamilies adds a longer blocked trace.  It is still under
+// partition.AutoDispatchSteps, so its races line up the monolithic
+// exact lane, which proves the optimum and cancels the heuristics;
+// repeat instances then skip the race for the family's learned winner.
 var pfDispatchFamilies = append(pfMixedFamilies[:len(pfMixedFamilies):len(pfMixedFamilies)],
 	pfFamily{Name: "blocked-long", Gen: "blocked", Cfg: workload.Config{Tasks: 4, Steps: 96, Switches: 24, MeanPhase: 8}})
 

@@ -1,9 +1,8 @@
 // Package partition decomposes large MT-Switch instances along the
-// step axis: a multilevel partitioner chooses window boundaries that
-// cut as little shared switch-column activity as possible, the windows
-// are solved independently (and concurrently) by the exact engine, and
-// the window schedules are stitched back together with a
-// coupling-correction pass.
+// step axis: an exact interval DP chooses the window boundaries that
+// cut the least shared switch-column activity, the windows are solved
+// independently (and concurrently) by the exact engine, and the window
+// schedules are stitched back together with a coupling-correction pass.
 //
 // The activity structure is one step interval per switch column: the
 // column of task j is required somewhere on [first, last].  A window
@@ -31,8 +30,8 @@
 package partition
 
 import (
+	"math"
 	"math/bits"
-	"sort"
 
 	"repro/internal/model"
 )
@@ -131,16 +130,15 @@ func AutoPartitions(steps int) int {
 	return k
 }
 
-// PlanWindows runs the multilevel partitioner: take the instance's
-// CutProfile, coarsen by merging the adjacent step ranges joined by
-// the heaviest boundaries (only the cheapest candidate boundaries
-// survive to the coarse level), place k−1
-// boundaries balanced over the coarse candidates, then refine each
-// boundary at full resolution with greedy FM-style moves that lower
-// the cut under a minimum-window-length balance constraint.
-// k = 0 selects AutoPartitions; maxCut > 0 drops the heaviest
-// boundaries (merging their windows) until the total weighted cut
-// fits.  An empty plan (no boundaries) means solve monolithically.
+// PlanWindows returns the least-cut plan of k contiguous windows: the
+// k−1 boundaries of least total CutProfile weight that keep every
+// window at least minWindowSteps(n, k) steps long.  Among least-cut
+// plans it takes the one whose boundaries lie closest in total to the
+// balanced targets i·n/k, then the smaller positions, compared from
+// the last boundary.  k = 0 selects AutoPartitions; maxCut > 0 returns
+// the plan with the most windows, at most k, whose least cut fits
+// under the same length.  An empty plan (no boundaries) means solve
+// monolithically.
 func PlanWindows(ins *model.MTSwitchInstance, k, maxCut int) *Plan {
 	n := ins.Steps()
 	if k == 0 {
@@ -153,114 +151,76 @@ func PlanWindows(ins *model.MTSwitchInstance, k, maxCut int) *Plan {
 		return &Plan{}
 	}
 	profile := CutProfile(ins)
-
-	// Coarsening: treat every step as an atom and merge across the
-	// heaviest boundaries until at most coarseTarget candidates remain
-	// — equivalently, keep the coarseTarget cheapest boundaries.
-	coarseTarget := 8 * k
-	if coarseTarget < 32 {
-		coarseTarget = 32
-	}
-	allowed := make([]int, 0, n-1)
-	for s := 1; s < n; s++ {
-		allowed = append(allowed, s)
-	}
-	if len(allowed) > coarseTarget {
-		sort.Slice(allowed, func(a, b int) bool {
-			if profile[allowed[a]] != profile[allowed[b]] {
-				return profile[allowed[a]] < profile[allowed[b]]
-			}
-			return allowed[a] < allowed[b]
-		})
-		allowed = allowed[:coarseTarget]
-		sort.Ints(allowed)
-	}
-
-	// Balanced initial split over the coarse candidates: for each
-	// target position pick the nearest surviving boundary after the
-	// previous choice.
-	chosen := make([]int, 0, k-1)
-	prev := 0
-	for i := 1; i < k; i++ {
-		target := i * n / k
-		best := -1
-		for _, s := range allowed {
-			if s <= prev {
-				continue
-			}
-			if best < 0 || abs(s-target) < abs(best-target) {
-				best = s
-			}
-		}
-		if best < 0 {
-			break
-		}
-		chosen = append(chosen, best)
-		prev = best
-	}
-
-	// Refinement (uncoarsened): greedily move each boundary to the
-	// cheapest position between its neighbors that keeps every window
-	// at least minLen steps long, sweeping until a fixpoint.
 	minLen := minWindowSteps(n, k)
-	for pass := 0; pass < 4; pass++ {
-		improved := false
-		for i, b := range chosen {
-			lo := minLen
-			if i > 0 {
-				lo = chosen[i-1] + minLen
-			}
-			hi := n - minLen
-			if i < len(chosen)-1 {
-				hi = chosen[i+1] - minLen
-			}
-			best, bestW := b, profile[b]
-			for s := lo; s <= hi; s++ {
-				if s < 1 || s > n-1 {
-					continue
-				}
-				if profile[s] < bestW {
-					best, bestW = s, profile[s]
-				}
-			}
-			if best != b {
-				chosen[i] = best
-				improved = true
-			}
+	plan, least := leastCutPlan(profile, k, minLen)
+	if maxCut > 0 && plan.CutColumns > int64(maxCut) {
+		// least is non-decreasing: dropping a boundary keeps the length.
+		j := k - 1
+		for j > 0 && least[j] > int64(maxCut) {
+			j--
 		}
-		if !improved {
-			break
+		if j == 0 {
+			return &Plan{}
 		}
-	}
-
-	// Enforce the cut cap by merging across the heaviest boundaries.
-	if maxCut > 0 {
-		for len(chosen) > 0 {
-			var total int64
-			worst, worstW := -1, int64(-1)
-			for i, s := range chosen {
-				total += profile[s]
-				if profile[s] > worstW {
-					worst, worstW = i, profile[s]
-				}
-			}
-			if total <= int64(maxCut) {
-				break
-			}
-			chosen = append(chosen[:worst], chosen[worst+1:]...)
-		}
-	}
-
-	plan := &Plan{Boundaries: chosen}
-	for _, s := range chosen {
-		plan.Weights = append(plan.Weights, profile[s])
-		plan.CutColumns += profile[s]
+		plan, _ = leastCutPlan(profile, j+1, minLen)
 	}
 	return plan
 }
 
-// minWindowSteps is the window length PlanWindows's refinement keeps
-// for k windows over n steps; its balanced initial split does not.
+// leastCutPlan is PlanWindows' interval DP over an n-step profile.
+// Layer j holds, for every position s, the best score (cut, then total
+// distance to the targets) of j boundaries at least minLen apart whose
+// last lies at or before s; layer j+1 places a boundary at s after
+// layer j's best at s − minLen.  Each layer marks, one bit a position,
+// where its prefix best strictly improves, and the plan is read back
+// from the marks.  least[j] is the least cut of any j boundaries under
+// the same length, for j < k.  O(k·n) time, O(n) words, k·n bits.
+func leastCutPlan(profile []int64, k, minLen int) (*Plan, []int64) {
+	type score struct{ cut, dist int64 }
+	n := len(profile)
+	hi := n - minLen // the last window keeps minLen steps
+	prev, cur := make([]score, hi+1), make([]score, hi+1)
+	marks := make([][]uint64, k)
+	least := make([]int64, k)
+	for j := 1; j < k; j++ {
+		lo, target := j*minLen, j*n/k
+		mark := make([]uint64, (hi-lo)/64+1)
+		best := score{cut: math.MaxInt64}
+		for s := lo; s <= hi; s++ {
+			p := prev[s-minLen]
+			f := score{p.cut + profile[s], p.dist + int64(abs(s-target))}
+			if f.cut < best.cut || f.cut == best.cut && f.dist < best.dist {
+				best = f
+				mark[uint(s-lo)/64] |= 1 << (uint(s-lo) % 64)
+			}
+			cur[s] = best
+		}
+		marks[j], least[j] = mark, best.cut
+		prev, cur = cur, prev
+	}
+	plan := &Plan{Boundaries: make([]int, k-1), Weights: make([]int64, k-1)}
+	for j, s := k-1, hi; j >= 1; j, s = j-1, s-minLen {
+		s = lastMark(marks[j], j*minLen, s)
+		plan.Boundaries[j-1], plan.Weights[j-1] = s, profile[s]
+		plan.CutColumns += profile[s]
+	}
+	return plan, least
+}
+
+// lastMark returns the largest position at most x whose bit is set in
+// mark, a bitmap of positions from lo; position lo is always set.
+func lastMark(mark []uint64, lo, x int) int {
+	i := (x - lo) / 64
+	w := mark[i] & (^uint64(0) >> (63 - (x-lo)%64))
+	for w == 0 {
+		i--
+		w = mark[i]
+	}
+	return lo + i*64 + 63 - bits.LeadingZeros64(w)
+}
+
+// minWindowSteps is the shortest window PlanWindows keeps for k
+// windows over n steps.
 func minWindowSteps(n, k int) int {
 	return max(1, n/(4*k))
 }
@@ -271,29 +231,18 @@ const AutoDispatchSteps = 256
 
 // AutoDispatch reports whether an exact solve of ins should run
 // partitioned: ins has at least AutoDispatchSteps steps and its
-// automatic plan, PlanWindows(ins, 0, 0), cuts no column and keeps
-// every window at least minWindowSteps long.  Block-structured traces
-// such as workload.Blocked meet it, and their stitched cost equals the
-// monolithic optimum.  Off such shapes the plan cuts columns or breaks
-// the length (a few one-step windows beside a huge one), and the
+// automatic plan, PlanWindows(ins, 0, 0), has boundaries and cuts no
+// column.  Block-structured traces such as workload.Blocked meet it,
+// and their stitched cost equals the monolithic optimum.  Off such
+// shapes every plan that keeps the window length cuts columns, and the
 // stitched answer costs more than the monolithic optimum, which the
 // exact engine proves in tens of milliseconds at these sizes.
 func AutoDispatch(ins *model.MTSwitchInstance) bool {
-	n := ins.Steps()
-	if n < AutoDispatchSteps {
+	if ins.Steps() < AutoDispatchSteps {
 		return false
 	}
 	p := PlanWindows(ins, 0, 0)
-	if p.CutColumns != 0 {
-		return false
-	}
-	minLen := minWindowSteps(n, AutoPartitions(n))
-	for _, w := range p.Windows(n) {
-		if w[1]-w[0] < minLen {
-			return false
-		}
-	}
-	return true
+	return len(p.Boundaries) > 0 && p.CutColumns == 0
 }
 
 func abs(x int) int {

@@ -1,6 +1,7 @@
 package partition
 
 import (
+	"math"
 	"math/rand"
 	"slices"
 	"sort"
@@ -183,9 +184,10 @@ func TestAutoPartitions(t *testing.T) {
 // traces plan with cuts and short windows and stay monolithic, and so
 // do blocked traces with an always-active shared column (cuts only); a
 // blocked trace whose plan meets the rule stays monolithic below
-// AutoDispatchSteps; and a sparse phased trace whose plan is cut-free
-// but has five one-step windows stays monolithic too (its stitched
-// cost is 369 against the optimum 354).
+// AutoDispatchSteps; and a sparse phased trace stays monolithic too:
+// it splits cut-free only into one-step windows (stitched cost 369
+// against the optimum 354), and under the length rule its least cut
+// is 4.
 func TestAutoDispatch(t *testing.T) {
 	for _, c := range []struct {
 		name string
@@ -218,8 +220,202 @@ func TestAutoDispatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if plan := PlanWindows(sparse, 0, 0); plan.CutColumns != 0 || AutoDispatch(sparse) {
-		t.Fatalf("sparse phased seed 3: cut %d, windows %v, AutoDispatch %t; want a cut-free plan with short windows that does not dispatch",
+	if plan := PlanWindows(sparse, 0, 0); plan.CutColumns != 4 || AutoDispatch(sparse) {
+		t.Fatalf("sparse phased seed 3: cut %d, windows %v, AutoDispatch %t; want a least cut of 4 and no dispatch",
 			plan.CutColumns, plan.Windows(sparse.Steps()), AutoDispatch(sparse))
+	}
+}
+
+// boundarySet is one candidate plan of the brute-force search.
+type boundarySet struct {
+	bounds []int
+	cut    int64
+}
+
+// allBoundarySets lists every boundary set of an n-step profile whose
+// windows are all at least minLen steps long, grouped by size.
+func allBoundarySets(profile []int64, minLen int) [][]boundarySet {
+	n := len(profile)
+	bySize := make([][]boundarySet, n)
+	for mask := 0; mask < 1<<(n-1); mask++ {
+		var b boundarySet
+		lo, ok := 0, true
+		for s := 1; s <= n; s++ {
+			if s < n && mask>>(s-1)&1 == 0 {
+				continue
+			}
+			ok = ok && s-lo >= minLen
+			lo = s
+			if s < n {
+				b.bounds = append(b.bounds, s)
+				b.cut += profile[s]
+			}
+		}
+		if ok {
+			bySize[len(b.bounds)] = append(bySize[len(b.bounds)], b)
+		}
+	}
+	return bySize
+}
+
+// leastCut is the least cut over sets, math.MaxInt64 if there are none.
+func leastCut(sets []boundarySet) int64 {
+	least := int64(math.MaxInt64)
+	for _, b := range sets {
+		least = min(least, b.cut)
+	}
+	return least
+}
+
+// bruteForcePlan is PlanWindows' specification applied to a list of
+// same-size boundary sets for k windows over n steps: least cut, then
+// least total distance to the targets i·n/k, then the smaller
+// positions, compared from the last boundary.
+func bruteForcePlan(sets []boundarySet, n, k int) []int {
+	var best []int
+	var bestCut, bestDist int64
+	for _, b := range sets {
+		var dist int64
+		for i, s := range b.bounds {
+			dist += int64(abs(s - (i+1)*n/k))
+		}
+		better := best == nil || b.cut < bestCut || b.cut == bestCut && dist < bestDist
+		if !better && b.cut == bestCut && dist == bestDist {
+			for i := len(b.bounds) - 1; i >= 0; i-- {
+				if b.bounds[i] != best[i] {
+					better = b.bounds[i] < best[i]
+					break
+				}
+			}
+		}
+		if better {
+			best, bestCut, bestDist = b.bounds, b.cut, dist
+		}
+	}
+	return best
+}
+
+// randomInstance draws one to three tasks over n steps with universes
+// of one to six columns and random requirement bits.
+func randomInstance(t *testing.T, r *rand.Rand, n int) *model.MTSwitchInstance {
+	t.Helper()
+	m := 1 + r.Intn(3)
+	tasks := make([]model.Task, m)
+	reqs := make([][]bitset.Set, m)
+	for j := range tasks {
+		l := 1 + r.Intn(6)
+		tasks[j] = model.Task{Name: string(rune('A' + j)), Local: l, V: 1}
+		density := 1 + r.Intn(4)
+		for i := 0; i < n; i++ {
+			set := bitset.New(l)
+			for c := 0; c < l; c++ {
+				if r.Intn(8) < density {
+					set.Add(c)
+				}
+			}
+			reqs[j] = append(reqs[j], set)
+		}
+	}
+	ins, err := model.NewMTSwitchInstance(tasks, reqs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ins
+}
+
+// TestPlanWindowsMatchesBruteForce pins the interval DP to an
+// exhaustive search over every boundary set of small random instances
+// (n ≤ 14, k ≤ 4), with and without a cut cap: the least cut, its
+// tie-breaks and the window length rule.  Below 16 steps
+// minWindowSteps is 1 for every k ≥ 2, so the DP is also run directly
+// at window lengths up to 4 to pin the length rule where it binds.
+func TestPlanWindowsMatchesBruteForce(t *testing.T) {
+	r := rand.New(rand.NewSource(24))
+	for trial := 0; trial < 200; trial++ {
+		n := 2 + r.Intn(13)
+		ins := randomInstance(t, r, n)
+		profile := CutProfile(ins)
+		bySize := make(map[int][][]boundarySet)
+		sets := func(minLen int) [][]boundarySet {
+			if bySize[minLen] == nil {
+				bySize[minLen] = allBoundarySets(profile, minLen)
+			}
+			return bySize[minLen]
+		}
+		for k := 1; k <= 4; k++ {
+			kk := min(k, n)
+			minLen := minWindowSteps(n, kk)
+			for _, maxCut := range []int{0, 1 + r.Intn(6)} {
+				plan := PlanWindows(ins, k, maxCut)
+				var want []int
+				if kk > 1 {
+					size := kk - 1
+					for maxCut > 0 && size > 0 && leastCut(sets(minLen)[size]) > int64(maxCut) {
+						size--
+					}
+					windows := kk
+					if size < kk-1 {
+						windows = size + 1
+					}
+					want = bruteForcePlan(sets(minLen)[size], n, windows)
+				}
+				if !slices.Equal(plan.Boundaries, want) {
+					t.Fatalf("trial %d n=%d k=%d maxCut=%d profile %v: boundaries %v, brute force %v",
+						trial, n, k, maxCut, profile, plan.Boundaries, want)
+				}
+				var cut int64
+				for i, s := range plan.Boundaries {
+					if plan.Weights[i] != profile[s] {
+						t.Fatalf("trial %d: weight %d at boundary %d, profile %d", trial, plan.Weights[i], s, profile[s])
+					}
+					cut += profile[s]
+				}
+				if plan.CutColumns != cut {
+					t.Fatalf("trial %d: CutColumns %d, boundary weights sum to %d", trial, plan.CutColumns, cut)
+				}
+				for _, w := range plan.Windows(n) {
+					if w[1]-w[0] < minLen {
+						t.Fatalf("trial %d n=%d k=%d: window %v shorter than %d", trial, n, k, w, minLen)
+					}
+				}
+			}
+			for minLen := 1; kk > 1 && kk*minLen <= n && minLen <= 4; minLen++ {
+				plan, least := leastCutPlan(profile, kk, minLen)
+				if want := bruteForcePlan(sets(minLen)[kk-1], n, kk); !slices.Equal(plan.Boundaries, want) {
+					t.Fatalf("trial %d n=%d k=%d minLen=%d profile %v: boundaries %v, brute force %v",
+						trial, n, kk, minLen, profile, plan.Boundaries, want)
+				}
+				for j := 1; j < kk; j++ {
+					if want := leastCut(sets(minLen)[j]); least[j] != want {
+						t.Fatalf("trial %d n=%d minLen=%d: least cut of %d boundaries %d, brute force %d",
+							trial, n, minLen, j, least[j], want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkPlanWindows times the automatic plan on exact-cold's
+// blocked family and at the wire's step limit.
+func BenchmarkPlanWindows(b *testing.B) {
+	for _, c := range []struct {
+		name string
+		gen  func(workload.Config) (*model.MTSwitchInstance, error)
+		cfg  workload.Config
+	}{
+		{"blocked-2x288", workload.Blocked, workload.Config{Tasks: 2, Steps: 288, Switches: 72, MeanPhase: 8, Seed: 1}},
+		{"phased-2x65536", workload.Phased, workload.Config{Tasks: 2, Steps: 65536, Switches: 12, MeanPhase: 10, Seed: 1}},
+	} {
+		ins, err := c.gen(c.cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				PlanWindows(ins, 0, 0)
+			}
+		})
 	}
 }

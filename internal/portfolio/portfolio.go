@@ -1,8 +1,8 @@
 // Package portfolio is the racing meta-solver: it runs a small
 // portfolio of registered MT-Switch solvers concurrently on one
-// instance — the exact DP (monolithic, or partitioned above the
-// automatic step threshold), the beam configuration and the GA — and
-// returns the best result, cancelling the losers as soon as one
+// instance — the exact DP (partitioned where partition.AutoDispatch
+// sends it, monolithic otherwise), the beam configuration and the GA —
+// and returns the best result, cancelling the losers as soon as one
 // contender proves optimality.
 //
 // The contenders are coupled through a shared incumbent board
@@ -71,11 +71,12 @@ type lane struct {
 	sol    *solve.Solution
 }
 
-// exactName picks the exact contender: the partitioned decomposition
-// once the automatic planner would split the trace, the monolithic DP
-// below that.
+// exactName picks the exact contender by hyperd's dispatch rule,
+// partition.AutoDispatch: the partitioned decomposition where the
+// automatic plan splits the trace without a cut, the monolithic DP
+// everywhere else.
 func exactName(inst *solve.Instance) string {
-	if partition.AutoPartitions(inst.MT.Steps()) > 1 {
+	if partition.AutoDispatch(inst.MT) {
 		return "exact-partitioned"
 	}
 	return "exact"

@@ -167,6 +167,35 @@ func TestRaceCancelsCleanly(t *testing.T) {
 	}
 }
 
+// TestRaceExactLaneFollowsAutoDispatch pins the exact lane to hyperd's
+// dispatch rule: phased 2×100 traces are long enough for an automatic
+// plan but cannot be split without a cut, so the race runs the
+// monolithic exact DP, which proves the optimum and cancels the rest.
+func TestRaceExactLaneFollowsAutoDispatch(t *testing.T) {
+	ctx := context.Background()
+	for seed := int64(1); seed <= 3; seed++ {
+		mt, err := workload.Phased(workload.Config{Tasks: 2, Steps: 100, Switches: 12, MeanPhase: 10, Seed: seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		inst := solve.NewMT(mt, parallel)
+		want, err := solve.Run(ctx, "exact", inst, solve.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sol, err := portfolio.Race(ctx, inst, solve.Options{}, portfolio.Config{Exchange: true})
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		if !sol.Exact || sol.Cost != want.Cost {
+			t.Fatalf("seed %d: race cost %d exact %t, want exact's proven %d", seed, sol.Cost, sol.Exact, want.Cost)
+		}
+		if len(sol.Contenders) == 0 || sol.Contenders[0].Solver != "exact" {
+			t.Fatalf("seed %d: contenders %+v, want the monolithic exact lane first", seed, sol.Contenders)
+		}
+	}
+}
+
 // TestRaceCallerCancel distinguishes caller cancellation from race
 // cancellation: a race whose outer context dies must report the
 // context error, not a fabricated result.

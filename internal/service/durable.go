@@ -354,11 +354,13 @@ func (s *Server) recoverDurable() {
 			}
 			sess.mu.Lock()
 			if !sess.closed && sess.eng == nil {
-				if err := sess.restoreEngineLocked(s.baseCtx); err == nil {
-					if err := sess.solveLocked(s.baseCtx); err == nil {
+				ctx, cancel := solveDeadline(s.baseCtx, sess.opts.Timeout)
+				if err := sess.restoreEngineLocked(ctx); err == nil {
+					if err := sess.solveLocked(ctx); err == nil {
 						s.metrics.recoverySessionsRevived.Add(1)
 					}
 				}
+				cancel()
 			}
 			sess.mu.Unlock()
 		}

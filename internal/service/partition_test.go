@@ -23,8 +23,9 @@ func blockedRequest(t *testing.T, solver string, steps int) *SolveRequest {
 
 // TestPartitionAutoDispatch pins the dispatch rewrite
 // (partition.AutoDispatch): a 288-step blocked exact submission runs
-// as exact-partitioned and shares its cache line with a directly
-// requested partitioned solve, a 288-step phased one, which the
+// as exact-partitioned, its routing key is the canonical key the node
+// stores it under, and it shares its cache line with a directly
+// requested partitioned solve; a 288-step phased one, which the
 // planner cannot split without a cut, stays exact and proven, and a
 // blocked trace below 256 steps stays exact.  The partition metric
 // families appear after a partitioned solve.
@@ -46,6 +47,11 @@ func TestPartitionAutoDispatch(t *testing.T) {
 	}
 	if sol.Stats.Partitions < 1 {
 		t.Fatalf("Stats.Partitions = %d, want ≥ 1", sol.Stats.Partitions)
+	}
+	// A router applying the node's limits sends the request to the
+	// owner of the key the node stores its answer under.
+	if key, err := blockedRequest(t, "exact", 288).RoutingKey(s.limits()); err != nil || key != big.canonKey {
+		t.Fatalf("RoutingKey = %q (err %v), want the dispatched job's canonical key %q", key, err, big.canonKey)
 	}
 
 	// A direct exact-partitioned submit of the same instance must hit

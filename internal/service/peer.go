@@ -262,7 +262,7 @@ type RouteLimits struct {
 }
 
 // clamp applies the limits to one request's options, exactly as the
-// submit path does.
+// submit and session paths do.
 func (l RouteLimits) clamp(opts solve.Options) solve.Options {
 	if l.MaxSolveTimeout > 0 && (opts.Timeout == 0 || opts.Timeout > l.MaxSolveTimeout) {
 		opts.Timeout = l.MaxSolveTimeout
@@ -284,7 +284,9 @@ func (s *Server) limits() RouteLimits {
 // RoutingKey returns the cluster shard key of a solve request: the
 // canonical store key for mtswitch instances (so structural twins from
 // any client hash to the same node) and the exact request key
-// otherwise.  Resolution failures are client errors.
+// otherwise.  Resolution already applies partition.AutoDispatch, so a
+// dispatched request keys on the solver the node runs and stores it
+// under.  Resolution failures are client errors.
 func (r *SolveRequest) RoutingKey(lim RouteLimits) (string, error) {
 	res, err := r.resolve()
 	if err != nil {

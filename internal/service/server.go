@@ -12,7 +12,6 @@ import (
 
 	"repro/internal/durable"
 	"repro/internal/model"
-	"repro/internal/partition"
 	"repro/internal/portfolio"
 	"repro/internal/resilience"
 	"repro/internal/resilience/faultinject"
@@ -29,9 +28,6 @@ type Config struct {
 	// CacheEntries bounds the result LRU (default 1024; negative
 	// disables caching).
 	CacheEntries int
-	// JobRetention bounds how many finished jobs stay pollable; the
-	// oldest finished jobs are forgotten beyond it (default 4096).
-	JobRetention int
 	// MaxSolveTimeout clamps every job's solve deadline; jobs that
 	// request no timeout get exactly this one.  0 means no server-side
 	// deadline.
@@ -87,7 +83,13 @@ type Config struct {
 
 	// breakerNow injects the breaker clock (tests only).
 	breakerNow func() time.Time
+	// retention overrides jobRetention (tests only).
+	retention int
 }
+
+// jobRetention bounds how many finished jobs stay pollable; the oldest
+// finished jobs are forgotten beyond it.
+const jobRetention = 4096
 
 func (c Config) withDefaults() Config {
 	if c.Workers <= 0 {
@@ -99,8 +101,8 @@ func (c Config) withDefaults() Config {
 	if c.CacheEntries == 0 {
 		c.CacheEntries = 1024
 	}
-	if c.JobRetention <= 0 {
-		c.JobRetention = 4096
+	if c.retention <= 0 {
+		c.retention = jobRetention
 	}
 	if c.BreakerThreshold == 0 {
 		c.BreakerThreshold = 5
@@ -375,13 +377,6 @@ func (s *Server) Submit(req *SolveRequest) (job *Job, deduped bool, err error) {
 	res, err := req.resolve()
 	if err != nil {
 		return nil, false, err
-	}
-	// Exact mtswitch solves whose trace the planner splits without a
-	// cut run partitioned (partition.AutoDispatch).  The rewrite comes
-	// before hashing, so dispatched and directly requested partitioned
-	// solves share cache lines.
-	if res.solver == "exact" && res.inst.Kind() == solve.KindMTSwitch && partition.AutoDispatch(res.inst.MT) {
-		res.solver = "exact-partitioned"
 	}
 	opts := s.limits().clamp(res.opts)
 	key, err := requestKey(res.inst, res.solver, opts)
@@ -862,7 +857,7 @@ func raceWinner(sol *solve.Solution) string {
 // (caller holds s.mu).
 func (s *Server) rememberFinishedLocked(job *Job) {
 	s.finishedOrder = append(s.finishedOrder, job.ID)
-	for len(s.finishedOrder) > s.cfg.JobRetention {
+	for len(s.finishedOrder) > s.cfg.retention {
 		delete(s.jobs, s.finishedOrder[0])
 		s.finishedOrder = s.finishedOrder[1:]
 	}

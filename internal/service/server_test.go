@@ -307,7 +307,7 @@ func TestJobRetentionEvictsOldest(t *testing.T) {
 	setTestSolver(func(ctx context.Context, inst *solve.Instance, opts solve.Options) (*solve.Solution, error) {
 		return &solve.Solution{Cost: 1}, nil
 	})
-	s := New(Config{Workers: 1, JobRetention: 2, CacheEntries: -1})
+	s := New(Config{Workers: 1, retention: 2, CacheEntries: -1})
 	defer shutdown(t, s)
 
 	var ids []string

@@ -42,7 +42,9 @@ import (
 //
 // Session solves run synchronously on the calling goroutine (the whole
 // point is the suffix re-solve being cheap), admitted through the same
-// per-solver circuit breaker as the job queue.
+// per-solver circuit breaker as the job queue and bounded by the same
+// clamped deadline: the opener and every batch solve stop at
+// Config.MaxSolveTimeout.
 var (
 	// ErrNoSuchSession reports an unknown (or deleted) session id.
 	ErrNoSuchSession = errors.New("service: no such session")
@@ -169,10 +171,9 @@ func (st *SessionStatus) splitResult() (any, *WireSolution, string) {
 }
 
 // resolveSession validates the session opener and builds the model
-// instance, cost options and clamped solve options (the shared
-// resolution behind CreateSession and the cluster routing key).
-// Session solves run synchronously, so only the memory budget is
-// clamped — there is no per-job deadline to cap.
+// instance, cost options and solve options clamped as a job's are (the
+// shared resolution behind CreateSession, WAL recovery and the cluster
+// routing key).  The clamped timeout bounds each session solve.
 func (r *SessionRequest) resolveSession(lim RouteLimits) (*model.MTSwitchInstance, model.CostOptions, solve.Options, error) {
 	var cost model.CostOptions
 	if r.Solver == "" {
@@ -188,21 +189,14 @@ func (r *SessionRequest) resolveSession(lim RouteLimits) (*model.MTSwitchInstanc
 	if mt.Steps() == 0 {
 		return nil, cost, solve.Options{}, fmt.Errorf("sessions require at least one initial step")
 	}
-	switch r.Upload {
-	case "", "parallel":
-		cost = model.CostOptions{HyperUpload: model.TaskParallel, ReconfUpload: model.TaskParallel}
-	case "sequential":
-		cost = model.CostOptions{HyperUpload: model.TaskSequential, ReconfUpload: model.TaskSequential}
-	default:
-		return nil, cost, solve.Options{}, fmt.Errorf("unknown upload mode %q (want parallel or sequential)", r.Upload)
+	if cost, err = uploadMode(r.Upload); err != nil {
+		return nil, cost, solve.Options{}, err
 	}
 	opts, err := r.Options.toSolve()
 	if err != nil {
 		return nil, cost, solve.Options{}, err
 	}
-	if lim.MaxFrontierBytes > 0 && (opts.MaxFrontierBytes == 0 || opts.MaxFrontierBytes > lim.MaxFrontierBytes) {
-		opts.MaxFrontierBytes = lim.MaxFrontierBytes
-	}
+	opts = lim.clamp(opts)
 	if err := opts.Validate(); err != nil {
 		return nil, cost, solve.Options{}, err
 	}
@@ -218,6 +212,8 @@ func (s *Server) CreateSession(ctx context.Context, req *SessionRequest) (*sessi
 	if err != nil {
 		return nil, err
 	}
+	ctx, cancel := solveDeadline(ctx, opts.Timeout)
+	defer cancel()
 
 	// Feature-detect before admitting: a solver without the Stepper
 	// capability is a client error, not a breaker event.
@@ -380,7 +376,9 @@ func (sess *session) Steps(ctx context.Context, batch *SessionSteps) (*SessionSt
 	// rebuild from this same trace).
 	s.journal(walRecord{T: "steps", ID: sess.ID, At: batch.At, Rows: batch.Reqs})
 
+	ctx, cancel := solveDeadline(ctx, sess.opts.Timeout)
 	err = sess.applyLocked(ctx, rows, at)
+	cancel()
 	s.noteBreaker(sess.Solver, err)
 	if err != nil {
 		return nil, err
@@ -576,6 +574,15 @@ func (sess *session) solveLocked(ctx context.Context) error {
 	sess.genCh = make(chan struct{})
 	sess.srv.sessions.rebalance(sess, sess.eng.SizeBytes())
 	return nil
+}
+
+// solveDeadline bounds one session solve by its clamped timeout (0 =
+// none), as solve.Run bounds a job's run.
+func solveDeadline(ctx context.Context, timeout time.Duration) (context.Context, context.CancelFunc) {
+	if timeout > 0 {
+		return context.WithTimeout(ctx, timeout)
+	}
+	return context.WithCancel(ctx)
 }
 
 // protect runs one engine operation with panic isolation: a panic

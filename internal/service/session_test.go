@@ -539,3 +539,60 @@ func TestSessionShutdownCloses(t *testing.T) {
 		t.Fatalf("steps on closed session: %v, want ErrNoSuchSession", err)
 	}
 }
+
+// TestSessionSolvesStopAtMaxTimeout pins the clamped deadline on
+// session solves, as on jobs: on a server with a 50 ms -max-timeout an
+// unpruned exact opener on dense 4×48 (seconds of work unbounded) fails
+// with a deadline error well within a second and leaves no session
+// behind, a batch that grows a light session into the same trace stops
+// the same way, and light sessions still open and take batches.
+func TestSessionSolvesStopAtMaxTimeout(t *testing.T) {
+	s := New(Config{Workers: 1, MaxSolveTimeout: 50 * time.Millisecond})
+	defer shutdown(t, s)
+	ctx := context.Background()
+	heavy, err := workload.Dense(workload.Config{Tasks: 4, Steps: 48, Switches: 14, MeanPhase: 4, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	unpruned := func(n int) *SessionRequest {
+		req := sessionRequest(heavy, "exact", n)
+		req.Options.DisablePruning = true
+		return req
+	}
+
+	start := time.Now()
+	if _, err := s.CreateSession(ctx, unpruned(heavy.Steps())); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("heavy opener: got %v, want a deadline error", err)
+	}
+	if took := time.Since(start); took > time.Second {
+		t.Fatalf("heavy opener took %v, want it stopped near the 50 ms clamp", took)
+	}
+	if active, _ := s.sessions.gauges(); active != 0 {
+		t.Fatalf("%d sessions left after the failed opener, want 0", active)
+	}
+
+	grow, err := s.CreateSession(ctx, unpruned(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	start = time.Now()
+	if _, err := grow.Steps(ctx, &SessionSteps{Reqs: WireInstanceFrom(heavy).Reqs[2:]}); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("heavy batch: got %v, want a deadline error", err)
+	}
+	if took := time.Since(start); took > time.Second {
+		t.Fatalf("heavy batch took %v, want it stopped near the 50 ms clamp", took)
+	}
+
+	mt := sessionInstance(t)
+	light, err := s.CreateSession(ctx, sessionRequest(mt, "exact", 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := light.Steps(ctx, &SessionSteps{Reqs: WireInstanceFrom(mt).Reqs[2:6]})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := runExact(t, prefixInstance(t, mt, 6)); st.Result == nil || st.Result.Cost != int64(want.Cost) {
+		t.Fatalf("light session after 6 steps: %v, want cost %d", st.Result, want.Cost)
+	}
+}

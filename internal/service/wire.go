@@ -9,6 +9,7 @@ import (
 	"repro/internal/bitset"
 	"repro/internal/core"
 	"repro/internal/model"
+	"repro/internal/partition"
 	"repro/internal/shyra"
 	"repro/internal/solve"
 	"repro/internal/traceio"
@@ -289,17 +290,21 @@ func (r *SolveRequest) resolve() (*resolved, error) {
 		if r.W != 0 {
 			return nil, fmt.Errorf("w only applies to kind switch")
 		}
-		var cost model.CostOptions
-		switch r.Upload {
-		case "", "parallel":
-			cost = model.CostOptions{HyperUpload: model.TaskParallel, ReconfUpload: model.TaskParallel}
-		case "sequential":
-			cost = model.CostOptions{HyperUpload: model.TaskSequential, ReconfUpload: model.TaskSequential}
-		default:
-			return nil, fmt.Errorf("unknown upload mode %q (want parallel or sequential)", r.Upload)
+		cost, err := uploadMode(r.Upload)
+		if err != nil {
+			return nil, err
 		}
 		out.mt = mt
 		out.inst = solve.NewMT(mt, cost)
+		// Exact solves whose trace the planner splits without a cut run
+		// partitioned (partition.AutoDispatch).  Deciding here, before
+		// anything is hashed, puts the node's cache keys, the router's
+		// shard key and WAL recovery on the solver that runs, and lets
+		// dispatched and directly requested partitioned solves share
+		// cache lines.
+		if out.solver == "exact" && partition.AutoDispatch(mt) {
+			out.solver = "exact-partitioned"
+		}
 	case "switch":
 		if r.Upload != "" {
 			return nil, fmt.Errorf("upload only applies to kind mtswitch")
@@ -319,6 +324,18 @@ func (r *SolveRequest) resolve() (*resolved, error) {
 		return nil, fmt.Errorf("unknown kind %q (want mtswitch or switch)", r.Kind)
 	}
 	return out, nil
+}
+
+// uploadMode parses a request's upload mode, "parallel" (default) or
+// "sequential", into MT-Switch cost options.
+func uploadMode(upload string) (model.CostOptions, error) {
+	switch upload {
+	case "", "parallel":
+		return model.CostOptions{HyperUpload: model.TaskParallel, ReconfUpload: model.TaskParallel}, nil
+	case "sequential":
+		return model.CostOptions{HyperUpload: model.TaskSequential, ReconfUpload: model.TaskSequential}, nil
+	}
+	return model.CostOptions{}, fmt.Errorf("unknown upload mode %q (want parallel or sequential)", upload)
 }
 
 // WireStats is the JSON view of solve.Stats.
