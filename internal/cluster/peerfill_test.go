@@ -67,6 +67,17 @@ func waitJob(t *testing.T, j *service.Job) {
 	}
 }
 
+// jobResult returns a finished job's answer, failing the test if it
+// has none.
+func jobResult(t *testing.T, j *service.Job) *service.WireSolution {
+	t.Helper()
+	st := j.Snapshot()
+	if st.Result == nil {
+		t.Fatalf("job %s has no result (state %s, error %q)", j.ID, st.State, st.Error)
+	}
+	return st.Result
+}
+
 // submitSnapshot submits req to s, waits for the job and returns its
 // status document.
 func submitSnapshot(t *testing.T, s *service.Server, req *service.SolveRequest) *service.JobStatus {
@@ -125,10 +136,7 @@ func TestPeerFillTwinAcrossNodes(t *testing.T) {
 			t.Fatalf("case %d: submit original: %v", i, err)
 		}
 		waitJob(t, orig)
-		origSol, err := orig.Solution()
-		if err != nil {
-			t.Fatalf("case %d: original solve: %v", i, err)
-		}
+		origSol := jobResult(t, orig)
 
 		twinJob, _, err := sB.Submit(twinOf(req))
 		if err != nil {
@@ -138,10 +146,7 @@ func TestPeerFillTwinAcrossNodes(t *testing.T) {
 			t.Errorf("case %d: twin was solved locally instead of peer-filled", i)
 		}
 		waitJob(t, twinJob)
-		twinSol, err := twinJob.Solution()
-		if err != nil {
-			t.Fatalf("case %d: twin result: %v", i, err)
-		}
+		twinSol := jobResult(t, twinJob)
 		if twinSol.Cost != origSol.Cost {
 			t.Fatalf("case %d: twin cost %d != original %d", i, twinSol.Cost, origSol.Cost)
 		}
@@ -260,15 +265,7 @@ func TestCrossNodeSingleflight(t *testing.T) {
 		t.Fatal("twin was enqueued for a second solve instead of joining A's in-flight one")
 	}
 	waitJob(t, res.job)
-	solA, err := jobA.Solution()
-	if err != nil {
-		t.Fatal(err)
-	}
-	solB, err := res.job.Solution()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if solA.Cost != solB.Cost {
+	if solA, solB := jobResult(t, jobA), jobResult(t, res.job); solA.Cost != solB.Cost {
 		t.Fatalf("costs diverge: A=%d B=%d", solA.Cost, solB.Cost)
 	}
 	if got := calls.Load(); got != 1 {

@@ -3,8 +3,6 @@ package service
 import (
 	"container/list"
 	"sync"
-
-	"repro/internal/solve"
 )
 
 // lruCache is the one fixed-capacity LRU underneath every service-side
@@ -77,18 +75,10 @@ func (c *lruCache) Len() int {
 	return c.ll.Len()
 }
 
-// cachedResult is what the result cache stores: the solution plus its
-// lazily-rendered, shared wire form, so serving a hot entry never
-// re-serializes the schedule document.
-type cachedResult struct {
-	sol  *solve.Solution
-	wire *wireMemo
-}
-
 // resultCache is the typed view of the LRU from content hash to
-// completed solution.  Cached solutions are shared by reference and
-// treated as immutable by everyone downstream (handlers only serialize
-// them).
+// rendered answer.  An answer is rendered once, when its solve
+// completes, and shared by reference: every job and poll it serves
+// splices the same immutable bytes.
 type resultCache struct {
 	lru *lruCache
 }
@@ -99,14 +89,14 @@ func newResultCache(capacity int) *resultCache {
 	return &resultCache{lru: newLRUCache(capacity)}
 }
 
-func (c *resultCache) Get(key string) (*cachedResult, bool) {
+func (c *resultCache) Get(key string) (*WireSolution, bool) {
 	v, ok := c.lru.Get(key)
 	if !ok {
 		return nil, false
 	}
-	return v.(*cachedResult), true
+	return v.(*WireSolution), true
 }
 
-func (c *resultCache) Put(key string, res *cachedResult) { c.lru.Put(key, res) }
+func (c *resultCache) Put(key string, ws *WireSolution) { c.lru.Put(key, ws) }
 
 func (c *resultCache) Len() int { return c.lru.Len() }

@@ -1,16 +1,12 @@
 package service
 
-import (
-	"testing"
-
-	"repro/internal/solve"
-)
+import "testing"
 
 func TestResultCacheLRU(t *testing.T) {
 	c := newResultCache(2)
-	a := &cachedResult{sol: &solve.Solution{Cost: 1}}
-	b := &cachedResult{sol: &solve.Solution{Cost: 2}}
-	d := &cachedResult{sol: &solve.Solution{Cost: 3}}
+	a := &WireSolution{Cost: 1}
+	b := &WireSolution{Cost: 2}
+	d := &WireSolution{Cost: 3}
 	c.Put("a", a)
 	c.Put("b", b)
 	if got, ok := c.Get("a"); !ok || got != a {
@@ -34,8 +30,8 @@ func TestResultCacheLRU(t *testing.T) {
 
 func TestResultCacheRefresh(t *testing.T) {
 	c := newResultCache(4)
-	a := &cachedResult{sol: &solve.Solution{Cost: 1}}
-	a2 := &cachedResult{sol: &solve.Solution{Cost: 9}}
+	a := &WireSolution{Cost: 1}
+	a2 := &WireSolution{Cost: 9}
 	c.Put("a", a)
 	c.Put("a", a2)
 	if c.Len() != 1 {
@@ -48,7 +44,7 @@ func TestResultCacheRefresh(t *testing.T) {
 
 func TestResultCacheDisabled(t *testing.T) {
 	c := newResultCache(-1)
-	c.Put("a", &cachedResult{sol: &solve.Solution{}})
+	c.Put("a", &WireSolution{})
 	if _, ok := c.Get("a"); ok {
 		t.Fatal("disabled cache stored an entry")
 	}

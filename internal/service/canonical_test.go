@@ -46,10 +46,7 @@ func TestCanonicalCacheSharesStructuralTwins(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitDone(t, first)
-	firstSol, err := first.Solution()
-	if err != nil {
-		t.Fatal(err)
-	}
+	firstSol := doneResult(t, first)
 
 	second, deduped, err := s.Submit(twin)
 	if err != nil {
@@ -62,10 +59,7 @@ func TestCanonicalCacheSharesStructuralTwins(t *testing.T) {
 		t.Fatal("structural twin was not served from the canonical store")
 	}
 	waitDone(t, second)
-	secondSol, err := second.Solution()
-	if err != nil {
-		t.Fatal(err)
-	}
+	secondSol := doneResult(t, second)
 	if secondSol.Cost != firstSol.Cost {
 		t.Fatalf("twin cost %d, original %d", secondSol.Cost, firstSol.Cost)
 	}

@@ -59,11 +59,7 @@ func TestWorkerPanicRetriedTransparently(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitDone(t, job)
-	sol, err := job.Solution()
-	if err != nil {
-		t.Fatalf("retried job failed: %v", err)
-	}
-	if sol.Cost != 5 {
+	if sol := doneResult(t, job); sol.Cost != 5 {
 		t.Fatalf("cost = %d, want 5", sol.Cost)
 	}
 	st := job.Snapshot()
@@ -93,13 +89,9 @@ func TestWorkerPanicTwiceFailsWithTypedError(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitDone(t, job)
-	_, err = job.Solution()
-	var pe *solve.PanicError
-	if !errors.As(err, &pe) {
-		t.Fatalf("failed job error = %v (%T), want *solve.PanicError", err, err)
-	}
-	if pe.Value != "always dies" {
-		t.Fatalf("PanicError.Value = %v", pe.Value)
+	want := (&solve.PanicError{Value: "always dies"}).Error()
+	if st := job.Snapshot(); st.State != string(JobFailed) || st.Error != want {
+		t.Fatalf("failed job: state %s, error %q, want failed with %q", st.State, st.Error, want)
 	}
 	if got := s.metrics.retries.Load(); got != 1 {
 		t.Fatalf("retries = %d, want 1 (one-shot)", got)
@@ -122,8 +114,8 @@ func TestWorkerPanicTwiceFailsWithTypedError(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitDone(t, next)
-	if sol, err := next.Solution(); err != nil || sol.Cost != 9 {
-		t.Fatalf("post-panic solve: %v / %+v", err, sol)
+	if sol := doneResult(t, next); sol.Cost != 9 {
+		t.Fatalf("post-panic solve: %+v", sol)
 	}
 }
 
@@ -183,8 +175,8 @@ func TestBreakerTripsFailsFastAndRecovers(t *testing.T) {
 		t.Fatalf("probe submit refused: %v", err)
 	}
 	waitDone(t, probe)
-	if sol, err := probe.Solution(); err != nil || sol.Cost != 3 {
-		t.Fatalf("probe: %v / %+v", err, sol)
+	if sol := doneResult(t, probe); sol.Cost != 3 {
+		t.Fatalf("probe: %+v", sol)
 	}
 	if st := s.gauges().breakerStates["svc-test"]; st != resilience.BreakerClosed {
 		t.Fatalf("breaker state after probe = %v, want closed", st)
@@ -280,8 +272,8 @@ func TestFaultInjectionWorkerSite(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitDone(t, job)
-	if sol, err := job.Solution(); err != nil || sol.Cost != 7 {
-		t.Fatalf("injected worker panic not retried away: %v / %+v", err, sol)
+	if sol := doneResult(t, job); sol.Cost != 7 {
+		t.Fatalf("injected worker panic not retried away: %+v", sol)
 	}
 	if got := faultinject.Fired("service.worker"); got != 1 {
 		t.Fatalf("site fired %d times, want 1", got)
@@ -304,10 +296,7 @@ func TestInjectedBudgetDegradesAndSkipsCache(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitDone(t, job)
-	sol, err := job.Solution()
-	if err != nil {
-		t.Fatal(err)
-	}
+	sol := doneResult(t, job)
 	if !sol.Stats.Degraded || !sol.Stats.Truncated {
 		t.Fatalf("injected 256-byte budget did not degrade: %+v", sol.Stats)
 	}
@@ -330,10 +319,7 @@ func TestInjectedBudgetDegradesAndSkipsCache(t *testing.T) {
 		t.Fatal("injected-budget degraded result was cached as the unbudgeted answer")
 	}
 	waitDone(t, again)
-	fresh, err := again.Solution()
-	if err != nil {
-		t.Fatal(err)
-	}
+	fresh := doneResult(t, again)
 	if fresh.Stats.Degraded {
 		t.Fatal("fresh run still degraded after fault cleared")
 	}
@@ -353,10 +339,7 @@ func TestClientBudgetDegradedResultCached(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitDone(t, job)
-	sol, err := job.Solution()
-	if err != nil {
-		t.Fatal(err)
-	}
+	sol := doneResult(t, job)
 	if !sol.Stats.Degraded || sol.Exact {
 		t.Fatalf("client 256-byte budget: degraded=%t exact=%t, want true/false", sol.Stats.Degraded, sol.Exact)
 	}
@@ -369,11 +352,7 @@ func TestClientBudgetDegradedResultCached(t *testing.T) {
 	if !hit.CacheHit {
 		t.Fatal("budgeted resubmit missed the cache")
 	}
-	cached, err := hit.Solution()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !cached.Stats.Degraded || cached.Exact {
+	if cached := doneResult(t, hit); !cached.Stats.Degraded || cached.Exact {
 		t.Fatal("cache returned a degraded result without its degraded flag")
 	}
 }
@@ -387,11 +366,7 @@ func TestServerBudgetClampDegrades(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitDone(t, job)
-	sol, err := job.Solution()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !sol.Stats.Degraded {
+	if sol := doneResult(t, job); !sol.Stats.Degraded {
 		t.Fatalf("server-side budget clamp not applied: %+v", sol.Stats)
 	}
 }

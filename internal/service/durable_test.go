@@ -265,9 +265,7 @@ func driveBatch(tb testing.TB, s *Server, reqs []*SolveRequest) {
 	}
 	for _, job := range jobs {
 		waitDone(tb, job)
-		if _, err := job.Solution(); err != nil {
-			tb.Fatal(err)
-		}
+		doneResult(tb, job)
 	}
 }
 
@@ -373,11 +371,7 @@ func TestDurableIncompleteJobRequeued(t *testing.T) {
 	// The same request now resolves against the re-enqueued job (dedup)
 	// or its finished result (cache) — never a second solver run.
 	redo := submitWait(t, b, tinyRequest("svc-test"))
-	sol, err := redo.Solution()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sol.Cost != 7 {
+	if sol := doneResult(t, redo); sol.Cost != 7 {
 		t.Fatalf("recovered cost = %d, want 7", sol.Cost)
 	}
 	if got := calls.Load(); got != 1 {
@@ -568,10 +562,7 @@ func TestDurableJournalFaultDegradesGracefully(t *testing.T) {
 	dir := t.TempDir()
 	a := openDurable(t, dir)
 	defer shutdown(t, a)
-	job := submitWait(t, a, durableOriginal())
-	if _, err := job.Solution(); err != nil {
-		t.Fatalf("solve under journal faults failed: %v", err)
-	}
+	doneResult(t, submitWait(t, a, durableOriginal())) // solves under journal faults
 	ctx := context.Background()
 	mt := sessionInstance(t)
 	sess, err := a.CreateSession(ctx, sessionRequest(mt, "exact", 3))
@@ -597,11 +588,7 @@ func TestDurableRecoveryPeerGapFill(t *testing.T) {
 	// The sibling solved the instance while this node was down.
 	peer := New(Config{Workers: 1})
 	defer shutdown(t, peer)
-	peerJob := submitWait(t, peer, durableOriginal())
-	peerSol, err := peerJob.Solution()
-	if err != nil {
-		t.Fatal(err)
-	}
+	peerSol := doneResult(t, submitWait(t, peer, durableOriginal()))
 
 	// This node journals the same submission queued behind a stuck job,
 	// then dies.
@@ -654,11 +641,7 @@ func TestDurableRecoveryPeerGapFill(t *testing.T) {
 		t.Fatalf("peerFillHits = %d, want 1 (the exact job must fill from the peer)", got)
 	}
 	redo := submitWait(t, b, durableOriginal())
-	sol, err := redo.Solution()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sol.Cost != peerSol.Cost {
+	if sol := doneResult(t, redo); sol.Cost != peerSol.Cost {
 		t.Fatalf("gap-filled cost %d, peer solved %d", sol.Cost, peerSol.Cost)
 	}
 	// Only the stuck svc-test job actually solved here; the exact job

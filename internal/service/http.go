@@ -237,24 +237,31 @@ func retryAfterHeader(w http.ResponseWriter, d time.Duration) {
 	w.Header().Set("Retry-After", strconv.FormatInt(secs, 10))
 }
 
+// tooLarge reports an error answered 413: an instance dimension or an
+// option above its bound.
+func tooLarge(err error) bool {
+	var (
+		dim *TooLargeError
+		opt *solve.LimitError
+	)
+	return errors.As(err, &dim) || errors.As(err, &opt)
+}
+
 // submit parses the body and submits, mapping the error classes to
-// status codes: resolution failures 400, oversized bodies or instance
-// dimensions 413, full queue 429 (with Retry-After), open circuit
-// breaker or shutdown 503.
+// status codes: resolution failures 400, oversized bodies, instance
+// dimensions or options 413, full queue 429 (with Retry-After), open
+// circuit breaker or shutdown 503.
 func (s *Server) submit(w http.ResponseWriter, r *http.Request) (*Job, bool, bool) {
 	var req SolveRequest
 	if !readBody(w, r, &req) {
 		return nil, false, false
 	}
 	job, deduped, err := s.Submit(&req)
-	var (
-		tooLarge    *TooLargeError
-		unavailable *SolverUnavailableError
-	)
+	var unavailable *SolverUnavailableError
 	switch {
 	case err == nil:
 		return job, deduped, true
-	case errors.As(err, &tooLarge):
+	case tooLarge(err):
 		writeError(w, http.StatusRequestEntityTooLarge, err)
 	case errors.Is(err, ErrQueueFull):
 		writeRetryError(w, http.StatusTooManyRequests, err, time.Second)
@@ -354,12 +361,9 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 // sessionError maps session-layer errors onto status codes, mirroring
 // submit's mapping for the shared error classes.
 func sessionError(w http.ResponseWriter, err error) {
-	var (
-		tooLarge    *TooLargeError
-		unavailable *SolverUnavailableError
-	)
+	var unavailable *SolverUnavailableError
 	switch {
-	case errors.As(err, &tooLarge):
+	case tooLarge(err):
 		writeError(w, http.StatusRequestEntityTooLarge, err)
 	case errors.Is(err, ErrSessionLimit):
 		writeRetryError(w, http.StatusTooManyRequests, err, time.Second)

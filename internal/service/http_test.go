@@ -437,6 +437,37 @@ func TestHTTPInstanceDimensionsTooLarge(t *testing.T) {
 	}
 }
 
+// TestHTTPPartitionsLimit checks the partitions bound on the wire: a
+// solve and a session opener at solve.MaxPartitions are accepted, one
+// window more answers 413 with the limit in the body.
+func TestHTTPPartitionsLimit(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1})
+	wi := randomWire(23, []string{"A", "B"}, []int{5, 3}, 40)
+	for _, parts := range []int{solve.MaxPartitions, solve.MaxPartitions + 1} {
+		opts := WireOptions{Partitions: parts}
+		for _, c := range []struct {
+			path string
+			body any
+			ok   int
+		}{
+			{"/v1/solve", &SolveRequest{Solver: "exact-partitioned", Instance: wi, Options: opts}, http.StatusOK},
+			{"/v1/sessions", &SessionRequest{Solver: "exact", Instance: wi, Options: opts}, http.StatusCreated},
+		} {
+			want := c.ok
+			if parts > solve.MaxPartitions {
+				want = http.StatusRequestEntityTooLarge
+			}
+			resp, raw := postJSON(t, ts.URL+c.path, c.body)
+			if resp.StatusCode != want {
+				t.Fatalf("%s with %d partitions: status %d, want %d (%s)", c.path, parts, resp.StatusCode, want, raw)
+			}
+			if want == http.StatusRequestEntityTooLarge && !strings.Contains(string(raw), "exceeds limit 1024") {
+				t.Fatalf("%s: 413 body does not name the limit: %s", c.path, raw)
+			}
+		}
+	}
+}
+
 func TestHTTPQueueFullRetryAfter(t *testing.T) {
 	gate := make(chan struct{})
 	setTestSolver(func(ctx context.Context, inst *solve.Instance, opts solve.Options) (*solve.Solution, error) {

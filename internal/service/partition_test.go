@@ -41,11 +41,7 @@ func TestPartitionAutoDispatch(t *testing.T) {
 	if big.Solver != "exact-partitioned" {
 		t.Fatalf("288-step blocked exact job ran as %q, want exact-partitioned", big.Solver)
 	}
-	sol, err := big.Solution()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sol.Stats.Partitions < 1 {
+	if sol := doneResult(t, big); sol.Stats.Partitions < 1 {
 		t.Fatalf("Stats.Partitions = %d, want ≥ 1", sol.Stats.Partitions)
 	}
 	// A router applying the node's limits sends the request to the
@@ -77,8 +73,8 @@ func TestPartitionAutoDispatch(t *testing.T) {
 	if phased.Solver != "exact" {
 		t.Fatalf("288-step phased exact job ran as %q, want exact", phased.Solver)
 	}
-	if sol, err := phased.Solution(); err != nil || !sol.Exact {
-		t.Fatalf("288-step phased exact job: err %v, want a proven optimum", err)
+	if sol := doneResult(t, phased); !sol.Exact {
+		t.Fatal("288-step phased exact job: want a proven optimum")
 	}
 
 	small, _, err := s.Submit(blockedRequest(t, "exact", 255))

@@ -61,7 +61,7 @@ func BenchmarkRequestPath(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		ws, err := (&wireMemo{}).get(sol, res.mt)
+		ws, err := wireSolution(sol, res.mt)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -103,7 +103,7 @@ func BenchmarkRequestPath(b *testing.B) {
 		b.Run(fam.name+"/render", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := (&wireMemo{}).get(sol, res.mt); err != nil {
+				if _, err := wireSolution(sol, res.mt); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -85,6 +85,9 @@ type Config struct {
 	breakerNow func() time.Time
 	// retention overrides jobRetention (tests only).
 	retention int
+	// rendered observes every answer rendered, with what it was
+	// rendered from (tests only).
+	rendered func(sol *solve.Solution, mt *model.MTSwitchInstance, ws *WireSolution)
 }
 
 // jobRetention bounds how many finished jobs stay pollable; the oldest
@@ -140,7 +143,9 @@ func (s JobState) Terminal() bool {
 
 // Job is one submitted solve.  Identical in-flight submissions share
 // one Job (singleflight), so a cancel from any submitter cancels it
-// for all of them.
+// for all of them.  A finished job keeps only what its status reads:
+// the rendered answer or the error text; the instance, options and
+// solution go at completion.
 type Job struct {
 	// ID is the server-assigned job identifier.
 	ID string
@@ -163,9 +168,10 @@ type Job struct {
 	canonKey  string
 	canonPerm []int
 
-	// reqJSON retains the original request of a journaled job so WAL
-	// compaction can rewrite it into the snapshot (nil without a data
-	// dir; doubles as the "this job is journaled" marker).
+	// reqJSON retains the original request of a journaled job until it
+	// finishes, so WAL compaction can rewrite it into the snapshot (nil
+	// without a data dir; doubles as the "this job is journaled"
+	// marker).
 	reqJSON []byte
 
 	// batchBucket is the portfolio dispatch feature bucket of an
@@ -180,9 +186,8 @@ type Job struct {
 	state     JobState
 	canceled  bool // cancel requested (may still be queued)
 	retried   bool // the one-shot panic retry has been spent
-	sol       *solve.Solution
-	memo      *wireMemo // shared wire rendering of sol
-	err       error
+	ws        *WireSolution
+	errText   string
 	submitted time.Time
 	started   time.Time
 	finished  time.Time
@@ -194,8 +199,8 @@ type Job struct {
 // Done returns a channel closed when the job reaches a terminal state.
 func (j *Job) Done() <-chan struct{} { return j.done }
 
-// Snapshot returns the job's current wire status.  Result
-// serialization failures surface in the Error field.
+// Snapshot returns the job's current wire status.  A result that
+// failed to render surfaces in the Error field.
 func (j *Job) Snapshot() *JobStatus {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -207,6 +212,8 @@ func (j *Job) Snapshot() *JobStatus {
 		CacheHit:    j.CacheHit,
 		Retried:     j.retried,
 		SubmittedAt: j.submitted,
+		Result:      j.ws,
+		Error:       j.errText,
 	}
 	if !j.started.IsZero() {
 		t := j.started
@@ -216,31 +223,7 @@ func (j *Job) Snapshot() *JobStatus {
 		t := j.finished
 		st.FinishedAt = &t
 	}
-	if j.err != nil {
-		st.Error = j.err.Error()
-	}
-	if j.sol != nil {
-		ws, err := j.memo.get(j.sol, j.mt)
-		if err != nil {
-			st.Error = err.Error()
-		} else {
-			st.Result = ws
-		}
-	}
 	return st
-}
-
-// Solution returns the solved result once the job is done.
-func (j *Job) Solution() (*solve.Solution, error) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if !j.state.Terminal() {
-		return nil, fmt.Errorf("service: job %s still %s", j.ID, j.state)
-	}
-	if j.err != nil {
-		return nil, j.err
-	}
-	return j.sol, nil
 }
 
 var (
@@ -393,15 +376,19 @@ func (s *Server) Submit(req *SolveRequest) (job *Job, deduped bool, err error) {
 
 	// Canonical store lookup (mtswitch only), prepared outside the lock:
 	// the structural hash and — on a hit — the stored mask replayed onto
-	// this request's own instance.  Served only when the exact cache
-	// misses below.
+	// this request's own instance and rendered.  Served only when the
+	// exact cache misses below, so a literal repeat skips the replay.
 	var (
 		canonKey  string
 		canonPerm []int
 		canonSol  *solve.Solution
+		canonWS   *WireSolution
+		canonErr  error
 	)
 	if res.inst.Kind() == solve.KindMTSwitch && res.mt != nil {
 		canonKey, canonPerm = canonicalMTKey(res.mt, res.inst.Cost, res.solver, opts)
+	}
+	if _, cached := s.cache.Get(key); canonKey != "" && !cached {
 		if entry, ok := s.canon.Get(canonKey); ok {
 			if sol, ok := entry.reconstruct(res.mt, res.inst.Cost, canonPerm); ok {
 				canonSol = sol
@@ -433,6 +420,9 @@ func (s *Server) Submit(req *SolveRequest) (job *Job, deduped bool, err error) {
 				s.metrics.peerFillMisses.Add(1)
 			}
 		}
+		if canonSol != nil {
+			canonWS, canonErr = s.render(canonSol, res.mt)
+		}
 	}
 
 	s.mu.Lock()
@@ -443,39 +433,21 @@ func (s *Server) Submit(req *SolveRequest) (job *Job, deduped bool, err error) {
 
 	// Cache hits and dedup joins are served even when the solver's
 	// breaker is open: they cost no solver run.
-	if hit, ok := s.cache.Get(key); ok {
+	if ws, ok := s.cache.Get(key); ok {
 		s.metrics.cacheHits.Add(1)
-		job := s.newJobLocked(key, res, opts)
-		now := time.Now()
-		job.CacheHit = true
-		job.state = JobDone
-		job.sol = hit.sol
-		job.memo = hit.wire
-		job.started, job.finished = now, now
-		close(job.done)
-		job.cancel() // never runs; release the context immediately
-		s.rememberFinishedLocked(job)
-		return job, false, nil
+		return s.answeredLocked(key, res.solver, ws, nil), false, nil
 	}
 	s.metrics.cacheMisses.Add(1)
 
 	if canonSol != nil {
 		// A structurally identical request was solved before: the job is
-		// born terminal from the canonical store, and the replayed result
+		// born terminal from the canonical store, and the replayed answer
 		// seeds the exact cache so the next literal repeat hits level 1.
 		s.metrics.canonicalHits.Add(1)
-		job := s.newJobLocked(key, res, opts)
-		now := time.Now()
-		job.CacheHit = true
-		job.state = JobDone
-		job.sol = canonSol
-		job.memo = &wireMemo{}
-		job.started, job.finished = now, now
-		s.cache.Put(key, &cachedResult{sol: canonSol, wire: job.memo})
-		close(job.done)
-		job.cancel()
-		s.rememberFinishedLocked(job)
-		return job, false, nil
+		if canonWS != nil {
+			s.cache.Put(key, canonWS)
+		}
+		return s.answeredLocked(key, res.solver, canonWS, canonErr), false, nil
 	}
 
 	if cur, ok := s.inflight[key]; ok {
@@ -500,7 +472,8 @@ func (s *Server) Submit(req *SolveRequest) (job *Job, deduped bool, err error) {
 		return nil, false, ErrQueueFull
 	}
 
-	job = s.newJobLocked(key, res, opts)
+	job = s.newJobLocked(key, res.solver)
+	job.inst, job.mt, job.opts = res.inst, res.mt, opts
 	job.canonKey, job.canonPerm = canonKey, canonPerm
 	job.reqJSON = reqJSON
 	s.queue = append(s.queue, job)
@@ -525,16 +498,13 @@ func (s *Server) Submit(req *SolveRequest) (job *Job, deduped bool, err error) {
 
 // newJobLocked allocates and registers a queued job (caller holds
 // s.mu).
-func (s *Server) newJobLocked(key string, res *resolved, opts solve.Options) *Job {
+func (s *Server) newJobLocked(key, solver string) *Job {
 	s.seq++
 	ctx, cancel := context.WithCancel(s.baseCtx)
 	job := &Job{
 		ID:        fmt.Sprintf("job-%d", s.seq),
 		Hash:      key,
-		Solver:    res.solver,
-		inst:      res.inst,
-		mt:        res.mt,
-		opts:      opts,
+		Solver:    solver,
 		ctx:       ctx,
 		cancel:    cancel,
 		state:     JobQueued,
@@ -543,6 +513,35 @@ func (s *Server) newJobLocked(key string, res *resolved, opts solve.Options) *Jo
 	}
 	s.jobs[job.ID] = job
 	return job
+}
+
+// answeredLocked registers a job born terminal from a cache level with
+// its rendered answer, or the error that rendering it returned (caller
+// holds s.mu).  It never runs, so it never takes an instance.
+func (s *Server) answeredLocked(key, solver string, ws *WireSolution, err error) *Job {
+	job := s.newJobLocked(key, solver)
+	now := time.Now()
+	job.CacheHit = true
+	job.state = JobDone
+	job.ws = ws
+	if err != nil {
+		job.errText = err.Error()
+	}
+	job.started, job.finished = now, now
+	close(job.done)
+	job.cancel() // never runs; release the context immediately
+	s.rememberFinishedLocked(job)
+	return job
+}
+
+// render renders a completed solution's answer: the one rendering that
+// its job, cache line or session keeps and serves.
+func (s *Server) render(sol *solve.Solution, mt *model.MTSwitchInstance) (*WireSolution, error) {
+	ws, err := wireSolution(sol, mt)
+	if err == nil && s.cfg.rendered != nil {
+		s.cfg.rendered(sol, mt, ws)
+	}
+	return ws, err
 }
 
 // breakerLocked returns the solver's circuit breaker, creating it on
@@ -756,8 +755,18 @@ func (s *Server) finalize(job *Job, sol *solve.Solution, err error) {
 }
 
 // finalizeNoted is finalize for callers that already fed the breaker.
+// A solved job's answer is rendered here, once and outside s.mu; the
+// job, its cache line and every poll share that rendering, and the job
+// lets go of everything else.
 func (s *Server) finalizeNoted(job *Job, sol *solve.Solution, err error) {
 	now := time.Now()
+	var (
+		ws        *WireSolution
+		renderErr error
+	)
+	if err == nil {
+		ws, renderErr = s.render(sol, job.mt)
+	}
 	s.mu.Lock()
 	job.mu.Lock()
 	job.finished = now
@@ -767,14 +776,19 @@ func (s *Server) finalizeNoted(job *Job, sol *solve.Solution, err error) {
 	var canonEntry *canonicalEntry
 	switch {
 	case err == nil:
+		// A rendering error leaves the job done, with the error text.
 		job.state = JobDone
-		job.sol = sol
-		job.memo = &wireMemo{}
+		job.ws = ws
+		if renderErr != nil {
+			job.errText = renderErr.Error()
+		}
 		// A run degraded without a client- or server-requested budget
 		// (the chaos harness injects budgets below the hash layer) must
 		// not poison the cache line that means "unbudgeted".
 		if !sol.Stats.Degraded || job.opts.MaxFrontierBytes > 0 {
-			s.cache.Put(job.Hash, &cachedResult{sol: sol, wire: job.memo})
+			if ws != nil {
+				s.cache.Put(job.Hash, ws)
+			}
 			if job.canonKey != "" {
 				canonEntry = entryFromSolution(sol, job.canonPerm)
 				s.canon.Put(job.canonKey, canonEntry)
@@ -808,11 +822,11 @@ func (s *Server) finalizeNoted(job *Job, sol *solve.Solution, err error) {
 		s.metrics.observeStats(job.Solver, sol.Stats)
 	case errors.Is(err, context.Canceled):
 		job.state = JobCanceled
-		job.err = err
+		job.errText = err.Error()
 		s.metrics.canceled.Add(1)
 	default:
 		job.state = JobFailed
-		job.err = err
+		job.errText = err.Error()
 		s.metrics.failed.Add(1)
 	}
 	if s.inflight[job.Hash] == job {
@@ -834,6 +848,7 @@ func (s *Server) finalizeNoted(job *Job, sol *solve.Solution, err error) {
 		s.journal(rec)
 		s.spillCanon(job.canonKey, canonEntry)
 	}
+	job.inst, job.mt, job.opts, job.canonPerm, job.batchBucket, job.reqJSON = nil, nil, solve.Options{}, nil, "", nil
 	close(job.done)
 	job.mu.Unlock()
 	s.rememberFinishedLocked(job)

@@ -40,6 +40,17 @@ func tinyRequest(solver string) *SolveRequest {
 	}
 }
 
+// doneResult returns a finished job's answer, failing the test unless
+// the job finished done with one.
+func doneResult(t testing.TB, j *Job) *WireSolution {
+	t.Helper()
+	st := j.Snapshot()
+	if st.State != string(JobDone) || st.Error != "" || st.Result == nil {
+		t.Fatalf("job %s: state %s, error %q, result %v", j.ID, st.State, st.Error, st.Result)
+	}
+	return st.Result
+}
+
 func waitDone(t testing.TB, j *Job) {
 	t.Helper()
 	select {
@@ -73,17 +84,14 @@ func TestEndToEndMatchesDirectRun(t *testing.T) {
 		t.Fatal("first submit should be a fresh job")
 	}
 	waitDone(t, job)
-	sol, err := job.Solution()
-	if err != nil {
-		t.Fatal(err)
-	}
+	sol := doneResult(t, job)
 
 	res := mustResolve(t, req)
 	direct, err := solve.Run(context.Background(), "aligned", res.inst, res.opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sol.Cost != direct.Cost || sol.Exact != direct.Exact {
+	if sol.Cost != int64(direct.Cost) || sol.Exact != direct.Exact {
 		t.Fatalf("served cost=%d exact=%t, direct cost=%d exact=%t",
 			sol.Cost, sol.Exact, direct.Cost, direct.Exact)
 	}
@@ -111,10 +119,8 @@ func TestCacheHitOnResubmit(t *testing.T) {
 		t.Fatal("resubmit was not a cache hit")
 	}
 	waitDone(t, second) // already closed
-	a, _ := first.Solution()
-	b, _ := second.Solution()
-	if a != b {
-		t.Fatal("cache hit did not return the cached solution")
+	if doneResult(t, first) != doneResult(t, second) {
+		t.Fatal("cache hit did not serve the cached rendering")
 	}
 	if got := s.metrics.cacheHits.Load(); got != 1 {
 		t.Fatalf("cacheHits = %d, want 1", got)
@@ -213,11 +219,8 @@ func TestCancelRunningJob(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitDone(t, job)
-	if _, err := job.Solution(); !errors.Is(err, context.Canceled) {
-		t.Fatalf("canceled job error = %v, want context.Canceled", err)
-	}
-	if st := job.Snapshot(); st.State != string(JobCanceled) {
-		t.Fatalf("state = %s, want canceled", st.State)
+	if st := job.Snapshot(); st.State != string(JobCanceled) || st.Error != context.Canceled.Error() || st.Result != nil {
+		t.Fatalf("state = %s, error %q, want canceled with %q", st.State, st.Error, context.Canceled)
 	}
 	if _, err := s.Cancel("job-does-not-exist"); !errors.Is(err, ErrNoSuchJob) {
 		t.Fatalf("cancel of unknown job = %v, want ErrNoSuchJob", err)
@@ -342,10 +345,7 @@ func TestSolveTimeoutFails(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitDone(t, job)
-	if st := job.Snapshot(); st.State != string(JobFailed) {
-		t.Fatalf("timed-out job state = %s, want failed", st.State)
-	}
-	if _, err := job.Solution(); !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("timed-out job error = %v, want deadline exceeded", err)
+	if st := job.Snapshot(); st.State != string(JobFailed) || st.Error != context.DeadlineExceeded.Error() || st.Result != nil {
+		t.Fatalf("timed-out job state = %s, error %q, want failed with %q", st.State, st.Error, context.DeadlineExceeded)
 	}
 }

@@ -75,9 +75,7 @@ type session struct {
 	gen   int64
 	genCh chan struct{}
 
-	sol              *solve.Solution
-	memo             *wireMemo
-	mt               *model.MTSwitchInstance // trace snapshot sol was solved for
+	ws               *WireSolution // the last solve's rendered answer
 	lastResolveStart int
 	resolveExpanded  int64
 	lastErr          string
@@ -563,12 +561,14 @@ func (sess *session) solveLocked(ctx context.Context) error {
 		sess.lastErr = err.Error()
 		return err
 	}
-	sess.sol = sol
-	sess.memo = &wireMemo{}
-	sess.mt = mt
+	// The session keeps only the rendered answer; a rendering error
+	// surfaces as the status error.
+	sess.lastErr = ""
+	if sess.ws, err = sess.srv.render(sol, mt); err != nil {
+		sess.lastErr = err.Error()
+	}
 	sess.lastResolveStart = sess.eng.LastResolveStart()
 	sess.resolveExpanded = sess.eng.ResolveExpanded()
-	sess.lastErr = ""
 	sess.gen++
 	close(sess.genCh)
 	sess.genCh = make(chan struct{})
@@ -649,7 +649,7 @@ func (sess *session) Status() *SessionStatus {
 }
 
 func (sess *session) statusLocked() *SessionStatus {
-	st := &SessionStatus{
+	return &SessionStatus{
 		ID:              sess.ID,
 		Solver:          sess.Solver,
 		Steps:           len(sess.trace),
@@ -658,17 +658,9 @@ func (sess *session) statusLocked() *SessionStatus {
 		ResolveExpanded: sess.resolveExpanded,
 		Evicted:         sess.eng == nil && !sess.closed,
 		CreatedAt:       sess.created,
+		Result:          sess.ws,
 		Error:           sess.lastErr,
 	}
-	if sess.sol != nil {
-		ws, err := sess.memo.get(sess.sol, sess.mt)
-		if err != nil {
-			st.Error = err.Error()
-		} else {
-			st.Result = ws
-		}
-	}
-	return st
 }
 
 // rebalance updates one session's engine size and evicts

@@ -3,7 +3,6 @@ package service
 import (
 	"encoding/json"
 	"fmt"
-	"sync"
 	"time"
 
 	"repro/internal/bitset"
@@ -390,19 +389,6 @@ type WireSolution struct {
 	// which the status writer splices into responses; Schedule is a
 	// subslice of it.  Decoded values leave it nil.
 	raw []byte
-}
-
-// wireMemo renders a solution's wire form exactly once and shares it
-// across every job, poll and cache hit serving that solution.
-type wireMemo struct {
-	once sync.Once
-	ws   *WireSolution
-	err  error
-}
-
-func (m *wireMemo) get(sol *solve.Solution, mt *model.MTSwitchInstance) (*WireSolution, error) {
-	m.once.Do(func() { m.ws, m.err = wireSolution(sol, mt) })
-	return m.ws, m.err
 }
 
 // wireStats maps run statistics onto their wire view.

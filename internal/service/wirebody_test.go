@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"net/http"
+	"sync"
 	"testing"
 
 	"repro/internal/bitset"
@@ -113,17 +114,51 @@ func expectBody(t *testing.T, what string, got, want []byte) {
 	}
 }
 
+// renderSource is what one answer was rendered from.
+type renderSource struct {
+	sol *solve.Solution
+	mt  *model.MTSwitchInstance
+}
+
+// renderSources maps every answer a recording server rendered
+// (*WireSolution) to its renderSource.
+var renderSources sync.Map
+
+// recordRenders makes a server record what each answer it renders was
+// rendered from, so the reference path can render it again.
+func recordRenders(cfg Config) Config {
+	cfg.rendered = func(sol *solve.Solution, mt *model.MTSwitchInstance, ws *WireSolution) {
+		renderSources.Store(ws, renderSource{sol, mt})
+	}
+	return cfg
+}
+
+// sourceOf returns what a retained answer was rendered from.
+func sourceOf(t *testing.T, ws *WireSolution) renderSource {
+	t.Helper()
+	src, ok := renderSources.Load(ws)
+	if !ok {
+		t.Fatal("answer was not rendered by a recording server")
+	}
+	return src.(renderSource)
+}
+
+// referenceResult replaces a retained result, if any, with the
+// reference path's rendering of what it was rendered from.
+func referenceResult(t *testing.T, ws **WireSolution) {
+	t.Helper()
+	if *ws != nil {
+		src := sourceOf(t, *ws)
+		*ws = referenceWireSolution(t, src.sol, src.mt)
+	}
+}
+
 // jobReference is the encoder's body for a job's current status with
 // the result rendered by the reference path.
 func jobReference(t *testing.T, job *Job) []byte {
 	t.Helper()
 	st := job.Snapshot()
-	job.mu.Lock()
-	sol, mt := job.sol, job.mt
-	job.mu.Unlock()
-	if sol != nil {
-		st.Result = referenceWireSolution(t, sol, mt)
-	}
+	referenceResult(t, &st.Result)
 	return encodeReference(t, st)
 }
 
@@ -135,12 +170,7 @@ func sessionReference(t *testing.T, s *Server, id string) []byte {
 		t.Fatalf("no session %s", id)
 	}
 	st := sess.Status()
-	sess.mu.Lock()
-	sol, mt := sess.sol, sess.mt
-	sess.mu.Unlock()
-	if sol != nil {
-		st.Result = referenceWireSolution(t, sol, mt)
-	}
+	referenceResult(t, &st.Result)
 	return encodeReference(t, st)
 }
 
@@ -152,7 +182,7 @@ func sessionReference(t *testing.T, s *Server, id string) []byte {
 func TestStatusBodiesMatchEncoder(t *testing.T) {
 	faultinject.Reset()
 	defer faultinject.Reset()
-	s, ts := newTestServer(t, Config{Workers: 1})
+	s, ts := newTestServer(t, recordRenders(Config{Workers: 1}))
 
 	escaped := randomWire(21, []string{`a<b>&"c\d`, "line\u2028sep\u2029x", "tab\tnl\n\x01", "ünï"}, []int{5, 3, 70, 2}, 7)
 	blocked, err := workload.Blocked(workload.Config{Tasks: 2, Steps: 48, Switches: 16, MeanPhase: 8, Seed: 3})
@@ -251,12 +281,14 @@ func TestStatusBodiesMatchEncoder(t *testing.T) {
 	expectBody(t, "GET schedule", raw, sessionReference(t, s, sst.ID))
 }
 
-// TestWireMemoOneRendering checks that a rendered answer is one buffer
-// of the right size: the memo retains the result's final bytes with no
-// spare capacity beyond 2%, WireSolution.Schedule is a subslice of
-// that same buffer, and the bytes are the reference rendering,
-// compacted.
+// TestWireMemoOneRendering checks that the rendering a finished job or
+// session retains is one buffer of the right size: the answer's final
+// bytes with no spare capacity beyond 2%, WireSolution.Schedule a
+// subslice of that same buffer, and the bytes the reference rendering
+// of the solution, compacted.
 func TestWireMemoOneRendering(t *testing.T) {
+	s := New(recordRenders(Config{Workers: 1}))
+	defer shutdown(t, s)
 	phased, err := workload.Phased(workload.Config{Tasks: 2, Steps: 32, Switches: 12, MeanPhase: 8, Seed: 9})
 	if err != nil {
 		t.Fatal(err)
@@ -265,15 +297,23 @@ func TestWireMemoOneRendering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	retained := map[string]*WireSolution{}
 	for name, mt := range map[string]*model.MTSwitchInstance{"phased": phased, "blocked": blocked} {
-		sol, err := solve.Run(context.Background(), "aligned",
-			solve.NewMT(mt, model.CostOptions{HyperUpload: model.TaskParallel, ReconfUpload: model.TaskParallel}), solve.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ws, err := (&wireMemo{}).get(sol, mt)
-		if err != nil {
-			t.Fatal(err)
+		retained[name+" job"] = submitWait(t, s, &SolveRequest{Solver: "aligned", Instance: WireInstanceFrom(mt)}).Snapshot().Result
+	}
+	ctx := context.Background()
+	sess, err := s.CreateSession(ctx, sessionRequest(phased, "exact", 24))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sess.Steps(ctx, &SessionSteps{Reqs: WireInstanceFrom(phased).Reqs[24:]}); err != nil {
+		t.Fatal(err)
+	}
+	retained["phased session"] = sess.Status().Result
+
+	for name, ws := range retained {
+		if ws == nil {
+			t.Fatalf("%s: no answer retained", name)
 		}
 		raw := ws.raw
 		if spare := cap(raw) - len(raw); spare*50 > len(raw) {
@@ -283,12 +323,92 @@ func TestWireMemoOneRendering(t *testing.T) {
 		if len(ws.Schedule) == 0 || end < len(ws.Schedule) || &raw[end-len(ws.Schedule)] != &ws.Schedule[0] {
 			t.Errorf("%s: Schedule does not share the rendered buffer", name)
 		}
+		src := sourceOf(t, ws)
 		var want bytes.Buffer
-		if err := json.Compact(&want, encodeReference(t, referenceWireSolution(t, sol, mt))); err != nil {
+		if err := json.Compact(&want, encodeReference(t, referenceWireSolution(t, src.sol, src.mt))); err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(raw, want.Bytes()) {
 			t.Errorf("%s: rendered result differs from the reference\n got %s\nwant %s", name, raw, want.Bytes())
 		}
 	}
+}
+
+// TestEveryHolderServesTheReference checks every place a status is
+// served from after the solve: a job whose cache line was evicted, a
+// literal-repeat cache hit, a structural-twin canonical hit, a
+// timed-out and a cancelled job, and a session after two batches.
+// Each body must equal the reference body.
+func TestEveryHolderServesTheReference(t *testing.T) {
+	s, ts := newTestServer(t, recordRenders(Config{Workers: 1, CacheEntries: 2}))
+	poll := func(what string, job *Job) {
+		t.Helper()
+		_, body := getBody(t, ts.URL+"/v1/jobs/"+job.ID)
+		expectBody(t, what, body, jobReference(t, job))
+	}
+
+	original := submitWait(t, s, durableOriginal())
+	repeat := submitWait(t, s, durableOriginal())
+	if !repeat.CacheHit || doneResult(t, repeat) != doneResult(t, original) {
+		t.Fatal("literal repeat does not serve the original's rendering")
+	}
+	poll("literal-repeat cache hit", repeat)
+	twin := submitWait(t, s, durableTwin())
+	if !twin.CacheHit {
+		t.Fatal("structural twin missed the canonical store")
+	}
+	poll("structural-twin canonical hit", twin)
+
+	// Three later solves push the original out of the two-line cache;
+	// the job still serves the rendering it kept.
+	for seed := int64(31); seed <= 33; seed++ {
+		submitWait(t, s, &SolveRequest{Solver: "aligned", Instance: randomWire(seed, []string{"A", "B"}, []int{4, 3}, 6)})
+	}
+	if _, ok := s.cache.Get(original.Hash); ok {
+		t.Fatal("the original's cache line survived three later solves")
+	}
+	poll("job after its cache line was evicted", original)
+
+	// A timed-out job and a cancelled one carry an error and no result.
+	setTestSolver(func(ctx context.Context, inst *solve.Instance, opts solve.Options) (*solve.Solution, error) {
+		<-ctx.Done()
+		return nil, ctx.Err()
+	})
+	timed := tinyRequest("svc-test")
+	timed.TimeoutMS = 20
+	timedOut := submitWait(t, s, timed)
+	if st := timedOut.Snapshot(); st.State != string(JobFailed) || st.Error == "" {
+		t.Fatalf("timed-out job: %+v", st)
+	}
+	poll("timed-out job", timedOut)
+	canceled, _, err := s.Submit(tinyRequest("svc-test"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Cancel(canceled.ID); err != nil {
+		t.Fatal(err)
+	}
+	waitDone(t, canceled)
+	if st := canceled.Snapshot(); st.State != string(JobCanceled) || st.Error == "" {
+		t.Fatalf("cancelled job: %+v", st)
+	}
+	poll("cancelled job", canceled)
+
+	mt := sessionInstance(t)
+	wi := WireInstanceFrom(mt)
+	resp, raw := postJSON(t, ts.URL+"/v1/sessions", sessionRequest(mt, "exact", 4))
+	if resp.StatusCode != http.StatusCreated {
+		t.Fatalf("open session: %d %s", resp.StatusCode, raw)
+	}
+	var sst SessionStatus
+	if err := json.Unmarshal(raw, &sst); err != nil {
+		t.Fatal(err)
+	}
+	for _, batch := range [][][]string{wi.Reqs[4:7], wi.Reqs[7:]} {
+		if resp, raw := postJSON(t, ts.URL+"/v1/sessions/"+sst.ID+"/steps", &SessionSteps{Reqs: batch}); resp.StatusCode != http.StatusOK {
+			t.Fatalf("steps: %d %s", resp.StatusCode, raw)
+		}
+	}
+	_, raw = getBody(t, ts.URL+"/v1/sessions/"+sst.ID)
+	expectBody(t, "session after two batches", raw, sessionReference(t, s, sst.ID))
 }

@@ -87,12 +87,30 @@ type Options struct {
 	// Partitions is the window count of the partitioned MT-Switch solver
 	// ("exact-partitioned"): 0 selects an automatic k from the instance
 	// size, 1 forces a monolithic solve, and k ≥ 2 splits the step axis
-	// into k windows.  Other solvers ignore it.
+	// into k windows, at most MaxPartitions.  Other solvers ignore it.
 	Partitions int
 	// MaxCutColumns caps the weighted column cut the partition planner
 	// may accept: boundaries are dropped (merging adjacent windows)
 	// until the cut fits.  0 means uncapped.
 	MaxCutColumns int
+}
+
+// MaxPartitions bounds Options.Partitions.  The window planner's time
+// and memory grow with k·n: on a 65,536-step trace 1024 windows plan in
+// 0.2–0.3 s with 11 MB, 65,536 windows in 11 s with 292 MB.  Automatic
+// plans use at most 64 windows.
+const MaxPartitions = 1024
+
+// LimitError rejects an option above its bound (hyperd answers it with
+// 413, like an oversized instance); match it with errors.As.
+type LimitError struct {
+	Option     string
+	Got, Limit int
+}
+
+// Error implements error.
+func (e *LimitError) Error() string {
+	return fmt.Sprintf("solve: %s %d exceeds limit %d", e.Option, e.Got, e.Limit)
 }
 
 // Validate rejects option values no solver can meaningfully honor.
@@ -150,6 +168,9 @@ func (o Options) Validate() error {
 	}
 	if o.Partitions < 0 {
 		return fmt.Errorf("solve: negative partition count %d", o.Partitions)
+	}
+	if o.Partitions > MaxPartitions {
+		return &LimitError{Option: "partition count", Got: o.Partitions, Limit: MaxPartitions}
 	}
 	if o.MaxCutColumns < 0 {
 		return fmt.Errorf("solve: negative cut-column cap %d", o.MaxCutColumns)

@@ -41,6 +41,8 @@ func TestOptionsValidate(t *testing.T) {
 		{"cooling above 1", Options{Cooling: 1.5}, "cooling"},
 		{"negative cooling", Options{Cooling: -0.5}, "cooling"},
 		{"negative interval", Options{IntervalK: -2}, "interval"},
+		{"partitions at the bound", Options{Partitions: MaxPartitions}, ""},
+		{"partitions above the bound", Options{Partitions: MaxPartitions + 1}, "partition count 1025 exceeds limit 1024"},
 	}
 	for _, tc := range cases {
 		err := tc.o.Validate()
@@ -55,6 +57,10 @@ func TestOptionsValidate(t *testing.T) {
 		} else if !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: error %q does not mention %q", tc.name, err, tc.want)
 		}
+	}
+	var le *LimitError
+	if err := (Options{Partitions: MaxPartitions + 1}).Validate(); !errors.As(err, &le) || le.Limit != MaxPartitions {
+		t.Errorf("partitions above the bound: error %v is not a *LimitError at %d", err, MaxPartitions)
 	}
 }
 
