@@ -508,10 +508,12 @@ func BenchmarkFrontierEngines(b *testing.B) {
 // sets, where the step-axis decomposition is exact and each window's
 // frontier is tiny.  Both variants return identical costs, asserted
 // by internal/partition's tests and by -bench8 itself.  blocked-2x288
-// runs perfbench exact-cold's blocked family (2 tasks × 288 steps, the
-// shape hyperd sends to exact-partitioned) on one worker: one op solves
-// four seeds (planning, nine window solves and the stitch's coupling
-// correction each) and cost is their sum.
+// runs perfbench exact-cold's blocked family (2 tasks × 288 steps) on
+// one worker: one op solves four seeds (planning, nine window solves
+// and the stitch's coupling correction each) and cost is their sum.
+// blocked-2x288-monolithic solves the same four seeds with monolithic
+// `exact`, which is what hyperd runs on them (E28), and proves each
+// optimum.
 func BenchmarkPartitionedSolve(b *testing.B) {
 	ins, err := workload.Blocked(workload.Config{Tasks: 4, Steps: 64, Switches: 24, MeanPhase: 8, Seed: 2})
 	if err != nil {
@@ -555,19 +557,35 @@ func BenchmarkPartitionedSolve(b *testing.B) {
 		}
 		blocked = append(blocked, ins)
 	}
-	b.Run("blocked-2x288", func(b *testing.B) {
-		run(b, func() (model.Cost, error) {
-			var total model.Cost
-			for _, ins := range blocked {
-				sol, err := partition.Solve(context.Background(), ins, parallel, solve.Options{Workers: 1})
-				if err != nil {
-					return 0, err
+	blockedRow := func(solveOne func(*model.MTSwitchInstance) (model.Cost, error)) func(*testing.B) {
+		return func(b *testing.B) {
+			run(b, func() (model.Cost, error) {
+				var total model.Cost
+				for _, ins := range blocked {
+					c, err := solveOne(ins)
+					if err != nil {
+						return 0, err
+					}
+					total += c
 				}
-				total += sol.Cost
-			}
-			return total, nil
-		})
-	})
+				return total, nil
+			})
+		}
+	}
+	b.Run("blocked-2x288", blockedRow(func(ins *model.MTSwitchInstance) (model.Cost, error) {
+		sol, err := partition.Solve(context.Background(), ins, parallel, solve.Options{Workers: 1})
+		if err != nil {
+			return 0, err
+		}
+		return sol.Cost, nil
+	}))
+	b.Run("blocked-2x288-monolithic", blockedRow(func(ins *model.MTSwitchInstance) (model.Cost, error) {
+		sol, err := mtswitch.SolveExact(context.Background(), ins, parallel, solve.Options{Workers: 1})
+		if err != nil {
+			return 0, err
+		}
+		return sol.Cost, nil
+	}))
 }
 
 // BenchmarkWorkloadShapes compares schedule quality across the four

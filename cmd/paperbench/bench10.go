@@ -53,9 +53,8 @@ type pfFamily struct {
 }
 
 // pfMixedFamilies is the -bench10 mixed workload: family sizes chosen
-// so the exact DP lane can prove optimality and cancel the race.  The
-// lane is monolithic on every trace partition.AutoDispatch keeps whole,
-// which includes every trace under 256 steps.
+// so the exact DP lane, which is monolithic, can prove optimality and
+// cancel the race.
 var pfMixedFamilies = []pfFamily{
 	{Name: "phased-small", Gen: "phased", Cfg: workload.Config{Tasks: 2, Steps: 32, Switches: 12, MeanPhase: 8}},
 	{Name: "phased", Gen: "phased", Cfg: workload.Config{Tasks: 3, Steps: 40, Switches: 12, MeanPhase: 10}},
@@ -69,10 +68,10 @@ var pfMixedFamiliesSmall = []pfFamily{
 	{Name: "phased-small", Gen: "phased", Cfg: workload.Config{Tasks: 2, Steps: 32, Switches: 12, MeanPhase: 8}},
 }
 
-// pfDispatchFamilies adds a longer blocked trace.  It is still under
-// partition.AutoDispatchSteps, so its races line up the monolithic
-// exact lane, which proves the optimum and cancels the heuristics;
-// repeat instances then skip the race for the family's learned winner.
+// pfDispatchFamilies adds a longer blocked trace.  Its races line up the
+// monolithic exact lane, which proves the optimum and cancels the
+// heuristics; repeat instances then skip the race for the family's
+// learned winner.
 var pfDispatchFamilies = append(pfMixedFamilies[:len(pfMixedFamilies):len(pfMixedFamilies)],
 	pfFamily{Name: "blocked-long", Gen: "blocked", Cfg: workload.Config{Tasks: 4, Steps: 96, Switches: 24, MeanPhase: 8}})
 
@@ -276,9 +275,6 @@ func pfMixedBench(ctx context.Context, families []pfFamily, seeds int64, small b
 			for _, c := range psol.Contenders {
 				if c.Won {
 					res.Winner = c.Solver
-				}
-				if c.Solver == "exact-partitioned" {
-					singles[0] = "exact-partitioned"
 				}
 			}
 			hind := -1

@@ -153,6 +153,17 @@ func writeError(w http.ResponseWriter, code int, err error) {
 
 var errNoNode = errors.New("cluster: no healthy node available")
 
+// writeResolveError answers a request the router could not resolve
+// with the node's status for it: 413 for an instance dimension or an
+// option above its bound (service.TooLarge), 400 otherwise.
+func writeResolveError(w http.ResponseWriter, err error) {
+	if service.TooLarge(err) {
+		writeError(w, http.StatusRequestEntityTooLarge, err)
+		return
+	}
+	writeError(w, http.StatusBadRequest, err)
+}
+
 // handleSubmit routes POST /v1/solve and POST /v1/jobs by shard key.
 func (rt *Router) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxRouteBody))
@@ -172,7 +183,7 @@ func (rt *Router) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	key, err := req.RoutingKey(rt.cfg.Limits)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		writeResolveError(w, err)
 		return
 	}
 	rt.forward(w, r, rt.members.Ring().Lookup(key), body, rt.jobs)
@@ -198,7 +209,7 @@ func (rt *Router) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 	}
 	key, err := req.RoutingKey(rt.cfg.Limits)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		writeResolveError(w, err)
 		return
 	}
 	rt.forward(w, r, rt.members.Ring().Lookup(key), body, rt.sessions)

@@ -395,6 +395,45 @@ func TestRouterErrorBodies(t *testing.T) {
 	}
 }
 
+// TestRouterTooLargeMatchesNode pins that the router answers an
+// oversized request with the node's status and text: a partitions
+// option above its bound (a *solve.LimitError) and a task count above
+// the wire bound (a *service.TooLargeError) each get 413 on solves and
+// session openers alike, through the router and from the node.
+func TestRouterTooLargeMatchesNode(t *testing.T) {
+	_, nodes, _, front := newCluster(t, 1)
+
+	partitions := solveRequest(0)
+	partitions.Options.Partitions = 1025
+	tasks := &service.SolveRequest{Solver: "exact", Instance: &service.WireInstance{Reqs: [][]string{{}}}}
+	for j := 0; j < 65; j++ {
+		tasks.Instance.Tasks = append(tasks.Instance.Tasks, service.WireTask{Name: fmt.Sprintf("t%d", j), Local: 1, V: 1})
+		tasks.Instance.Reqs[0] = append(tasks.Instance.Reqs[0], "1")
+	}
+	for _, c := range []struct {
+		name string
+		req  *service.SolveRequest
+	}{{"partitions", partitions}, {"tasks", tasks}} {
+		bodies := map[string]any{
+			"/v1/solve": c.req,
+			"/v1/sessions": &service.SessionRequest{
+				Solver: c.req.Solver, Instance: c.req.Instance, Options: c.req.Options,
+			},
+		}
+		for path, body := range bodies {
+			nodeResp, nodeRaw := postJSON(t, nodes[0].URL+path, body)
+			routerResp, routerRaw := postJSON(t, front.URL+path, body)
+			if nodeResp.StatusCode != http.StatusRequestEntityTooLarge || routerResp.StatusCode != http.StatusRequestEntityTooLarge {
+				t.Fatalf("%s %s: node %d %s, router %d %s; want 413 from both",
+					c.name, path, nodeResp.StatusCode, nodeRaw, routerResp.StatusCode, routerRaw)
+			}
+			if !bytes.Equal(nodeRaw, routerRaw) {
+				t.Fatalf("%s %s: node body %s, router body %s", c.name, path, nodeRaw, routerRaw)
+			}
+		}
+	}
+}
+
 // TestRouterHealthAndMetrics checks the router's own endpoints.
 func TestRouterHealthAndMetrics(t *testing.T) {
 	_, _, _, front := newCluster(t, 2)

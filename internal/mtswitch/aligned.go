@@ -27,11 +27,22 @@ const infCost = model.Cost(math.MaxInt64 / 4)
 // hyperreconfiguration" pattern).  With aligned breakpoints the problem
 // collapses to the single-task segmentation DP:
 //
-//	D[e] = min_s D[s] + hyper(s) + reconf(s,e)·(e-s)
+//	D[e] = min_s D[s] + H + R(s,e)·(e-s)
 //
-// where hyper(s) combines all tasks' v_j under the hyper upload mode
-// and reconf(s,e) combines the per-task canonical union sizes (plus the
-// public-global term) under the reconf upload mode.  O(n²·m) time.
+// where H combines all tasks' v_j under the hyper upload mode and
+// R(s,e) combines the per-task canonical union sizes (plus the
+// public-global term) under the reconf upload mode.
+//
+// The scan over starts s stops early (DESIGN.md §3.1).  For s' < s < e,
+// extending D[s']'s schedule by the segment [s',s) bounds D[s] ≤ D[s']
+// + H + R(s',s)·(s−s'), and unions only grow as the start moves left,
+// so R(s',e) ≥ max(R(s',s), R(s,e)).  Together these give c(s') ≥
+// c(s) − H for the candidate cost c(s) = D[s] + H + R(s,e)·(e−s).  Once
+// c(s) − H reaches the best cost found, no start left of s can price
+// strictly below it; since only a strictly smaller cost replaces the
+// best, the cost and the argmin (hence the mask) are those of the full
+// scan.  Stats.StatesExpanded counts the starts priced: O(n²·m) in the
+// worst case, far fewer when segments pay for themselves quickly.
 //
 // Aligned schedules are a strict subset of all schedules, so the result
 // is an upper bound for SolveExact; the gap between the two is exactly
@@ -67,13 +78,15 @@ func SolveAligned(ctx context.Context, ins *model.MTSwitchInstance, opt model.Co
 
 	var stats solve.Stats
 	unions := make([]bitset.Set, m)
+	for j := range unions {
+		unions[j] = bitset.New(ins.Tasks[j].Local)
+	}
 	for e := 1; e <= n; e++ {
 		if err := solve.Checkpoint(ctx); err != nil {
 			return nil, err
 		}
-		stats.StatesExpanded += int64(e)
 		for j := range unions {
-			unions[j] = bitset.New(ins.Tasks[j].Local)
+			unions[j].Clear()
 		}
 		for s := e - 1; s >= 0; s-- {
 			var reconf model.Cost
@@ -88,9 +101,13 @@ func SolveAligned(ctx context.Context, ins *model.MTSwitchInstance, opt model.Co
 				reconf += model.Cost(ins.PublicGlobal)
 			}
 			c := d[s] + allHyper + reconf*model.Cost(e-s)
+			stats.StatesExpanded++
 			if c < d[e] {
 				d[e] = c
 				parent[e] = s
+			}
+			if c-allHyper >= d[e] {
+				break
 			}
 		}
 	}

@@ -439,17 +439,28 @@ func growWords(s []uint64, n int) []uint64 {
 }
 
 // buildCandidates computes cand[j][i], the distinct values of U_j(i,e)
-// for e ≥ i by growing horizon, directly in packed form, applying the
-// MaxCandidates trim (shortest horizons plus the full-suffix union).
+// for e ≥ i in order of growing horizon, directly in packed form,
+// applying the MaxCandidates trim (shortest horizons plus the
+// full-suffix union).
+//
+// The work is what the catalog outputs, not O(n²) unions per task.
+// U_j(i,e) = req_i ∪ U_j(i+1,e), so the distinct unions from start i
+// are req_i followed by req_i ∪ f for each distinct union f from i+1,
+// with the repeats dropped; each is priced from the bits it adds to
+// the one before.  Walking i backward over one full list per start
+// costs O(Σ_i k_i · taskWords) for k_i candidates at start i.
 //
 // The candidate catalog is the engine's other unbounded allocation
 // (O(m·n·l) packed vectors worst case), so the frontier byte budget
 // covers it too: once the catalog has consumed the budget, every
 // further (task, step) keeps only its full-suffix union — the one
 // candidate that is always feasible for any horizon — and the run is
-// recorded as budget-degraded.  The trim is applied in the sequential
-// build order, so candidate-budget degradation is deterministic.  The
-// context is checked once per (task, step), bounding cancellation
+// recorded as budget-degraded.  Both trims are decided in forward
+// (task, step) order from the per-start candidate counts
+// (distinctUnionCounts), before the backward build fills them in, so
+// candidate-budget degradation is deterministic and independent of
+// the build direction.  Each task's kept candidates share one arena.
+// The context is checked once per (task, step), bounding cancellation
 // latency on catalogs whose construction alone is expensive.
 func (e *engine) buildCandidates(ctx context.Context, o solve.Options) error {
 	m, n := e.lay.m, e.ins.Steps()
@@ -457,58 +468,118 @@ func (e *engine) buildCandidates(ctx context.Context, o solve.Options) error {
 	e.cands = make([][]packedCands, m)
 	for j := 0; j < m; j++ {
 		tw := e.lay.taskWords[j]
-		e.cands[j] = make([]packedCands, n)
-		acc := bitset.New(e.ins.Tasks[j].Local)
-		for i := 0; i < n; i++ {
+		wj := e.taskWeightsOf(j)
+		row := make([]packedCands, n)
+		e.cands[j] = row
+
+		// Forward pass: how many of each start's candidates stay.
+		kept, maxK := 0, 0
+		for i, k := range e.distinctUnionCounts(j) {
+			maxK = max(maxK, k)
+			switch {
+			case e.budgetWords > 0 && candWords >= e.budgetWords:
+				if k > 1 {
+					e.stats.CandidatesPruned += int64(k - 1)
+					e.stats.Truncated = true
+					e.stats.Degraded = true
+				}
+				row[i].k = 1
+			case o.MaxCandidates > 0 && k > o.MaxCandidates:
+				e.stats.CandidatesPruned += int64(k - o.MaxCandidates)
+				row[i].k = o.MaxCandidates
+			default:
+				row[i].k = k
+			}
+			candWords += int64(row[i].k * tw)
+			kept += row[i].k
+		}
+
+		// Backward pass: start i's full list (cur, with its weighted
+		// sizes in cnt) from start i+1's (next), and the kept part of it
+		// into the task's arena.  A list slot past the last candidate
+		// takes a union that added nothing, so a list holds maxK+1
+		// vectors.
+		words := make([]uint64, kept*tw)
+		counts := make([]model.Cost, kept)
+		cur, next, nextK := make([]uint64, (maxK+1)*tw), make([]uint64, (maxK+1)*tw), 0
+		cnt := make([]model.Cost, maxK)
+		for i := n - 1; i >= 0; i-- {
 			if err := solve.Checkpoint(ctx); err != nil {
 				return err
 			}
-			acc.Clear()
-			c := packedCands{}
-			overBudget := e.budgetWords > 0 && candWords >= e.budgetWords
-			var pruned int64
-			last := -1
-			wj := e.taskWeightsOf(j)
-			for end := i; end < n; end++ {
-				acc.UnionWith(e.ins.Reqs[j][end])
-				// Distinctness is detected on the raw popcount (unions
-				// only grow, so raw counts strictly increase across
-				// distinct candidates); the stored install price is the
-				// weighted size.
-				if cnt := acc.Count(); cnt != last {
-					if overBudget && c.k == 1 {
-						// Overwrite the single slot in place; the loop's
-						// final value is the full-suffix union.
-						copy(c.words, acc.Words())
-						c.counts[0] = weightedCountWords(acc.Words(), wj)
-						pruned++
-					} else {
-						c.words = append(c.words, acc.Words()...)
-						c.counts = append(c.counts, weightedCountWords(acc.Words(), wj))
-						c.k++
+			req := e.reqAt(j, i)
+			copy(cur[:tw], req)
+			cnt[0] = weightedCountWords(req, wj)
+			k := 1
+			for f := 0; f < nextK; f++ {
+				// cur's last union is req_i ∪ (the last f seen), so the
+				// bits f adds to it are what req_i ∪ f adds.
+				prev, u := cur[(k-1)*tw:k*tw], cur[k*tw:(k+1)*tw]
+				var added model.Cost
+				grew := false
+				for w, x := range next[f*tw : (f+1)*tw] {
+					add := x &^ prev[w]
+					u[w] = prev[w] | add
+					if add != 0 {
+						grew = true
+						added += weightedWord(add, w, wj)
 					}
-					last = cnt
+				}
+				if grew {
+					cnt[k] = cnt[k-1] + added
+					k++
 				}
 			}
-			if pruned > 0 {
-				e.stats.CandidatesPruned += pruned
-				e.stats.Truncated = true
-				e.stats.Degraded = true
-			}
-			if o.MaxCandidates > 0 && c.k > o.MaxCandidates {
-				e.stats.CandidatesPruned += int64(c.k - o.MaxCandidates)
-				keep := o.MaxCandidates - 1
-				copy(c.words[keep*tw:(keep+1)*tw], c.words[(c.k-1)*tw:c.k*tw])
-				c.counts[keep] = c.counts[c.k-1]
-				c.words = c.words[:(keep+1)*tw]
-				c.counts = c.counts[:keep+1]
-				c.k = keep + 1
-			}
-			candWords += int64(len(c.words))
-			e.cands[j][i] = c
+			// The kept part: the first row[i].k−1 candidates and the
+			// full-suffix union.
+			c := &row[i]
+			kept -= c.k
+			c.words = words[kept*tw : (kept+c.k)*tw : (kept+c.k)*tw]
+			c.counts = counts[kept : kept+c.k : kept+c.k]
+			copy(c.words, cur[:(c.k-1)*tw])
+			copy(c.words[(c.k-1)*tw:], cur[(k-1)*tw:k*tw])
+			copy(c.counts, cnt[:c.k-1])
+			c.counts[c.k-1] = cnt[k-1]
+			cur, next, nextK = next, cur, k
 		}
 	}
 	return nil
+}
+
+// distinctUnionCounts returns, for every start i, how many distinct
+// values U_j(i,e) takes over e ≥ i.  The union grows exactly at the
+// steps where some column occurs for the first time since i, so the
+// count is 1 (for U_j(i,i)) plus the number of distinct first
+// occurrences after i.  Walking i backward keeps each column's next
+// occurrence and how many columns each step is the next occurrence of:
+// O(n·taskWords + requirement bits) per task.
+func (e *engine) distinctUnionCounts(j int) []int {
+	n := e.ins.Steps()
+	nextAt := make([]int, e.ins.Tasks[j].Local) // column → next occurrence + 1 (0 = none)
+	at := make([]int, n)                        // step → columns whose next occurrence it is
+	full := make([]int, n)
+	distinct := 0 // steps ≥ i that are some column's next occurrence
+	for i := n - 1; i >= 0; i-- {
+		for w, x := range e.reqAt(j, i) {
+			for ; x != 0; x &= x - 1 {
+				c := w*64 + bits.TrailingZeros64(x)
+				if p := nextAt[c] - 1; p >= 0 {
+					if at[p]--; at[p] == 0 {
+						distinct--
+					}
+				}
+				nextAt[c] = i + 1
+				if at[i]++; at[i] == 1 {
+					distinct++
+				}
+			}
+		}
+		full[i] = distinct + 1
+		if at[i] > 0 {
+			full[i]-- // step i itself is U_j(i,i)
+		}
+	}
+	return full
 }
 
 // reqAt returns task j's packed requirement at step i.

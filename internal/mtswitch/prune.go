@@ -98,11 +98,20 @@ func weightedCountWords(words []uint64, weights []model.Cost) model.Cost {
 	}
 	var c model.Cost
 	for wi, w := range words {
-		base := wi * 64
-		for w != 0 {
-			c += weights[base+bits.TrailingZeros64(w)]
-			w &= w - 1
-		}
+		c += weightedWord(w, wi, weights)
+	}
+	return c
+}
+
+// weightedWord is the weighted popcount of word wi of a packed task
+// context (each bit weighs 1 when weights is nil).
+func weightedWord(w uint64, wi int, weights []model.Cost) model.Cost {
+	if weights == nil {
+		return model.Cost(bits.OnesCount64(w))
+	}
+	var c model.Cost
+	for ; w != 0; w &= w - 1 {
+		c += weights[wi*64+bits.TrailingZeros64(w)]
 	}
 	return c
 }

@@ -225,26 +225,6 @@ func minWindowSteps(n, k int) int {
 	return max(1, n/(4*k))
 }
 
-// AutoDispatchSteps is the step count from which an exact MT-Switch
-// solve may be sent to the partitioned solver.
-const AutoDispatchSteps = 256
-
-// AutoDispatch reports whether an exact solve of ins should run
-// partitioned: ins has at least AutoDispatchSteps steps and its
-// automatic plan, PlanWindows(ins, 0, 0), has boundaries and cuts no
-// column.  Block-structured traces such as workload.Blocked meet it,
-// and their stitched cost equals the monolithic optimum.  Off such
-// shapes every plan that keeps the window length cuts columns, and the
-// stitched answer costs more than the monolithic optimum, which the
-// exact engine proves in tens of milliseconds at these sizes.
-func AutoDispatch(ins *model.MTSwitchInstance) bool {
-	if ins.Steps() < AutoDispatchSteps {
-		return false
-	}
-	p := PlanWindows(ins, 0, 0)
-	return len(p.Boundaries) > 0 && p.CutColumns == 0
-}
-
 func abs(x int) int {
 	if x < 0 {
 		return -x

@@ -178,54 +178,6 @@ func TestAutoPartitions(t *testing.T) {
 	}
 }
 
-// TestAutoDispatch pins the dispatch rule on 2×288 traces, ten seeds
-// each: blocked traces (exact-cold's shape) plan cut-free into windows
-// of at least the minimum length and dispatch; phased, dense and markov
-// traces plan with cuts and short windows and stay monolithic, and so
-// do blocked traces with an always-active shared column (cuts only); a
-// blocked trace whose plan meets the rule stays monolithic below
-// AutoDispatchSteps; and a sparse phased trace stays monolithic too:
-// it splits cut-free only into one-step windows (stitched cost 369
-// against the optimum 354), and under the length rule its least cut
-// is 4.
-func TestAutoDispatch(t *testing.T) {
-	for _, c := range []struct {
-		name string
-		gen  func(workload.Config) (*model.MTSwitchInstance, error)
-		cfg  workload.Config
-		want bool
-	}{
-		{"blocked", workload.Blocked, workload.Config{Tasks: 2, Steps: 288, Switches: 72, MeanPhase: 8}, true},
-		{"phased", workload.Phased, workload.Config{Tasks: 2, Steps: 288, Switches: 12, MeanPhase: 10}, false},
-		{"dense", workload.Dense, workload.Config{Tasks: 2, Steps: 288, Switches: 16, MeanPhase: 10}, false},
-		{"markov", workload.Markov, workload.Config{Tasks: 2, Steps: 288, Switches: 12, MeanPhase: 10}, false},
-		{"blocked-cut", workload.Blocked, workload.Config{Tasks: 2, Steps: 288, Switches: 72, MeanPhase: 8, CutWidth: 1}, false},
-		{"blocked-short", workload.Blocked, workload.Config{Tasks: 2, Steps: AutoDispatchSteps - 1, Switches: 8, MeanPhase: 4}, false},
-	} {
-		for seed := int64(1); seed <= 10; seed++ {
-			cfg := c.cfg
-			cfg.Seed = seed
-			ins, err := c.gen(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := AutoDispatch(ins); got != c.want {
-				plan := PlanWindows(ins, 0, 0)
-				t.Fatalf("%s seed %d: AutoDispatch = %t, want %t (cut %d, windows %v)",
-					c.name, seed, got, c.want, plan.CutColumns, plan.Windows(ins.Steps()))
-			}
-		}
-	}
-	sparse, err := workload.Phased(workload.Config{Tasks: 2, Steps: 288, Switches: 8, MeanPhase: 16, Density: 0.05, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plan := PlanWindows(sparse, 0, 0); plan.CutColumns != 4 || AutoDispatch(sparse) {
-		t.Fatalf("sparse phased seed 3: cut %d, windows %v, AutoDispatch %t; want a least cut of 4 and no dispatch",
-			plan.CutColumns, plan.Windows(sparse.Steps()), AutoDispatch(sparse))
-	}
-}
-
 // boundarySet is one candidate plan of the brute-force search.
 type boundarySet struct {
 	bounds []int

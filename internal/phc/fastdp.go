@@ -101,9 +101,19 @@ type SwitchTable struct {
 //
 // The explicit scan then only covers s from e-1 down to the saturation
 // point, which is short whenever requirements revisit their support
-// quickly (typical for looping computations).  Worst case the scan
-// degenerates to the plain O(n²) DP.  The context is checked once per
-// step.
+// quickly (typical for looping computations).
+//
+// A third stops that scan early, at the first start s whose cost
+// c(s) = D[s] + w + |U(s,e)|·(P[e]−P[s]) is at least w above the best
+// so far.  For any s' < s, extending D[s']'s schedule by the segment
+// [s',s) gives D[s] ≤ D[s'] + w + |U(s',s)|·(P[s]−P[s']), and U(s',e)
+// contains both U(s',s) and U(s,e), so with non-negative weights and
+// multiplicities c(s') ≥ c(s) − w ≥ best.  Only a strictly smaller
+// cost replaces the best, so Cost and Parent are those of the full
+// scan.
+//
+// Worst case the scan degenerates to the plain O(n²) DP.  Stats counts
+// the starts actually priced.  The context is checked once per step.
 func SwitchPrefixTable(ctx context.Context, universe int, w model.Cost, reqs []bitset.Set, weights, mult []model.Cost) (*SwitchTable, error) {
 	n := len(reqs)
 	// P[e] − P[s] is how many steps s..e-1 stand for.
@@ -177,7 +187,9 @@ func SwitchPrefixTable(ctx context.Context, universe int, w model.Cost, reqs []b
 				bestS = prefArg[sat]
 			}
 		}
-		// Explicit scan above the saturation point.
+		// Explicit scan above the saturation point, stopped once a start
+		// costs at least one install more than the best: no start left
+		// of it can then price strictly below the best (see above).
 		clear(u)
 		var size model.Cost
 		for s := e - 1; s > sat && s >= 0; s-- {
@@ -187,6 +199,9 @@ func SwitchPrefixTable(ctx context.Context, universe int, w model.Cost, reqs []b
 			if c < best {
 				best = c
 				bestS = s
+			}
+			if c-w >= best {
+				break
 			}
 		}
 		d[e] = best

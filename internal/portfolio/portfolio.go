@@ -1,9 +1,8 @@
 // Package portfolio is the racing meta-solver: it runs a small
 // portfolio of registered MT-Switch solvers concurrently on one
-// instance — the exact DP (partitioned where partition.AutoDispatch
-// sends it, monolithic otherwise), the beam configuration and the GA —
-// and returns the best result, cancelling the losers as soon as one
-// contender proves optimality.
+// instance — the monolithic exact DP, the beam configuration and the
+// GA — and returns the best result, cancelling the losers as soon as
+// one contender proves optimality.
 //
 // The contenders are coupled through a shared incumbent board
 // (solve.Incumbent): every valid full-schedule cost a heuristic finds
@@ -28,7 +27,6 @@ import (
 	"time"
 
 	"repro/internal/mtswitch"
-	"repro/internal/partition"
 	"repro/internal/solve"
 )
 
@@ -71,44 +69,23 @@ type lane struct {
 	sol    *solve.Solution
 }
 
-// exactName picks the exact contender by hyperd's dispatch rule,
-// partition.AutoDispatch: the partitioned decomposition where the
-// automatic plan splits the trace without a cut, the monolithic DP
-// everywhere else.
-func exactName(inst *solve.Instance) string {
-	if partition.AutoDispatch(inst.MT) {
-		return "exact-partitioned"
-	}
-	return "exact"
-}
-
-// contenders assembles the race lineup.  The GA scout evaluates on
-// one worker so the race does not oversubscribe the machine; the exact
-// lane's packed engine is sequential whatever the worker count.
+// contenders assembles the race lineup: the monolithic exact DP, as
+// hyperd runs it, then the beam and GA scouts.  The GA scout evaluates
+// on one worker so the race does not oversubscribe the machine; the
+// exact lane's packed engine is sequential whatever the worker count.
 func contenders(inst *solve.Instance, opts solve.Options) []contender {
-	exact := exactName(inst)
 	scout := opts
 	scout.Workers = 1
 	scout.Timeout = 0
 	exactOpts := opts
 	exactOpts.Timeout = 0
 
+	// Drive the exact DP through the stepped engine so a cancelled lane
+	// still surrenders the stats of the work it did.
 	cs := make([]contender, 0, 3)
-	if exact == "exact" {
-		// Drive the monolithic DP through the stepped engine so a
-		// cancelled lane still surrenders the stats of the work it did.
-		cs = append(cs, contender{name: "exact", run: func(ctx context.Context) (*solve.Solution, solve.Stats, error) {
-			return runSteppedExact(ctx, inst, exactOpts)
-		}})
-	} else {
-		cs = append(cs, contender{name: exact, run: func(ctx context.Context) (*solve.Solution, solve.Stats, error) {
-			sol, err := solve.Run(ctx, exact, inst, exactOpts)
-			if err != nil {
-				return nil, solve.Stats{}, err
-			}
-			return sol, sol.Stats, nil
-		}})
-	}
+	cs = append(cs, contender{name: "exact", run: func(ctx context.Context) (*solve.Solution, solve.Stats, error) {
+		return runSteppedExact(ctx, inst, exactOpts)
+	}})
 	for _, name := range []string{"beam", "ga"} {
 		name := name
 		o := scout

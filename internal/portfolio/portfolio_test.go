@@ -167,14 +167,14 @@ func TestRaceCancelsCleanly(t *testing.T) {
 	}
 }
 
-// TestRaceExactLaneFollowsAutoDispatch pins the exact lane to hyperd's
-// dispatch rule: phased 2×100 traces are long enough for an automatic
-// plan but cannot be split without a cut, so the race runs the
-// monolithic exact DP, which proves the optimum and cancels the rest.
-func TestRaceExactLaneFollowsAutoDispatch(t *testing.T) {
+// TestRaceExactLaneIsMonolithic pins the exact lane to the solver
+// hyperd runs: on blocked 2×288 traces, which the partitioned solver
+// splits without a cut, the race's exact lane is the monolithic DP,
+// which proves the optimum and cancels the rest.
+func TestRaceExactLaneIsMonolithic(t *testing.T) {
 	ctx := context.Background()
 	for seed := int64(1); seed <= 3; seed++ {
-		mt, err := workload.Phased(workload.Config{Tasks: 2, Steps: 100, Switches: 12, MeanPhase: 10, Seed: seed})
+		mt, err := workload.Blocked(workload.Config{Tasks: 2, Steps: 288, Switches: 72, MeanPhase: 8, Seed: seed})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -237,9 +237,10 @@ func retryAfterHeader(w http.ResponseWriter, d time.Duration) {
 	w.Header().Set("Retry-After", strconv.FormatInt(secs, 10))
 }
 
-// tooLarge reports an error answered 413: an instance dimension or an
-// option above its bound.
-func tooLarge(err error) bool {
+// TooLarge reports an error answered 413: an instance dimension or an
+// option above its bound.  The cluster router applies the same rule to
+// resolution errors, so a request gets one status through either door.
+func TooLarge(err error) bool {
 	var (
 		dim *TooLargeError
 		opt *solve.LimitError
@@ -261,7 +262,7 @@ func (s *Server) submit(w http.ResponseWriter, r *http.Request) (*Job, bool, boo
 	switch {
 	case err == nil:
 		return job, deduped, true
-	case tooLarge(err):
+	case TooLarge(err):
 		writeError(w, http.StatusRequestEntityTooLarge, err)
 	case errors.Is(err, ErrQueueFull):
 		writeRetryError(w, http.StatusTooManyRequests, err, time.Second)
@@ -363,7 +364,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 func sessionError(w http.ResponseWriter, err error) {
 	var unavailable *SolverUnavailableError
 	switch {
-	case tooLarge(err):
+	case TooLarge(err):
 		writeError(w, http.StatusRequestEntityTooLarge, err)
 	case errors.Is(err, ErrSessionLimit):
 		writeRetryError(w, http.StatusTooManyRequests, err, time.Second)

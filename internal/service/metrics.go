@@ -70,7 +70,7 @@ type metrics struct {
 
 	// Partitioned-solve counters: windows solved, weighted cut columns
 	// accepted, and nanoseconds spent stitching (exact-partitioned runs
-	// only, whether auto-dispatched or requested).
+	// only).
 	partitionParts    atomic.Int64
 	partitionCut      atomic.Int64
 	partitionStitchNs atomic.Int64

@@ -74,8 +74,8 @@ func TestMetricsSeriesGolden(t *testing.T) {
 	if job := submitWait(t, s, durableTwin()); !job.CacheHit {
 		t.Fatal("structural twin missed the canonical store")
 	}
-	if job := submitWait(t, s, blockedRequest(t, "exact", 288)); job.Solver != "exact-partitioned" {
-		t.Fatalf("288-step exact solve ran as %q, want exact-partitioned", job.Solver)
+	if job := submitWait(t, s, blockedRequest(t, "exact-partitioned", 288)); job.Solver != "exact-partitioned" {
+		t.Fatalf("288-step exact-partitioned solve ran as %q", job.Solver)
 	}
 	submitWait(t, s, &SolveRequest{Solver: "portfolio", Instance: bigWire()})
 	setTestSolver(func(ctx context.Context, inst *solve.Instance, opts solve.Options) (*solve.Solution, error) {

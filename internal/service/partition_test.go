@@ -21,15 +21,14 @@ func blockedRequest(t *testing.T, solver string, steps int) *SolveRequest {
 	return &SolveRequest{Solver: solver, Instance: WireInstanceFrom(mt)}
 }
 
-// TestPartitionAutoDispatch pins the dispatch rewrite
-// (partition.AutoDispatch): a 288-step blocked exact submission runs
-// as exact-partitioned, its routing key is the canonical key the node
-// stores it under, and it shares its cache line with a directly
-// requested partitioned solve; a 288-step phased one, which the
-// planner cannot split without a cut, stays exact and proven, and a
-// blocked trace below 256 steps stays exact.  The partition metric
-// families appear after a partitioned solve.
-func TestPartitionAutoDispatch(t *testing.T) {
+// TestBlockedExactRunsMonolithic pins that hyperd runs the solver a
+// request names: a 288-step blocked exact submission (perfbench
+// exact-cold's blocked shape, which the partitioned solver splits
+// without a cut) runs as exact and proves its optimum, at the cost a
+// direct exact-partitioned submit of the same instance reaches, and
+// its routing key is the canonical key the node stores it under.  The
+// partition metric families appear after the partitioned solve.
+func TestBlockedExactRunsMonolithic(t *testing.T) {
 	s := New(Config{Workers: 2})
 	defer shutdown(t, s)
 
@@ -38,52 +37,33 @@ func TestPartitionAutoDispatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitDone(t, big)
-	if big.Solver != "exact-partitioned" {
-		t.Fatalf("288-step blocked exact job ran as %q, want exact-partitioned", big.Solver)
+	if big.Solver != "exact" {
+		t.Fatalf("288-step blocked exact job ran as %q, want exact", big.Solver)
 	}
-	if sol := doneResult(t, big); sol.Stats.Partitions < 1 {
-		t.Fatalf("Stats.Partitions = %d, want ≥ 1", sol.Stats.Partitions)
+	sol := doneResult(t, big)
+	if !sol.Exact {
+		t.Fatal("288-step blocked exact job: want a proven optimum")
 	}
 	// A router applying the node's limits sends the request to the
 	// owner of the key the node stores its answer under.
 	if key, err := blockedRequest(t, "exact", 288).RoutingKey(s.limits()); err != nil || key != big.canonKey {
-		t.Fatalf("RoutingKey = %q (err %v), want the dispatched job's canonical key %q", key, err, big.canonKey)
+		t.Fatalf("RoutingKey = %q (err %v), want the job's canonical key %q", key, err, big.canonKey)
 	}
 
-	// A direct exact-partitioned submit of the same instance must hit
-	// the cache line the dispatched job filled.
 	direct, _, err := s.Submit(blockedRequest(t, "exact-partitioned", 288))
 	if err != nil {
 		t.Fatal(err)
 	}
 	waitDone(t, direct)
-	if !direct.CacheHit {
-		t.Fatal("direct exact-partitioned submit missed the dispatched job's cache line")
+	if direct.CacheHit {
+		t.Fatal("exact-partitioned submit hit the exact job's cache line")
 	}
-
-	mt, err := workload.Phased(workload.Config{Tasks: 2, Steps: 288, Switches: 12, MeanPhase: 10, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
+	part := doneResult(t, direct)
+	if part.Cost != sol.Cost {
+		t.Fatalf("exact-partitioned costs %d, exact %d", part.Cost, sol.Cost)
 	}
-	phased, _, err := s.Submit(&SolveRequest{Solver: "exact", Instance: WireInstanceFrom(mt)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	waitDone(t, phased)
-	if phased.Solver != "exact" {
-		t.Fatalf("288-step phased exact job ran as %q, want exact", phased.Solver)
-	}
-	if sol := doneResult(t, phased); !sol.Exact {
-		t.Fatal("288-step phased exact job: want a proven optimum")
-	}
-
-	small, _, err := s.Submit(blockedRequest(t, "exact", 255))
-	if err != nil {
-		t.Fatal(err)
-	}
-	waitDone(t, small)
-	if small.Solver != "exact" {
-		t.Fatalf("255-step blocked exact job ran as %q, want exact", small.Solver)
+	if part.Stats.Partitions < 1 {
+		t.Fatalf("exact-partitioned Stats.Partitions = %d, want ≥ 1", part.Stats.Partitions)
 	}
 
 	var buf bytes.Buffer

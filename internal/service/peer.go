@@ -284,9 +284,8 @@ func (s *Server) limits() RouteLimits {
 // RoutingKey returns the cluster shard key of a solve request: the
 // canonical store key for mtswitch instances (so structural twins from
 // any client hash to the same node) and the exact request key
-// otherwise.  Resolution already applies partition.AutoDispatch, so a
-// dispatched request keys on the solver the node runs and stores it
-// under.  Resolution failures are client errors.
+// otherwise, on the solver the node runs and stores the answer under.
+// Resolution failures are client errors.
 func (r *SolveRequest) RoutingKey(lim RouteLimits) (string, error) {
 	res, err := r.resolve()
 	if err != nil {

@@ -75,3 +75,49 @@ func TestFinishedJobsRetainTheirAnswerOnly(t *testing.T) {
 		}
 	}
 }
+
+// TestCacheHitSubmitSkipsJournalMarshal pins that a data directory
+// costs a literal repeat nothing: the request body is marshalled for
+// the WAL only when the job is enqueued, so a submit the exact cache
+// answers allocates no more with a data dir than without one, in
+// allocations and in bytes.  Like the retention bound it is measured
+// without the race detector, whose own allocations vary by run.
+func TestCacheHitSubmitSkipsJournalMarshal(t *testing.T) {
+	const runs = 20
+	measure := func(dataDir string) (allocs, bytes float64) {
+		s, err := Open(Config{Workers: 1, DataDir: dataDir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer shutdown(t, s)
+		waitReady(t, s)
+		req := blockedRequest(t, "aligned", 288)
+		first, _, err := s.Submit(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitDone(t, first)
+		repeat := func() {
+			j, _, err := s.Submit(req)
+			if err != nil || !j.CacheHit {
+				t.Fatalf("repeat submit: err %v, cache hit %t", err, j != nil && j.CacheHit)
+			}
+		}
+		allocs = testing.AllocsPerRun(runs, repeat)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			repeat()
+		}
+		runtime.ReadMemStats(&after)
+		return allocs, float64(after.TotalAlloc-before.TotalAlloc) / runs
+	}
+	plainAllocs, plainBytes := measure("")
+	durAllocs, durBytes := measure(t.TempDir())
+	t.Logf("per cache-hit submit: %.1f allocs %.0f B plain, %.1f allocs %.0f B with a data dir",
+		plainAllocs, plainBytes, durAllocs, durBytes)
+	if durAllocs > plainAllocs+1 || durBytes > plainBytes*1.1 {
+		t.Fatalf("a cache-hit submit allocates %.1f times (%.0f B) with a data dir, %.1f (%.0f B) without",
+			durAllocs, durBytes, plainAllocs, plainBytes)
+	}
+}

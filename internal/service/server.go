@@ -367,13 +367,6 @@ func (s *Server) Submit(req *SolveRequest) (job *Job, deduped bool, err error) {
 		return nil, false, err
 	}
 
-	// The original request body, retained for journaling (enqueued jobs
-	// only; prepared outside the lock).
-	var reqJSON []byte
-	if s.dur != nil {
-		reqJSON, _ = json.Marshal(req)
-	}
-
 	// Canonical store lookup (mtswitch only), prepared outside the lock:
 	// the structural hash and — on a hit — the stored mask replayed onto
 	// this request's own instance and rendered.  Served only when the
@@ -388,7 +381,8 @@ func (s *Server) Submit(req *SolveRequest) (job *Job, deduped bool, err error) {
 	if res.inst.Kind() == solve.KindMTSwitch && res.mt != nil {
 		canonKey, canonPerm = canonicalMTKey(res.mt, res.inst.Cost, res.solver, opts)
 	}
-	if _, cached := s.cache.Get(key); canonKey != "" && !cached {
+	_, cached := s.cache.Get(key)
+	if canonKey != "" && !cached {
 		if entry, ok := s.canon.Get(canonKey); ok {
 			if sol, ok := entry.reconstruct(res.mt, res.inst.Cost, canonPerm); ok {
 				canonSol = sol
@@ -423,6 +417,14 @@ func (s *Server) Submit(req *SolveRequest) (job *Job, deduped bool, err error) {
 		if canonSol != nil {
 			canonWS, canonErr = s.render(canonSol, res.mt)
 		}
+	}
+
+	// The original request body, retained for journaling, is prepared
+	// outside the lock, and only when no cache level answers: a cache or
+	// canonical hit never reaches the journal.
+	var reqJSON []byte
+	if s.dur != nil && !cached && canonSol == nil {
+		reqJSON, _ = json.Marshal(req)
 	}
 
 	s.mu.Lock()
@@ -472,6 +474,10 @@ func (s *Server) Submit(req *SolveRequest) (job *Job, deduped bool, err error) {
 		return nil, false, ErrQueueFull
 	}
 
+	if s.dur != nil && reqJSON == nil {
+		// The cache line seen before the lock was evicted since.
+		reqJSON, _ = json.Marshal(req)
+	}
 	job = s.newJobLocked(key, res.solver)
 	job.inst, job.mt, job.opts = res.inst, res.mt, opts
 	job.canonKey, job.canonPerm = canonKey, canonPerm

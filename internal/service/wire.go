@@ -8,7 +8,6 @@ import (
 	"repro/internal/bitset"
 	"repro/internal/core"
 	"repro/internal/model"
-	"repro/internal/partition"
 	"repro/internal/shyra"
 	"repro/internal/solve"
 	"repro/internal/traceio"
@@ -295,15 +294,6 @@ func (r *SolveRequest) resolve() (*resolved, error) {
 		}
 		out.mt = mt
 		out.inst = solve.NewMT(mt, cost)
-		// Exact solves whose trace the planner splits without a cut run
-		// partitioned (partition.AutoDispatch).  Deciding here, before
-		// anything is hashed, puts the node's cache keys, the router's
-		// shard key and WAL recovery on the solver that runs, and lets
-		// dispatched and directly requested partitioned solves share
-		// cache lines.
-		if out.solver == "exact" && partition.AutoDispatch(mt) {
-			out.solver = "exact-partitioned"
-		}
 	case "switch":
 		if r.Upload != "" {
 			return nil, fmt.Errorf("upload only applies to kind mtswitch")
