@@ -17,11 +17,14 @@
 // and in-flight solves stop at their next cancellation checkpoint.
 // With -data-dir the daemon journals job submissions, completions and
 // session step batches to a write-ahead log under that directory and
-// spills the canonical cache and evicted session checkpoints to a
-// content-addressed disk store; after a crash (or kill -9) a restart
-// on the same directory replays the journal, warm-loads the cache,
-// revives streaming sessions and re-enqueues incomplete jobs. The
+// spills the canonical cache to a content-addressed disk store; after
+// a crash (or kill -9) a restart on the same directory replays the
+// journal, warm-loads the cache, rebuilds streaming sessions' engines
+// from their journaled traces and re-enqueues incomplete jobs. The
 // graceful drain compacts and flushes the WAL before exit.
+// With -session-bytes the least recently used session engines beyond
+// the budget are closed; a session's next batch rebuilds its engine
+// from the trace.
 // With -peers and -self it joins a cluster: canonical-cache misses are
 // filled from the ring siblings over GET /v1/cache/{key} before the
 // local pool solves, and a fill may park on a sibling's in-flight twin
@@ -94,10 +97,10 @@ func runServe(args []string) error {
 		brkThresh  = fs.Int("breaker-threshold", 5, "consecutive solver panics/timeouts that trip its circuit breaker (negative disables)")
 		brkCool    = fs.Duration("breaker-cooldown", 10*time.Second, "how long a tripped breaker fails fast before probing")
 		maxSess    = fs.Int("max-sessions", 64, "concurrent streaming sessions")
-		sessBytes  = fs.Int64("session-bytes", 64<<20, "total session engine memory before LRU engines are checkpointed out (negative disables)")
+		sessBytes  = fs.Int64("session-bytes", 64<<20, "total session engine memory before LRU engines are closed, to be rebuilt from their traces on the next batch (negative disables)")
 		drain      = fs.Duration("drain", 30*time.Second, "graceful shutdown budget")
 
-		dataDir  = fs.String("data-dir", "", "durable state directory: journal jobs/sessions to a WAL and spill caches/checkpoints for crash recovery (empty = in-memory only)")
+		dataDir  = fs.String("data-dir", "", "durable state directory: journal jobs/sessions to a WAL and spill the canonical cache for crash recovery (empty = in-memory only)")
 		fsyncPol = fs.String("fsync", "always", "WAL flush policy: always, interval or never")
 		fsyncInt = fs.Duration("fsync-interval", 100*time.Millisecond, "background WAL flush period under -fsync interval")
 		walSeg   = fs.Int64("wal-segment-bytes", 8<<20, "WAL segment rotation size in bytes")

@@ -13,13 +13,8 @@
 //	mtopt -app counter -solver all -fig      # aligned+beam+ga + Figure 2/3 charts
 //	mtopt -reqs trace.csv -upload sequential # task-sequential uploads
 //
-// The exact and beam solvers are checkpointable: -checkpoint FILE
-// -checkpoint-every N snapshots the DP engine every N steps, and
-// -resume FILE continues a solve from such a snapshot (the instance
-// travels inside the checkpoint, so -app/-reqs are not needed):
-//
-//	mtopt -app counter -solver exact -checkpoint dp.ckpt -checkpoint-every 8
-//	mtopt -solver exact -resume dp.ckpt
+// Every solver runs one-shot through solve.Run; -out saves the best
+// schedule for hyperverify.
 package main
 
 import (
@@ -32,7 +27,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/durable"
 	"repro/internal/model"
 	"repro/internal/mtswitch"
 	"repro/internal/profutil"
@@ -60,9 +54,6 @@ func main() {
 		parts    = flag.Int("partitions", 0, "window count for -solver exact-partitioned (0 = auto, 1 = monolithic)")
 		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile of the solver runs to this file")
 		memProf  = flag.String("memprofile", "", "write an allocation profile after the solver runs to this file")
-		ckptPath = flag.String("checkpoint", "", "write engine checkpoints to this file while solving (exact/beam only)")
-		ckptN    = flag.Int("checkpoint-every", 0, "steps between checkpoints (0 with -checkpoint = once at the end)")
-		resume   = flag.String("resume", "", "resume a solve from this checkpoint file instead of -app/-reqs")
 	)
 	flag.Parse()
 
@@ -71,8 +62,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "mtopt:", err)
 		os.Exit(1)
 	}
-	err = run(*app, *reqsPath, *solver, *upload, *gran, *fig, *pop, *gens, *seed, *beamN, *workers, *parts, *outPath, *stats,
-		*ckptPath, *ckptN, *resume)
+	err = run(*app, *reqsPath, *solver, *upload, *gran, *fig, *pop, *gens, *seed, *beamN, *workers, *parts, *outPath, *stats)
 	stop()
 	if err == nil {
 		err = profutil.WriteHeap(*memProf)
@@ -108,75 +98,7 @@ func load(app, reqsPath, gran string) (*model.MTSwitchInstance, error) {
 	return tr.MTInstance(g)
 }
 
-// steppedSolve drives a checkpointable engine in chunks of every steps,
-// snapshotting to ckptPath after each chunk (atomically: temp file +
-// rename, so a crash never leaves a torn checkpoint).
-func steppedSolve(ctx context.Context, eng solve.StepEngine, ckptPath string, every int) (*solve.Solution, error) {
-	if every <= 0 {
-		every = eng.Steps() // one chunk: checkpoint once, at the end
-	}
-	for {
-		done, err := eng.Advance(ctx, every)
-		if err != nil {
-			return nil, err
-		}
-		if ckptPath != "" {
-			data, err := eng.Checkpoint(ctx)
-			if err != nil {
-				return nil, err
-			}
-			if err := durable.AtomicWrite(ckptPath, data); err != nil {
-				return nil, err
-			}
-		}
-		if done {
-			break
-		}
-	}
-	return eng.Solution(ctx)
-}
-
-// runResumed continues a checkpointed solve.  The instance travels
-// inside the checkpoint, so nothing is loaded from -app/-reqs — which
-// also means instance-dependent outputs (-fig, -out) are unavailable.
-func runResumed(resumePath, solver, ckptPath string, ckptN int, stats bool) error {
-	data, err := os.ReadFile(resumePath)
-	if err != nil {
-		return err
-	}
-	eng, err := solve.ResumeStepEngine(context.Background(), solver, data)
-	if err != nil {
-		return err
-	}
-	defer eng.Close()
-	fmt.Printf("resumed %s from %s (%d steps)\n", solver, resumePath, eng.Steps())
-	sol, err := steppedSolve(context.Background(), eng, ckptPath, ckptN)
-	if err != nil {
-		return err
-	}
-	note := ""
-	if sol.Stats.Truncated {
-		note = " (upper bound)"
-	}
-	fmt.Printf("%-8s cost=%d, exact=%t%s\n", solver, sol.Cost, sol.Exact, note)
-	if stats {
-		fmt.Printf("  stats: states=%d evals=%d pruned=%d dedup=%d peak=%d wall=%s\n",
-			sol.Stats.StatesExpanded, sol.Stats.Evaluations, sol.Stats.CandidatesPruned,
-			sol.Stats.DedupHits, sol.Stats.PeakFrontier, sol.Stats.WallTime.Round(time.Microsecond))
-	}
-	return nil
-}
-
-func run(app, reqsPath, solver, upload, gran string, fig bool, pop, gens int, seed int64, beamN, workers, parts int, outPath string, stats bool, ckptPath string, ckptN int, resumePath string) error {
-	if (ckptPath != "" || resumePath != "") && solver == "all" {
-		return fmt.Errorf("-checkpoint/-resume need a single steppable solver (exact or beam), not -solver all")
-	}
-	if resumePath != "" {
-		if fig || outPath != "" {
-			return fmt.Errorf("-fig and -out need the original instance and are not supported with -resume")
-		}
-		return runResumed(resumePath, solver, ckptPath, ckptN, stats)
-	}
+func run(app, reqsPath, solver, upload, gran string, fig bool, pop, gens int, seed int64, beamN, workers, parts int, outPath string, stats bool) error {
 	ins, err := load(app, reqsPath, gran)
 	if err != nil {
 		return err
@@ -268,23 +190,9 @@ func run(app, reqsPath, solver, upload, gran string, fig bool, pop, gens int, se
 			o = solve.Options{Pop: pop, Generations: gens, Seed: seed, Partitions: parts}
 		}
 		o.Workers = workers
-		var sol *solve.Solution
-		if ckptPath != "" {
-			eng, err := solve.NewStepEngine(context.Background(), name, mtInst, o)
-			if err != nil {
-				return err
-			}
-			sol, err = steppedSolve(context.Background(), eng, ckptPath, ckptN)
-			eng.Close()
-			if err != nil {
-				return err
-			}
-			fmt.Printf("checkpoint written to %s\n", ckptPath)
-		} else {
-			sol, err = solve.Run(context.Background(), name, mtInst, o)
-			if err != nil {
-				return err
-			}
+		sol, err := solve.Run(context.Background(), name, mtInst, o)
+		if err != nil {
+			return err
 		}
 		record(name, sol)
 	}

@@ -31,7 +31,7 @@ func capture(t *testing.T, fn func() error) (string, error) {
 
 func TestRunAllSolversWithFigures(t *testing.T) {
 	out, err := capture(t, func() error {
-		return run("counterdd", "", "all", "parallel", "delta", true, 30, 40, 1, 500, 2, 0, "", false, "", 0, "")
+		return run("counterdd", "", "all", "parallel", "delta", true, 30, 40, 1, 500, 2, 0, "", false)
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -45,7 +45,7 @@ func TestRunAllSolversWithFigures(t *testing.T) {
 
 func TestRunSequentialUpload(t *testing.T) {
 	out, err := capture(t, func() error {
-		return run("toggle", "", "aligned", "sequential", "bit", false, 10, 10, 1, 100, 0, 0, "", false, "", 0, "")
+		return run("toggle", "", "aligned", "sequential", "bit", false, 10, 10, 1, 100, 0, 0, "", false)
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -63,7 +63,7 @@ func TestRunFromCSV(t *testing.T) {
 		t.Fatal(err)
 	}
 	out, err := capture(t, func() error {
-		return run("", csvPath, "ga", "parallel", "bit", false, 10, 10, 1, 100, 0, 0, "", false, "", 0, "")
+		return run("", csvPath, "ga", "parallel", "bit", false, 10, 10, 1, 100, 0, 0, "", false)
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -75,27 +75,27 @@ func TestRunFromCSV(t *testing.T) {
 
 func TestRunErrors(t *testing.T) {
 	if _, err := capture(t, func() error {
-		return run("counter", "", "nope", "parallel", "bit", false, 10, 10, 1, 100, 0, 0, "", false, "", 0, "")
+		return run("counter", "", "nope", "parallel", "bit", false, 10, 10, 1, 100, 0, 0, "", false)
 	}); err == nil {
 		t.Fatal("accepted unknown solver")
 	}
 	if _, err := capture(t, func() error {
-		return run("counter", "", "ga", "nope", "bit", false, 10, 10, 1, 100, 0, 0, "", false, "", 0, "")
+		return run("counter", "", "ga", "nope", "bit", false, 10, 10, 1, 100, 0, 0, "", false)
 	}); err == nil {
 		t.Fatal("accepted unknown upload mode")
 	}
 	if _, err := capture(t, func() error {
-		return run("counter", "", "ga", "parallel", "nope", false, 10, 10, 1, 100, 0, 0, "", false, "", 0, "")
+		return run("counter", "", "ga", "parallel", "nope", false, 10, 10, 1, 100, 0, 0, "", false)
 	}); err == nil {
 		t.Fatal("accepted unknown granularity")
 	}
 	if _, err := capture(t, func() error {
-		return run("nope", "", "ga", "parallel", "bit", false, 10, 10, 1, 100, 0, 0, "", false, "", 0, "")
+		return run("nope", "", "ga", "parallel", "bit", false, 10, 10, 1, 100, 0, 0, "", false)
 	}); err == nil {
 		t.Fatal("accepted unknown app")
 	}
 	if _, err := capture(t, func() error {
-		return run("", "/nonexistent.csv", "ga", "parallel", "bit", false, 10, 10, 1, 100, 0, 0, "", false, "", 0, "")
+		return run("", "/nonexistent.csv", "ga", "parallel", "bit", false, 10, 10, 1, 100, 0, 0, "", false)
 	}); err == nil {
 		t.Fatal("accepted missing CSV")
 	}
@@ -103,7 +103,7 @@ func TestRunErrors(t *testing.T) {
 
 func TestRunStatsFlag(t *testing.T) {
 	out, err := capture(t, func() error {
-		return run("toggle", "", "aligned", "parallel", "bit", false, 10, 10, 1, 100, 0, 0, "", true, "", 0, "")
+		return run("toggle", "", "aligned", "parallel", "bit", false, 10, 10, 1, 100, 0, 0, "", true)
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -113,78 +113,9 @@ func TestRunStatsFlag(t *testing.T) {
 	}
 }
 
-func TestRunCheckpointResumeRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	ckpt := filepath.Join(dir, "dp.ckpt")
-
-	plain, err := capture(t, func() error {
-		return run("counter", "", "exact", "parallel", "bit", false, 10, 10, 1, 100, 1, 0, "", false, "", 0, "")
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Write a checkpoint every 2 steps; the file left behind is the
-	// final (fully advanced) snapshot.
-	withCkpt, err := capture(t, func() error {
-		return run("counter", "", "exact", "parallel", "bit", false, 10, 10, 1, 100, 1, 0, "", false, ckpt, 2, "")
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(withCkpt, "checkpoint written to") {
-		t.Fatalf("no checkpoint confirmation in:\n%s", withCkpt)
-	}
-	cost := ""
-	for _, line := range strings.Split(plain, "\n") {
-		if strings.HasPrefix(line, "exact") {
-			cost = line
-		}
-	}
-	if cost == "" || !strings.Contains(withCkpt, cost) {
-		t.Fatalf("checkpointed run diverged from plain run.\nplain:\n%s\ncheckpointed:\n%s", plain, withCkpt)
-	}
-
-	resumed, err := capture(t, func() error {
-		return run("ignored", "", "exact", "parallel", "bit", false, 10, 10, 1, 100, 1, 0, "", true, "", 0, ckpt)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantCost := cost[:strings.Index(cost, " (")] // "exact    cost=N" prefix
-	if !strings.Contains(resumed, strings.TrimSpace(strings.Fields(wantCost)[1])) {
-		t.Fatalf("resumed run lost the cost %q:\n%s", wantCost, resumed)
-	}
-	if !strings.Contains(resumed, "resumed exact from") || !strings.Contains(resumed, "stats:") {
-		t.Fatalf("resume output malformed:\n%s", resumed)
-	}
-
-	// Checkpoint/resume guardrails.
-	if _, err := capture(t, func() error {
-		return run("counter", "", "all", "parallel", "bit", false, 10, 10, 1, 100, 1, 0, "", false, ckpt, 0, "")
-	}); err == nil {
-		t.Fatal("-checkpoint with -solver all accepted")
-	}
-	if _, err := capture(t, func() error {
-		return run("counter", "", "exact", "parallel", "bit", true, 10, 10, 1, 100, 1, 0, "", false, "", 0, ckpt)
-	}); err == nil {
-		t.Fatal("-fig with -resume accepted")
-	}
-	if _, err := capture(t, func() error {
-		return run("counter", "", "exact", "parallel", "bit", false, 10, 10, 1, 100, 1, 0, "", false, "", 0, filepath.Join(dir, "missing.ckpt"))
-	}); err == nil {
-		t.Fatal("missing resume file accepted")
-	}
-	if _, err := capture(t, func() error {
-		return run("counter", "", "ga", "parallel", "bit", false, 10, 10, 1, 100, 1, 0, "", false, ckpt, 0, "")
-	}); err == nil {
-		t.Fatal("-checkpoint with non-steppable solver accepted")
-	}
-}
-
 func TestUnknownSolverErrorListsRegistered(t *testing.T) {
 	_, err := capture(t, func() error {
-		return run("counter", "", "nope", "parallel", "bit", false, 10, 10, 1, 100, 0, 0, "", false, "", 0, "")
+		return run("counter", "", "nope", "parallel", "bit", false, 10, 10, 1, 100, 0, 0, "", false)
 	})
 	var unknown *solve.UnknownSolverError
 	if !errors.As(err, &unknown) {

@@ -3,9 +3,9 @@
 // content-addressed on-disk store.  Together they let the service
 // survive a kill -9 without losing solved work — the WAL journals
 // every state mutation (job submits and completions, session openers
-// and step batches), the store spills cache entries and engine
-// checkpoints, and a restarted process replays the journal against the
-// spilled state to resume exactly where the dead one stopped.
+// and step batches), the store spills cache entries, and a restarted
+// process replays the journal against the spilled state to resume
+// exactly where the dead one stopped.
 //
 // Design points:
 //
@@ -19,9 +19,9 @@
 //   - Fsync policy is configurable: FsyncAlways (every append, the
 //     durability default), FsyncInterval (a background flusher, bounded
 //     loss window), FsyncNever (rotation/close only — the OS decides).
-//   - AtomicWrite is the shared tmp+rename checkpoint idiom (write,
-//     fsync, rename, fsync dir): readers see the old bytes or the new
-//     bytes, never a torn file.
+//   - AtomicWrite is the shared tmp+rename idiom (write, fsync,
+//     rename, fsync dir): readers see the old bytes or the new bytes,
+//     never a torn file.
 //   - Store addresses blobs by key under two-level fan-out directories
 //     and writes through AtomicWrite, so a crashed spill never leaves a
 //     half-written entry.

@@ -11,8 +11,8 @@ import (
 // Store is a content-addressed blob store on disk: each key maps to
 // one file under a two-level fan-out (dir/ab/abcdef...) and every
 // write goes through AtomicWrite, so a crash mid-spill never leaves a
-// torn entry.  Keys are restricted to [A-Za-z0-9._-] so hex digests
-// and "sess-N" identifiers both work and nothing can escape the root.
+// torn entry.  Keys are restricted to [A-Za-z0-9._-], which admits
+// hex digests, so nothing can escape the root.
 type Store struct {
 	dir string
 }
@@ -63,30 +63,6 @@ func (s *Store) Put(key string, data []byte) error {
 	return AtomicWrite(path, data)
 }
 
-// Get returns the blob for key, or ok=false if it is absent.
-func (s *Store) Get(key string) ([]byte, bool) {
-	if !validKey(key) {
-		return nil, false
-	}
-	data, err := os.ReadFile(s.path(key))
-	if err != nil {
-		return nil, false
-	}
-	return data, true
-}
-
-// Delete removes the blob for key; deleting an absent key is a no-op.
-func (s *Store) Delete(key string) error {
-	if !validKey(key) {
-		return fmt.Errorf("durable: invalid store key %q", key)
-	}
-	err := os.Remove(s.path(key))
-	if err != nil && !os.IsNotExist(err) {
-		return fmt.Errorf("durable: store delete %s: %w", key, err)
-	}
-	return nil
-}
-
 // Walk visits every stored blob.  Returning an error from fn aborts
 // the walk and propagates the error.  Temp files left by an
 // interrupted AtomicWrite are skipped (and opportunistically removed).
@@ -109,11 +85,4 @@ func (s *Store) Walk(fn func(key string, data []byte) error) error {
 		}
 		return fn(name, data)
 	})
-}
-
-// Len counts the stored blobs (test/diagnostic helper).
-func (s *Store) Len() int {
-	n := 0
-	s.Walk(func(string, []byte) error { n++; return nil })
-	return n
 }

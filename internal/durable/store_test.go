@@ -1,14 +1,26 @@
 package durable
 
 import (
-	"bytes"
 	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
 )
 
-func TestStorePutGetDelete(t *testing.T) {
+// stored reads every blob back through Walk, the store's one reader.
+func stored(t *testing.T, s *Store) map[string]string {
+	t.Helper()
+	got := map[string]string{}
+	if err := s.Walk(func(key string, data []byte) error {
+		got[key] = string(data)
+		return nil
+	}); err != nil {
+		t.Fatalf("Walk: %v", err)
+	}
+	return got
+}
+
+func TestStorePutReplaces(t *testing.T) {
 	s, err := OpenStore(t.TempDir())
 	if err != nil {
 		t.Fatalf("OpenStore: %v", err)
@@ -16,24 +28,14 @@ func TestStorePutGetDelete(t *testing.T) {
 	if err := s.Put("deadbeef01", []byte("payload")); err != nil {
 		t.Fatalf("Put: %v", err)
 	}
-	got, ok := s.Get("deadbeef01")
-	if !ok || !bytes.Equal(got, []byte("payload")) {
-		t.Fatalf("Get = %q, %v", got, ok)
+	if got := stored(t, s); len(got) != 1 || got["deadbeef01"] != "payload" {
+		t.Fatalf("stored = %v", got)
 	}
 	if err := s.Put("deadbeef01", []byte("replaced")); err != nil {
 		t.Fatalf("Put replace: %v", err)
 	}
-	if got, _ := s.Get("deadbeef01"); string(got) != "replaced" {
-		t.Fatalf("Get after replace = %q", got)
-	}
-	if err := s.Delete("deadbeef01"); err != nil {
-		t.Fatalf("Delete: %v", err)
-	}
-	if _, ok := s.Get("deadbeef01"); ok {
-		t.Fatal("Get after Delete should miss")
-	}
-	if err := s.Delete("deadbeef01"); err != nil {
-		t.Fatalf("Delete of absent key should be a no-op: %v", err)
+	if got := stored(t, s); len(got) != 1 || got["deadbeef01"] != "replaced" {
+		t.Fatalf("stored after replace = %v", got)
 	}
 }
 
@@ -42,20 +44,24 @@ func TestStoreKeyValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, key := range []string{"sess-7", "a", "AB.cd_ef-01"} {
+	valid := []string{"sess-7", "a", "AB.cd_ef-01"}
+	for _, key := range valid {
 		if err := s.Put(key, []byte("x")); err != nil {
 			t.Fatalf("Put(%q): %v", key, err)
-		}
-		if _, ok := s.Get(key); !ok {
-			t.Fatalf("Get(%q) missed", key)
 		}
 	}
 	for _, key := range []string{"", ".", "..", "a/b", "../escape", "a b", "k\x00"} {
 		if err := s.Put(key, []byte("x")); err == nil {
 			t.Fatalf("Put(%q) should be rejected", key)
 		}
-		if _, ok := s.Get(key); ok {
-			t.Fatalf("Get(%q) should miss", key)
+	}
+	got := stored(t, s)
+	if len(got) != len(valid) {
+		t.Fatalf("stored %v, want exactly the keys %v", got, valid)
+	}
+	for _, key := range valid {
+		if _, ok := got[key]; !ok {
+			t.Fatalf("valid key %q not stored: %v", key, got)
 		}
 	}
 }
@@ -76,13 +82,7 @@ func TestStoreWalk(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, "aa", "aa11.tmp99"), []byte("junk"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	got := map[string]string{}
-	if err := s.Walk(func(key string, data []byte) error {
-		got[key] = string(data)
-		return nil
-	}); err != nil {
-		t.Fatalf("Walk: %v", err)
-	}
+	got := stored(t, s)
 	if len(got) != len(want) {
 		t.Fatalf("Walk saw %d entries, want %d: %v", len(got), len(want), got)
 	}
@@ -90,9 +90,6 @@ func TestStoreWalk(t *testing.T) {
 		if got[k] != v {
 			t.Fatalf("Walk[%q] = %q, want %q", k, got[k], v)
 		}
-	}
-	if s.Len() != len(want) {
-		t.Fatalf("Len = %d, want %d", s.Len(), len(want))
 	}
 	// Walk abort propagates.
 	if err := s.Walk(func(string, []byte) error { return fmt.Errorf("stop") }); err == nil {
@@ -110,7 +107,7 @@ func TestStoreSurvivesReopen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, ok := s2.Get("cafebabe"); !ok || string(got) != "persisted" {
-		t.Fatalf("reopened Get = %q, %v", got, ok)
+	if got := stored(t, s2); got["cafebabe"] != "persisted" {
+		t.Fatalf("reopened store = %v", got)
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"slices"
-	"sort"
 	"unsafe"
 
 	"repro/internal/bitset"
@@ -14,34 +13,33 @@ import (
 
 // Engine is the stepped form of SolveExact: the same packed frontier
 // DP, pruned layer and extraction pipeline, but driven one step at a
-// time so the solve can be paused, checkpointed (checkpoint.go),
-// extended with new demand rows and partially re-solved.  SolveExact
-// is literally "new engine, run to the end, extract", so a one-shot
-// Engine is bit-identical to the former monolithic solver.
+// time so the solve can be extended with new demand rows and partially
+// re-solved.  SolveExact is literally "new engine, run to the end,
+// extract", so a one-shot Engine is bit-identical to the former
+// monolithic solver.
 //
 // Two operating modes:
 //
 //   - One-shot (incremental=false): the internal packed engine comes
 //     from the shared sync.Pool and no per-step frontier frames are
 //     retained, so memory and allocation behavior match the old
-//     SolveExact exactly.  Extend/Amend/Rewind are rejected.
+//     SolveExact exactly.  Extend/Amend are rejected.
 //
 //   - Incremental (incremental=true): the engine owns its buffers and
 //     retains a frame per completed step, pruning on or off: the
 //     frontier entering the step, the stats of the steps before it and
 //     the bound margins of the step that produced it.  Extend appends
-//     demand rows, Amend replaces already-submitted ones and Rewind
-//     re-opens a suffix; each resumes from the first step whose
-//     decisions can change (reconcile has the exactness argument), so
-//     the frames, generations, schedule and stats are those of a fresh
-//     solve of the new trace.
+//     demand rows and Amend replaces already-submitted ones; each
+//     resumes from the first step whose decisions can change (reconcile
+//     has the exactness argument), so the frames, generations, schedule
+//     and stats are those of a fresh solve of the new trace.
 //
 // With pruning on, the DP steps the reduced axis of preprocessing (one
-// step per run of identical requirement rows).  Rewind maps an
-// original-axis step to the run holding it, and LastResolveStart
-// reports the original step the run starts at.  Sequential-decomposed
-// and zero-step instances are not stepped at all; Solution delegates
-// to the specialized solvers on the current trace.
+// step per run of identical requirement rows), and LastResolveStart
+// reports the original step the resumed run starts at.
+// Sequential-decomposed and zero-step instances are not stepped at
+// all; Solution delegates to the specialized solvers on the current
+// trace.
 //
 // An Engine is not safe for concurrent use; callers serialize access
 // (the service layer holds one mutex per session).
@@ -70,12 +68,9 @@ type Engine struct {
 	// catalog's CandidatesPruned and its budget Truncated/Degraded.
 	cat solve.Stats
 
-	// frames[i] is the step boundary entering step frameBase+i on the
-	// DP's axis (incremental mode).  frameBase is nonzero only on
-	// engines resumed from a checkpoint, which start with a single
-	// frame at the restored step.
-	frames    []frame
-	frameBase int
+	// frames[i] is the step boundary entering step i on the DP's axis
+	// (incremental mode).
+	frames []frame
 
 	// emptied records that the pruned layer cut every successor
 	// (errFrontierEmptied): the warm-start incumbent is the answer.
@@ -90,9 +85,8 @@ type Engine struct {
 
 // frame is one retained step boundary: the packed state slab and costs
 // entering a step, the stats the steps before it accumulated, and the
-// bound margins of the step that produced it.  Frame 0 and the first
-// frame of a checkpoint-resumed engine have no producing step on
-// record; their margins are never consulted.
+// bound margins of the step that produced it.  Frame 0 has no
+// producing step; its margins are never consulted.
 type frame struct {
 	count int
 	slab  []uint64
@@ -125,7 +119,7 @@ func (m *margins) shift(d model.Cost) {
 
 // NewEngine builds a stepped engine over the instance.  With
 // incremental=false the engine is a one-shot stand-in for SolveExact
-// (Extend/Amend/Rewind are rejected); with incremental=true it clones
+// (Extend/Amend are rejected); with incremental=true it clones
 // the requirement rows so the trace can grow independently of the
 // caller's instance, and retains per-step frames for suffix re-solves.
 func NewEngine(ctx context.Context, ins *model.MTSwitchInstance, opt model.CostOptions, o solve.Options, incremental bool) (*Engine, error) {
@@ -187,8 +181,8 @@ func (en *Engine) bothSeq() bool {
 	return en.opt.HyperUpload == model.TaskSequential && en.opt.ReconfUpload == model.TaskSequential
 }
 
-// canStep reports whether the packed DP (and hence stepping,
-// checkpointing and frame reuse) applies to the current trace.
+// canStep reports whether the packed DP (and hence stepping and frame
+// reuse) applies to the current trace.
 func (en *Engine) canStep() bool { return !en.bothSeq() && en.ins.Steps() > 0 }
 
 // keepFrames reports whether per-step frames are retained: always on
@@ -256,7 +250,6 @@ func (en *Engine) prepareTrace(ctx context.Context) error {
 // root frontier the preparation left the internal engine on.
 func (en *Engine) restartFromRoot() {
 	en.frames = en.frames[:0]
-	en.frameBase = 0
 	en.emptied = false
 	en.sol = nil
 	en.lastResolveStart = 0
@@ -298,7 +291,7 @@ func (en *Engine) frameStats(f *frame) solve.Stats {
 // the current preparation's catalog stats.
 func (en *Engine) restoreFrame(b int) {
 	e := en.e
-	f := &en.frames[b-en.frameBase]
+	f := &en.frames[b]
 	sw := e.lay.setWords
 	e.slab = growWords(e.slab, f.count*sw)
 	copy(e.slab, f.slab)
@@ -311,7 +304,7 @@ func (en *Engine) restoreFrame(b int) {
 	e.step = b
 	e.gens = e.gens[:b]
 	e.stats = en.frameStats(f)
-	en.frames = en.frames[:b-en.frameBase+1]
+	en.frames = en.frames[:b+1]
 	en.emptied = false
 	en.lastResolveStart = b
 	en.baseExpanded = e.stats.StatesExpanded
@@ -322,7 +315,6 @@ func (en *Engine) restoreFrame(b int) {
 func (en *Engine) reset() {
 	en.prepared = false
 	en.frames = en.frames[:0]
-	en.frameBase = 0
 	en.emptied = false
 	en.sol = nil
 	en.lastResolveStart = 0
@@ -554,36 +546,6 @@ func (en *Engine) Amend(ctx context.Context, at int, steps [][]bitset.Set) error
 	return en.reconcile(ctx)
 }
 
-// Rewind discards the solved suffix from the given step onward, so the
-// next Advance/Solution re-runs it.  With pruning on, the run holding
-// step is re-opened whole.  Steps not yet reached are a no-op; a
-// checkpoint-resumed engine rewound past its restore point rebuilds
-// the whole solve state instead.
-func (en *Engine) Rewind(step int) error {
-	if en.closed {
-		return fmt.Errorf("mtswitch: engine is closed")
-	}
-	if !en.incremental {
-		return fmt.Errorf("mtswitch: one-shot engine cannot be rewound")
-	}
-	if step < 0 || step > en.ins.Steps() {
-		return fmt.Errorf("mtswitch: rewind to step %d outside trace of %d steps", step, en.ins.Steps())
-	}
-	en.sol = nil
-	if !en.prepared {
-		return nil
-	}
-	b := en.reducedStep(step)
-	if b < en.frameBase {
-		en.reset()
-		return nil
-	}
-	if b < en.e.step {
-		en.restoreFrame(b)
-	}
-	return nil
-}
-
 // reconcile brings a prepared solve in line with the mutated trace: it
 // re-prepares the new trace (preprocessing, warm start, bound and
 // projection tables, candidate catalog), finds the first step b whose
@@ -620,12 +582,9 @@ func (en *Engine) Rewind(step int) error {
 // The frame stats carry the steps' own flags; catalog-scoped stats
 // come from the new preparation.  The solve is rebuilt from the root
 // instead when the old run emptied, a portfolio incumbent tightened
-// during it (its tests no longer share one incumbent), the old catalog
-// raised a Truncated/Degraded flag the new one does not (a frame
-// cannot tell whether its steps raised it too), or b lies before a
-// checkpoint-resumed engine's first frame.  Such an engine has no
-// frames, nor margins, before its restore point: a step there passes
-// the bound check only when d_t = 0.
+// during it (its tests no longer share one incumbent), or the old
+// catalog raised a Truncated/Degraded flag the new one does not (a
+// frame cannot tell whether its steps raised it too).
 func (en *Engine) reconcile(ctx context.Context) error {
 	if !en.prepared {
 		return nil
@@ -676,10 +635,7 @@ func (en *Engine) reconcile(ctx context.Context) error {
 			}
 		}
 		d := e.sufLB[t+1] - oldLB[t+1] - (e.incumbent - oldInc)
-		if t+1 <= en.frameBase {
-			return d == 0
-		}
-		f := &en.frames[t+1-en.frameBase]
+		f := &en.frames[t+1]
 		if !f.margins.holds(d) {
 			return false
 		}
@@ -693,7 +649,7 @@ func (en *Engine) reconcile(ctx context.Context) error {
 			b++
 		}
 	}
-	if b == 0 || b < en.frameBase {
+	if b == 0 {
 		en.restartFromRoot()
 		return nil
 	}
@@ -719,18 +675,6 @@ func multOf(r *reduction, t int) model.Cost {
 		return 1
 	}
 	return r.mult[t]
-}
-
-// reducedStep maps an original-axis step to the step of the DP's axis
-// that holds it (the axis length for the end of the trace).
-func (en *Engine) reducedStep(step int) int {
-	if en.red == nil {
-		return step
-	}
-	if step >= en.red.origSteps {
-		return len(en.red.runStart)
-	}
-	return sort.SearchInts(en.red.runStart, step+1) - 1
 }
 
 // originalStep maps a step of the DP's axis to the original step its
@@ -764,7 +708,7 @@ func candsEqual(a, b *packedCands) bool {
 }
 
 // LastResolveStart reports the original-axis step the most recent
-// Extend/Amend/Rewind resumed solving from (0 after a full rebuild).
+// Extend/Amend resumed solving from (0 after a full rebuild).
 // The re-solved suffix of the current trace is Steps() −
 // LastResolveStart.
 func (en *Engine) LastResolveStart() int { return en.originalStep(en.lastResolveStart) }

@@ -172,42 +172,6 @@ func TestEngineAmendMatchesFromScratch(t *testing.T) {
 	}
 }
 
-// TestEngineRewindMatchesFromScratch: rewinding a completed solve to an
-// arbitrary step and running it again must reproduce the original
-// solution bit for bit (the issue's Rewind property test).
-func TestEngineRewindMatchesFromScratch(t *testing.T) {
-	ctx := context.Background()
-	r := rand.New(rand.NewSource(71))
-	for k := 0; k < 6; k++ {
-		full := withPG(r, randomMT(r, 3, 5, 8))
-		step := r.Intn(full.Steps() + 1)
-		for _, opt := range frontierOpts {
-			for _, o := range engineConfigs() {
-				eng, err := NewEngine(ctx, full, opt, o, true)
-				if err != nil {
-					t.Fatal(err)
-				}
-				first, err := eng.Solution(ctx)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if err := eng.Rewind(step); err != nil {
-					t.Fatal(err)
-				}
-				again, err := eng.Solution(ctx)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if first.Cost != again.Cost || !sameSchedule(t, first.Schedule, again.Schedule) {
-					t.Fatalf("instance %d opt %+v o %+v rewind %d: cost %d then %d (or schedules differ)",
-						k, opt, o, step, first.Cost, again.Cost)
-				}
-				eng.Close()
-			}
-		}
-	}
-}
-
 // TestEngineSuffixReuse pins the point of the refactor: appending a
 // suffix to a long solved trace must resume from a late frontier (not
 // step 0), expand far fewer states than solving the prefix did, and
@@ -417,7 +381,7 @@ func TestEngineTightenedIncumbentRebuilds(t *testing.T) {
 }
 
 // TestEngineOneShotRejectsIncrementalOps: a one-shot engine (the
-// SolveExact path) must refuse Extend/Amend/Rewind rather than corrupt
+// SolveExact path) must refuse Extend/Amend rather than corrupt
 // pooled state.
 func TestEngineOneShotRejectsIncrementalOps(t *testing.T) {
 	ctx := context.Background()
@@ -432,9 +396,6 @@ func TestEngineOneShotRejectsIncrementalOps(t *testing.T) {
 	}
 	if err := eng.Amend(ctx, 0, stepRows(ins, 0, 1)); err == nil {
 		t.Fatal("one-shot Amend succeeded")
-	}
-	if err := eng.Rewind(0); err == nil {
-		t.Fatal("one-shot Rewind succeeded")
 	}
 }
 
@@ -488,8 +449,7 @@ func resumeOptions() []solve.Options {
 
 // requireFreshFrames runs eng to completion and requires its frames,
 // generations, cost, schedule and stats to equal those of a fresh
-// incremental engine over the same trace.  A checkpoint-resumed
-// engine's first frame has no margins on record, so they are skipped.
+// incremental engine over the same trace.
 func requireFreshFrames(t *testing.T, eng *Engine, opt model.CostOptions, o solve.Options, what string) {
 	t.Helper()
 	ctx := context.Background()
@@ -512,19 +472,19 @@ func requireFreshFrames(t *testing.T, eng *Engine, opt model.CostOptions, o solv
 	if got.Stats != want.Stats {
 		t.Fatalf("%s: stats %+v, fresh %+v", what, got.Stats, want.Stats)
 	}
-	if eng.frameBase+len(eng.frames) != len(fresh.frames) {
-		t.Fatalf("%s: frames [%d,%d), fresh has %d", what, eng.frameBase, eng.frameBase+len(eng.frames), len(fresh.frames))
+	if len(eng.frames) != len(fresh.frames) {
+		t.Fatalf("%s: %d frames, fresh has %d", what, len(eng.frames), len(fresh.frames))
 	}
 	for i := range eng.frames {
-		a, b := &eng.frames[i], &fresh.frames[eng.frameBase+i]
+		a, b := &eng.frames[i], &fresh.frames[i]
 		if a.count != b.count || !slices.Equal(a.slab, b.slab) || !slices.Equal(a.costs, b.costs) {
-			t.Fatalf("%s: frame %d frontier differs from a fresh solve's", what, eng.frameBase+i)
+			t.Fatalf("%s: frame %d frontier differs from a fresh solve's", what, i)
 		}
 		if eng.frameStats(a) != fresh.frameStats(b) {
-			t.Fatalf("%s: frame %d stats %+v, fresh %+v", what, eng.frameBase+i, eng.frameStats(a), fresh.frameStats(b))
+			t.Fatalf("%s: frame %d stats %+v, fresh %+v", what, i, eng.frameStats(a), fresh.frameStats(b))
 		}
-		if (i > 0 || eng.frameBase == 0) && a.margins != b.margins {
-			t.Fatalf("%s: frame %d margins %+v, fresh %+v", what, eng.frameBase+i, a.margins, b.margins)
+		if a.margins != b.margins {
+			t.Fatalf("%s: frame %d margins %+v, fresh %+v", what, i, a.margins, b.margins)
 		}
 	}
 	if len(eng.e.gens) != len(fresh.e.gens) {
@@ -580,9 +540,9 @@ func streamSession(tb testing.TB, r *rand.Rand, gen string, seed int64) (*model.
 }
 
 // TestEngineResumeMatchesFreshFrames is the frame-identity property
-// test of suffix reuse: after every Extend, Amend and Rewind, and
-// across checkpoint resumes, an incremental engine's frames,
-// generations, cost, schedule and stats equal a fresh engine's — with
+// test of suffix reuse: after every Extend and Amend an incremental
+// engine's frames, generations, cost, schedule and stats equal a fresh
+// engine's — with
 // pruning on and off, for every frontier upload mode, unbounded and
 // under each cap.  It also requires pruned sessions to actually resume
 // past step 0.
@@ -628,22 +588,6 @@ func TestEngineResumeMatchesFreshFrames(t *testing.T) {
 					requireFreshFrames(t, eng, opt, o, step)
 					if eng.LastResolveStart() > 0 && !o.DisablePruning {
 						resumed++
-					}
-					switch i % 7 {
-					case 3:
-						if err := eng.Rewind(r.Intn(eng.Steps() + 1)); err != nil {
-							t.Fatal(err)
-						}
-						requireFreshFrames(t, eng, opt, o, step+" rewound")
-					case 5:
-						data, err := eng.Checkpoint(ctx)
-						if err != nil {
-							t.Fatal(err)
-						}
-						eng.Close()
-						if eng, err = ResumeEngine(ctx, data, true); err != nil {
-							t.Fatalf("%s: resume: %v", step, err)
-						}
 					}
 				}
 				eng.Close()

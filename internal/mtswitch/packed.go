@@ -330,7 +330,7 @@ var enginePool sync.Pool
 func getEngine() *engine {
 	if v := enginePool.Get(); v != nil {
 		e := v.(*engine)
-		e.stats = solve.Stats{ArenaReused: 1}
+		e.stats = solve.Stats{}
 		return e
 	}
 	return &engine{}
@@ -1016,7 +1016,7 @@ func (e *engine) beginSolve(ctx context.Context, ins *model.MTSwitchInstance, op
 // finishMask reconstructs the optimal schedule's hyperreconfiguration
 // mask from the back-pointer chains of a completed run, with the run's
 // final stats (the derived fields filled in; e.stats itself keeps the
-// run's state, as frames and checkpoints record it).
+// run's state, as frames record it).
 func (e *engine) finishMask(o solve.Options) (mask [][]bool, dpCost model.Cost, stats solve.Stats) {
 	m, n := e.ins.NumTasks(), e.ins.Steps()
 	mask = make([][]bool, m)

@@ -5,10 +5,10 @@ import (
 	"sync"
 )
 
-// lruCache is the one fixed-capacity LRU underneath every service-side
-// store: the exact result cache, the canonical result store and the
-// evicted session checkpoints.  Keys are strings, values are opaque; a
-// non-positive capacity disables the cache (every Get misses).
+// lruCache is the one fixed-capacity LRU underneath the service-side
+// stores: the exact result cache and the canonical result store.  Keys
+// are strings, values are opaque; a non-positive capacity disables the
+// cache (every Get misses).
 type lruCache struct {
 	mu    sync.Mutex
 	cap   int
@@ -55,16 +55,6 @@ func (c *lruCache) Put(key string, val any) {
 		oldest := c.ll.Back()
 		c.ll.Remove(oldest)
 		delete(c.items, oldest.Value.(*lruEntry).key)
-	}
-}
-
-// Delete removes an entry if present.
-func (c *lruCache) Delete(key string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.items[key]; ok {
-		c.ll.Remove(el)
-		delete(c.items, key)
 	}
 }
 

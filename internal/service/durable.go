@@ -1,7 +1,6 @@
 package service
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"path/filepath"
@@ -20,7 +19,7 @@ import (
 //
 // With Config.DataDir set, the server journals every state mutation
 // that matters after a crash into a write-ahead log and spills the
-// canonical result store and evicted session checkpoints to disk:
+// canonical result store to disk:
 //
 //   - "job" records journal each actually-enqueued submission (cache
 //     hits and dedup joins cost nothing to lose); "jobdone" records
@@ -41,9 +40,11 @@ import (
 // re-register journaled sessions (traces rebuilt from their records),
 // re-enqueue incomplete jobs (completed twins are born terminal off the
 // warm canonical store — no duplicate solve for a journaled
-// completion), then revive session engines in the background while
-// /v1/healthz reports "recovering".  Once ready, the journal is
-// compacted to a snapshot of live state.
+// completion), then rebuild session engines from their traces in the
+// background while /v1/healthz reports "recovering".  Once ready, the
+// journal is compacted to a snapshot of live state.  A data dir
+// written before engine checkpoints were retired may still hold a
+// ckpt/ directory; nothing reads it.
 //
 // Replay is idempotent by construction: records are folded into
 // per-hash and per-id maps, so duplicates (a retried compaction, a
@@ -67,12 +68,11 @@ type walRecord struct {
 	Entry *PeerEntry `json:"entry,omitempty"`
 }
 
-// durableState bundles the WAL, the on-disk stores and the background
-// spill worker.
+// durableState bundles the WAL, the canonical disk store and the
+// background spill worker.
 type durableState struct {
 	wal        *durable.WAL
 	canonStore *durable.Store // canonical entries, PeerEntry JSON by canonical key
-	ckptStore  *durable.Store // session engine checkpoints, raw MTE1 blobs by session id
 
 	// disabled gates every durable side effect; set at the end of
 	// shutdown (and by the crash simulation hook) so teardown does not
@@ -84,8 +84,8 @@ type durableState struct {
 	spillDrops atomic.Int64
 }
 
-// openDurable opens the data directory's WAL and stores and starts the
-// spill worker.
+// openDurable opens the data directory's WAL and canonical store and
+// starts the spill worker.
 func (s *Server) openDurable() error {
 	dir := s.cfg.DataDir
 	wal, err := durable.OpenWAL(filepath.Join(dir, "wal"), durable.WALOptions{
@@ -101,15 +101,9 @@ func (s *Server) openDurable() error {
 		wal.Close()
 		return err
 	}
-	ckptStore, err := durable.OpenStore(filepath.Join(dir, "ckpt"))
-	if err != nil {
-		wal.Close()
-		return err
-	}
 	d := &durableState{
 		wal:        wal,
 		canonStore: canonStore,
-		ckptStore:  ckptStore,
 		spill:      make(chan func(), 1024),
 	}
 	d.spillWG.Add(1)
@@ -170,40 +164,6 @@ func (s *Server) spillCanon(key string, e *canonicalEntry) {
 			d.canonStore.Put(key, data)
 		}
 	})
-}
-
-// spillCkpt spills one evicted engine checkpoint to the disk store.
-func (s *Server) spillCkpt(id string, data []byte) {
-	d := s.dur
-	if d == nil || d.disabled.Load() {
-		return
-	}
-	d.spillAsync(func() { d.ckptStore.Put(id, data) })
-}
-
-// diskCkpt returns a session's spilled engine checkpoint, if any.
-func (s *Server) diskCkpt(id string) []byte {
-	d := s.dur
-	if d == nil {
-		return nil
-	}
-	data, ok := d.ckptStore.Get(id)
-	if !ok {
-		return nil
-	}
-	return data
-}
-
-// dropDurableSession journals an explicit session deletion and removes
-// its spilled checkpoint (skipped during shutdown, so draining does not
-// delete sessions the snapshot is keeping).
-func (s *Server) dropDurableSession(id string) {
-	d := s.dur
-	if d == nil || d.disabled.Load() {
-		return
-	}
-	s.journal(walRecord{T: "sessdel", ID: id})
-	d.spillAsync(func() { d.ckptStore.Delete(id) })
 }
 
 // setState publishes the node's lifecycle state (recovering → ready;
@@ -338,10 +298,11 @@ func (s *Server) recoverDurable() {
 	}
 	s.metrics.recoveryJobsRequeued.Add(int64(requeued))
 
-	// 5. Revive session engines in the background; the node reports
-	// "recovering" until the last session solves again, then compacts
-	// the journal into a snapshot of live state.  The "service.recover"
-	// site lets tests stall here and observe the recovering state.
+	// 5. Rebuild session engines from their traces in the background;
+	// the node reports "recovering" until the last session solves
+	// again, then compacts the journal into a snapshot of live state.
+	// The "service.recover" site lets tests stall here and observe the
+	// recovering state.
 	if len(revive) == 0 {
 		s.setState("ready")
 		s.compactWAL()
@@ -575,35 +536,6 @@ func wireOptionsFrom(o solve.Options) WireOptions {
 		wo.Crossover = "task-row"
 	}
 	return wo
-}
-
-// checkpointSessions spills every live engine to the disk checkpoint
-// store (the graceful-shutdown path: the next boot revives from the
-// checkpoint instead of re-solving the whole trace).  Busy sessions
-// are skipped — their traces rebuild them.
-func (s *Server) checkpointSessions() {
-	d := s.dur
-	if d == nil || d.disabled.Load() {
-		return
-	}
-	st := s.sessions
-	st.mu.Lock()
-	live := make([]*session, 0, len(st.sessions))
-	for _, sess := range st.sessions {
-		live = append(live, sess)
-	}
-	st.mu.Unlock()
-	for _, sess := range live {
-		if !sess.mu.TryLock() {
-			continue
-		}
-		if sess.eng != nil && !sess.closed {
-			if data, err := sess.eng.Checkpoint(context.Background()); err == nil {
-				d.ckptStore.Put(sess.ID, data)
-			}
-		}
-		sess.mu.Unlock()
-	}
 }
 
 // closeDurable drains the spill worker and closes the WAL (the final

@@ -486,7 +486,7 @@ func TestDurableRecoveringHealthState(t *testing.T) {
 // TestDurableGracefulShutdownSnapshot drains a node with live state and
 // checks the next boot recovers it from the compacted snapshot: the
 // completed solve answers warm from the spilled canonical store and the
-// session revives from its shutdown checkpoint.
+// session revives from its snapshotted trace.
 func TestDurableGracefulShutdownSnapshot(t *testing.T) {
 	ctx := context.Background()
 	mt := sessionInstance(t)
@@ -523,6 +523,58 @@ func TestDurableGracefulShutdownSnapshot(t *testing.T) {
 	}
 	if got := revived.Status(); got.Steps != 4 {
 		t.Fatalf("revived trace has %d steps, want 4", got.Steps)
+	}
+}
+
+// TestDurableRestartResumesIncrementally drains a node holding a
+// stream-durable session (2×100 phased, 20 opening rows, 3-row
+// batches) and checks the engine the restart rebuilds from the trace
+// keeps per-step frames: the next batch resumes past step 0 and still
+// matches a from-scratch exact solve of the grown trace.
+func TestDurableRestartResumesIncrementally(t *testing.T) {
+	ctx := context.Background()
+	mt, err := workload.Phased(workload.Config{Tasks: 2, Steps: 100, Switches: 12, MeanPhase: 10, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wi := WireInstanceFrom(mt)
+
+	dir := t.TempDir()
+	a := openDurable(t, dir)
+	sess, err := a.CreateSession(ctx, sessionRequest(mt, "exact", 20))
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := 20
+	for ; n < 29; n += 3 {
+		if _, err := sess.Steps(ctx, &SessionSteps{Reqs: wi.Reqs[n : n+3]}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	shutdown(t, a)
+
+	b := openDurable(t, dir)
+	defer shutdown(t, b)
+	waitReady(t, b)
+	revived, ok := b.Session(sess.ID)
+	if !ok {
+		t.Fatalf("session %s lost across graceful restart", sess.ID)
+	}
+	st, err := revived.Steps(ctx, &SessionSteps{Reqs: wi.Reqs[n : n+3]})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n += 3
+	if st.ResolvedFrom <= 0 {
+		t.Fatalf("first batch after the restart re-solved from step %d of %d", st.ResolvedFrom, st.Steps)
+	}
+	grown := prefixInstance(t, mt, n)
+	want, err := wireSolution(runExact(t, grown), grown)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Result == nil || st.Result.Cost != want.Cost || string(st.Result.Schedule) != string(want.Schedule) {
+		t.Fatalf("after the restart: session result %+v, from-scratch %+v", st.Result, want)
 	}
 }
 

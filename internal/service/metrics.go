@@ -77,8 +77,8 @@ type metrics struct {
 
 	// Streaming-session counters.
 	sessionSteps    atomic.Int64 // demand rows accepted across all sessions
-	sessionsEvicted atomic.Int64 // engines checkpointed out under memory pressure
-	sessionsRevived atomic.Int64 // engines restored from an evicted checkpoint
+	sessionsEvicted atomic.Int64 // engines closed under memory pressure
+	sessionsRevived atomic.Int64 // evicted engines rebuilt from their traces
 	// Suffix lengths of session re-solves (sum + count → mean): how much
 	// of the trace each batch actually re-solved.
 	suffixSum   atomic.Int64

@@ -49,16 +49,16 @@ type Config struct {
 	// beyond it are rejected with ErrSessionLimit (default 64).
 	MaxSessions int
 	// SessionBytes budgets the total frontier memory of live session
-	// engines; beyond it the least recently used engines are
-	// checkpointed out and closed (default 64 MiB; negative disables
-	// eviction).
+	// engines; beyond it the least recently used engines are closed,
+	// to be rebuilt from their traces on the next batch (default
+	// 64 MiB; negative disables eviction).
 	SessionBytes int64
 
 	// DataDir, when set, enables durable state: job submissions,
 	// completions and session step batches journal to a write-ahead log
-	// under it, the canonical store and evicted engine checkpoints spill
-	// to disk beside it, and Open replays everything on the next boot
-	// (see durable.go).  Empty runs fully in-memory.
+	// under it, the canonical store spills to disk beside it, and Open
+	// replays everything on the next boot (see durable.go).  Empty runs
+	// fully in-memory.
 	DataDir string
 	// Fsync is the WAL flush policy (FsyncAlways by default; see
 	// durable.ParseFsyncPolicy for the flag form).
@@ -920,9 +920,8 @@ func (s *Server) gauges() gauges {
 //
 // With a data dir, shutdown first compacts the journal into a snapshot
 // of live state — in-flight jobs as fresh submissions (they re-enqueue
-// on the next boot) and live sessions with their full traces — then
-// checkpoints every live engine to disk for fast revival, and finally
-// flushes and closes the WAL.
+// on the next boot) and live sessions with their full traces — and
+// finally flushes and closes the WAL.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.mu.Lock()
 	if s.closed {
@@ -947,9 +946,8 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		s.compactWALLocked()
 	}
 	s.mu.Unlock()
-	s.checkpointSessions()
 	// Everything after this is teardown: no more journaling (drain
-	// cancels must re-enqueue on the next boot), no checkpoint deletes.
+	// cancels must re-enqueue on the next boot).
 	if s.dur != nil {
 		s.dur.disabled.Store(true)
 	}

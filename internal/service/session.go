@@ -28,17 +28,15 @@ import (
 // schedule and stats are those of a fresh solve of the grown trace.
 //
 // Reliability model: the session's step-major demand trace is the
-// authoritative state; the engine is a disposable accelerator.
+// authoritative state; the engine is a disposable accelerator, and
+// the trace is the one way back to it.  A missing engine is rebuilt
+// from the trace (one full re-solve, then incremental again) whether
+// it was lost to
 //
-//   - A panicking engine fails only the request that drove it; the
-//     engine is dropped and the next batch rebuilds it from the trace
-//     (one full re-solve, then incremental again).
-//   - When live engines exceed the Config.SessionBytes budget, the
-//     least recently used session's engine is serialized through the
-//     engine checkpoint format into an LRU beside the result cache and
-//     closed; the next batch on that session resumes from the
-//     checkpoint (cheap) or, if the checkpoint was itself evicted,
-//     rebuilds from the trace (correct).
+//   - a panic, which fails only the request that drove it;
+//   - the Config.SessionBytes budget, which closes the least recently
+//     used sessions' engines once live engines exceed it;
+//   - a restart, where recovery replays the journaled traces.
 //
 // Session solves run synchronously on the calling goroutine (the whole
 // point is the suffix re-solve being cheap), admitted through the same
@@ -55,8 +53,8 @@ var (
 
 // session is one streaming solve.  mu serializes all engine access and
 // trace mutation; the store's lock is only ever taken for accounting
-// and LRU bookkeeping (lock order: session.mu → store.mu, and evict
-// crosses sessions only via TryLock).
+// and LRU bookkeeping (lock order: session.mu → store.mu, and
+// rebalance crosses sessions only via TryLock).
 type session struct {
 	ID     string
 	Solver string
@@ -82,6 +80,9 @@ type session struct {
 
 	created time.Time
 	closed  bool
+	// evicted marks an engine closed by the byte budget; the rebuild
+	// that replaces it counts as a revival.
+	evicted bool
 }
 
 // sessionStore tracks the live sessions, their LRU order and the
@@ -96,7 +97,6 @@ type sessionStore struct {
 	els      map[string]*list.Element // session id -> ll element
 	sizes    map[string]int64         // session id -> last engine SizeBytes
 	total    int64                    // sum of sizes
-	ckpts    *lruCache                // evicted engine checkpoints by session id
 }
 
 func newSessionStore(capacity int, budget int64) *sessionStore {
@@ -107,7 +107,6 @@ func newSessionStore(capacity int, budget int64) *sessionStore {
 		ll:       list.New(),
 		els:      map[string]*list.Element{},
 		sizes:    map[string]int64{},
-		ckpts:    newLRUCache(capacity),
 	}
 }
 
@@ -151,8 +150,9 @@ type SessionStatus struct {
 	// expanded — the incremental cost, directly comparable to a
 	// from-scratch solve's states_expanded.
 	ResolveExpanded int64 `json:"resolve_expanded"`
-	// Evicted reports the session's engine is currently checkpointed
-	// out under memory pressure (the next batch revives it).
+	// Evicted reports the session holds no live engine (closed under
+	// memory pressure, or dropped by a failed solve); the next batch
+	// rebuilds it from the trace.
 	Evicted bool `json:"evicted,omitempty"`
 
 	CreatedAt time.Time `json:"created_at"`
@@ -298,11 +298,10 @@ func (s *Server) DeleteSession(id string) error {
 	}
 	delete(st.sessions, id)
 	st.dropAccountingLocked(id)
-	st.ckpts.Delete(id)
 	st.mu.Unlock()
-	// Journal the deletion and drop the spilled checkpoint (no-op at
-	// shutdown: draining keeps sessions for the next boot).
-	s.dropDurableSession(id)
+	// Journal the deletion (a no-op once shutdown disables the journal:
+	// draining keeps sessions for the next boot).
+	s.journal(walRecord{T: "sessdel", ID: id})
 
 	sess.mu.Lock()
 	sess.closed = true
@@ -417,9 +416,9 @@ func (sess *session) parseBatch(batch *SessionSteps) ([][]bitset.Set, error) {
 	return rows, nil
 }
 
-// applyLocked feeds one decoded batch into the engine (reviving or
-// rebuilding it first if needed) and re-solves.  Caller holds sess.mu
-// and has already updated sess.trace.
+// applyLocked feeds one decoded batch into the engine and re-solves; a
+// missing engine is rebuilt from the trace, which already holds the
+// batch.  Caller holds sess.mu and has already updated sess.trace.
 func (sess *session) applyLocked(ctx context.Context, rows [][]bitset.Set, at *int) error {
 	// An engine out of step with the trace (a previous batch reached the
 	// engine but its solve failed mid-way, or vice versa) is dropped: the
@@ -434,18 +433,10 @@ func (sess *session) applyLocked(ctx context.Context, rows [][]bitset.Set, at *i
 		}
 	}
 	if sess.eng == nil {
-		// Engine evicted or lost: revive from checkpoint or rebuild from
-		// the (already updated) trace; either path ends at len(trace)
-		// steps.  An appended batch is covered by the restore itself; an
-		// amendment must still be replayed, because a revived checkpoint
-		// carries the pre-amendment rows (a fresh rebuild carries the
-		// amended ones, and replaying identical rows is a no-op).
 		if err := sess.restoreEngineLocked(ctx); err != nil {
 			return err
 		}
-		if at == nil {
-			return sess.solveLocked(ctx)
-		}
+		return sess.solveLocked(ctx)
 	}
 	var err error
 	if at != nil {
@@ -459,44 +450,10 @@ func (sess *session) applyLocked(ctx context.Context, rows [][]bitset.Set, at *i
 	return sess.solveLocked(ctx)
 }
 
-// restoreEngineLocked brings back a missing engine at exactly
-// len(trace) steps: from the checkpointed frontier when one is cached,
-// extended to the current trace if it stopped short, from scratch
-// otherwise.
+// restoreEngineLocked builds a fresh engine over the authoritative
+// trace: eviction, a panicked engine and restart revival all come back
+// this way.
 func (sess *session) restoreEngineLocked(ctx context.Context) error {
-	st := sess.srv.sessions
-	var ckpt []byte
-	if data, ok := st.ckpts.Get(sess.ID); ok {
-		st.ckpts.Delete(sess.ID)
-		ckpt = data.([]byte)
-	} else {
-		// The in-memory LRU misses after a restart; the spilled copy on
-		// disk may still hold this session's frontier.
-		ckpt = sess.srv.diskCkpt(sess.ID)
-	}
-	if ckpt != nil {
-		eng, err := solve.ResumeStepEngine(ctx, sess.Solver, ckpt)
-		if err == nil {
-			if eng.Steps() == len(sess.trace) {
-				sess.eng = eng
-				sess.srv.metrics.sessionsRevived.Add(1)
-				return nil
-			}
-			if eng.Steps() < len(sess.trace) {
-				sess.eng = eng // protect() drops it again on panic
-				if perr := sess.protect(func() error {
-					return eng.Extend(ctx, cloneRows(sess.trace[eng.Steps():]))
-				}); perr == nil {
-					sess.srv.metrics.sessionsRevived.Add(1)
-					return nil
-				}
-				// protect dropped sess.eng; fall through to rebuild.
-			} else {
-				closeEngine(eng) // checkpoint outran the trace: distrust it
-			}
-		}
-		// Any revival failure falls back to a full rebuild.
-	}
 	mt, err := sess.instanceLocked()
 	if err != nil {
 		return err
@@ -506,6 +463,10 @@ func (sess *session) restoreEngineLocked(ctx context.Context) error {
 		return err
 	}
 	sess.eng = eng
+	if sess.evicted {
+		sess.evicted = false
+		sess.srv.metrics.sessionsRevived.Add(1)
+	}
 	return nil
 }
 
@@ -520,19 +481,6 @@ func (sess *session) instanceLocked() (*model.MTSwitchInstance, error) {
 		}
 	}
 	return model.NewMTSwitchInstance(sess.tasks, reqs)
-}
-
-// cloneRows deep-copies step-major rows (engines take ownership of
-// what they are handed).
-func cloneRows(rows [][]bitset.Set) [][]bitset.Set {
-	out := make([][]bitset.Set, len(rows))
-	for i, row := range rows {
-		out[i] = make([]bitset.Set, len(row))
-		for j, s := range row {
-			out[i][j] = s.Clone()
-		}
-	}
-	return out
 }
 
 // solveLocked runs the engine to completion, publishes the new
@@ -665,8 +613,10 @@ func (sess *session) statusLocked() *SessionStatus {
 
 // rebalance updates one session's engine size and evicts
 // least-recently-used engines until the total fits the byte budget.
-// The caller holds its own session's mu (and no other); evictions only
-// touch sessions that are NOT mid-request, guarded by TryLock.
+// The caller holds its own session's mu (and no other).  A victim is
+// locked with TryLock before it leaves the list, so a session busy
+// with a request keeps its place and its bytes in the count; the
+// session → store lock order lets TryLock run under st.mu.
 func (st *sessionStore) rebalance(sess *session, size int64) {
 	st.mu.Lock()
 	if el, ok := st.els[sess.ID]; ok {
@@ -679,23 +629,24 @@ func (st *sessionStore) rebalance(sess *session, size int64) {
 
 	var victims []*session
 	if st.budget > 0 {
-		for st.total > st.budget && st.ll.Len() > 1 {
-			back := st.ll.Back()
-			v := back.Value.(*session)
-			if v == sess {
-				break
+		for el := st.ll.Back(); el != nil && st.total > st.budget; {
+			v := el.Value.(*session)
+			prev := el.Prev()
+			if v != sess && v.mu.TryLock() {
+				st.ll.Remove(el)
+				delete(st.els, v.ID)
+				st.total -= st.sizes[v.ID]
+				delete(st.sizes, v.ID)
+				victims = append(victims, v)
 			}
-			st.ll.Remove(back)
-			delete(st.els, v.ID)
-			st.total -= st.sizes[v.ID]
-			delete(st.sizes, v.ID)
-			victims = append(victims, v)
+			el = prev
 		}
 	}
 	st.mu.Unlock()
 
 	for _, v := range victims {
-		v.evict()
+		v.evictLocked()
+		v.mu.Unlock()
 	}
 }
 
@@ -715,27 +666,15 @@ func (st *sessionStore) dropAccountingLocked(id string) {
 	delete(st.sizes, id)
 }
 
-// evict checkpoints a session's engine into the checkpoint LRU and
-// closes it.  A session busy with a request is skipped (it just moved
-// to the LRU front anyway); a checkpoint failure falls back to plain
-// dropping — the trace rebuilds the engine.
-func (sess *session) evict() {
-	if !sess.mu.TryLock() {
-		return
-	}
-	defer sess.mu.Unlock()
+// evictLocked closes a session's engine under the byte budget (caller
+// holds sess.mu); the next batch rebuilds it from the trace.
+func (sess *session) evictLocked() {
 	if sess.eng == nil || sess.closed {
 		return
 	}
-	st := sess.srv.sessions
-	if data, err := sess.eng.Checkpoint(context.Background()); err == nil {
-		st.ckpts.Put(sess.ID, data)
-		// Spill the checkpoint too: a crash between eviction and the
-		// next batch revives from disk instead of re-solving the trace.
-		sess.srv.spillCkpt(sess.ID, data)
-	}
 	closeEngine(sess.eng)
 	sess.eng = nil
+	sess.evicted = true
 	sess.srv.metrics.sessionsEvicted.Add(1)
 }
 

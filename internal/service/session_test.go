@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -277,9 +278,9 @@ func TestSessionSchedulleLongPoll(t *testing.T) {
 }
 
 func TestSessionEvictionAndRevival(t *testing.T) {
-	// A 1-byte engine budget forces every session but the most recent
-	// out to a checkpoint; touching an evicted session revives it with
-	// the schedule intact.
+	// A 1-byte engine budget closes every session's engine but the most
+	// recent one; touching an evicted session rebuilds it from its trace
+	// with the schedule intact.
 	s := New(Config{Workers: 1, SessionBytes: 1})
 	defer shutdown(t, s)
 	ctx := context.Background()
@@ -319,6 +320,143 @@ func TestSessionEvictionAndRevival(t *testing.T) {
 	}
 	if got := s.metrics.sessionsRevived.Load(); got == 0 {
 		t.Fatal("revival not counted")
+	}
+}
+
+// TestSessionBusyVictimStaysCounted: a session whose lock is held when
+// the byte budget picks it as a victim (a status read, a long-poll
+// wake-up or a failing batch may hold it) keeps its engine, its place
+// on the LRU list and its bytes in the engine-byte gauge, so the next
+// rebalance can still evict it.
+func TestSessionBusyVictimStaysCounted(t *testing.T) {
+	s := New(Config{Workers: 1, SessionBytes: 1})
+	defer shutdown(t, s)
+	ctx := context.Background()
+	mt := sessionInstance(t)
+	wi := WireInstanceFrom(mt)
+
+	a, err := s.CreateSession(ctx, sessionRequest(mt, "exact", 4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	a.mu.Lock()
+	b, err := s.CreateSession(ctx, sessionRequest(mt, "exact", 4))
+	if err != nil {
+		a.mu.Unlock()
+		t.Fatal(err)
+	}
+	if a.eng == nil {
+		a.mu.Unlock()
+		t.Fatal("busy session A lost its engine")
+	}
+	aBytes := a.eng.SizeBytes()
+	a.mu.Unlock()
+	b.mu.Lock()
+	bBytes := b.eng.SizeBytes()
+	b.mu.Unlock()
+	if _, got := s.sessions.gauges(); got != aBytes+bBytes {
+		t.Fatalf("engine-byte gauge %d with %d bytes live (A %d, B %d)", got, aBytes+bBytes, aBytes, bBytes)
+	}
+
+	// B's next batch rebalances again and finds A free.
+	if _, err := b.Steps(ctx, &SessionSteps{Reqs: wi.Reqs[4:5]}); err != nil {
+		t.Fatal(err)
+	}
+	if st := a.Status(); !st.Evicted {
+		t.Fatalf("session A not evicted once free: %+v", st)
+	}
+	b.mu.Lock()
+	bBytes = b.eng.SizeBytes()
+	b.mu.Unlock()
+	if _, got := s.sessions.gauges(); got != bBytes {
+		t.Fatalf("engine-byte gauge %d after evicting A, want B's %d", got, bBytes)
+	}
+}
+
+// TestSessionEvictionConcurrentAccounting streams batches into four
+// sessions at once under a 1-byte engine budget while other goroutines
+// read their status and long-poll them, so rebalances keep meeting
+// busy victims.  Once the traffic stops, every live engine is on the
+// LRU list, the engine-byte gauge is the sum of their sizes, and each
+// session's answer is the from-scratch one.
+func TestSessionEvictionConcurrentAccounting(t *testing.T) {
+	s := New(Config{Workers: 1, SessionBytes: 1})
+	defer shutdown(t, s)
+	ctx := context.Background()
+	mt := sessionInstance(t)
+	wi := WireInstanceFrom(mt)
+	n := mt.Steps()
+
+	sessions := make([]*session, 4)
+	for i := range sessions {
+		sess, err := s.CreateSession(ctx, sessionRequest(mt, "exact", 2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sessions[i] = sess
+	}
+	stop := make(chan struct{})
+	var readers, writers sync.WaitGroup
+	for _, sess := range sessions {
+		readers.Add(2)
+		go func() {
+			defer readers.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+					sess.Status()
+				}
+			}
+		}()
+		go func() {
+			defer readers.Done()
+			for gen := int64(0); ; {
+				select {
+				case <-stop:
+					return
+				default:
+					gen = sess.Wait(ctx, gen, time.Millisecond).Generation
+				}
+			}
+		}()
+		writers.Add(1)
+		go func() {
+			defer writers.Done()
+			for k := 2; k < n; k++ {
+				if _, err := sess.Steps(ctx, &SessionSteps{Reqs: wi.Reqs[k : k+1]}); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	writers.Wait()
+	close(stop)
+	readers.Wait()
+
+	want := runExact(t, mt)
+	st := s.sessions
+	var live int64
+	for _, sess := range sessions {
+		sess.mu.Lock()
+		st.mu.Lock()
+		_, listed := st.els[sess.ID]
+		st.mu.Unlock()
+		if (sess.eng != nil) != listed {
+			t.Errorf("session %s: live engine %v, on the LRU list %v", sess.ID, sess.eng != nil, listed)
+		}
+		if sess.eng != nil {
+			live += sess.eng.SizeBytes()
+		}
+		if sess.ws == nil || sess.ws.Cost != int64(want.Cost) {
+			t.Errorf("session %s: answer %+v, from-scratch cost %d", sess.ID, sess.ws, want.Cost)
+		}
+		sess.mu.Unlock()
+	}
+	if _, got := st.gauges(); got != live {
+		t.Errorf("engine-byte gauge %d, live engines hold %d", got, live)
 	}
 }
 

@@ -137,10 +137,6 @@ type Stats struct {
 	// aggregate by max: the peak of the run is the peak of its largest
 	// sub-solve.
 	PeakFrontier int64
-	// ArenaReused counts word slabs the packed frontier engine obtained
-	// from its reuse arena instead of allocating fresh — a measure of
-	// how allocation-free the hot path ran.
-	ArenaReused int64
 	// CandidatesPruned counts branches, candidates or moves discarded
 	// by caps or bounds before expansion.
 	CandidatesPruned int64
@@ -210,7 +206,6 @@ func (s *Stats) Add(o Stats) {
 	if o.PeakFrontier > s.PeakFrontier {
 		s.PeakFrontier = o.PeakFrontier
 	}
-	s.ArenaReused += o.ArenaReused
 	s.CandidatesPruned += o.CandidatesPruned
 	s.StatesPruned += o.StatesPruned
 	s.DominanceHits += o.DominanceHits

@@ -109,15 +109,6 @@ func (s *stepperSolver) NewStepEngine(ctx context.Context, inst *solve.Instance,
 	return &mtStepEngine{eng: eng, exact: s.exact}, nil
 }
 
-func (s *stepperSolver) ResumeStepEngine(ctx context.Context, data []byte) (solve.StepEngine, error) {
-	// The checkpoint carries the solve-shaping options itself.
-	eng, err := mtswitch.ResumeEngine(ctx, data, true)
-	if err != nil {
-		return nil, err
-	}
-	return &mtStepEngine{eng: eng, exact: s.exact}, nil
-}
-
 // mtStepEngine adapts *mtswitch.Engine to solve.StepEngine.
 type mtStepEngine struct {
 	eng   *mtswitch.Engine
@@ -131,10 +122,6 @@ func (m *mtStepEngine) Extend(ctx context.Context, steps [][]bitset.Set) error {
 func (m *mtStepEngine) Amend(ctx context.Context, at int, steps [][]bitset.Set) error {
 	return m.eng.Amend(ctx, at, steps)
 }
-func (m *mtStepEngine) Rewind(step int) error { return m.eng.Rewind(step) }
-func (m *mtStepEngine) Advance(ctx context.Context, maxSteps int) (bool, error) {
-	return m.eng.Advance(ctx, maxSteps)
-}
 func (m *mtStepEngine) Solution(ctx context.Context) (*solve.Solution, error) {
 	s, err := m.eng.Solution(ctx)
 	if err != nil {
@@ -143,9 +130,6 @@ func (m *mtStepEngine) Solution(ctx context.Context) (*solve.Solution, error) {
 	sol := fromMT(s, m.exact && !s.Stats.Truncated)
 	sol.Kind = solve.KindMTSwitch
 	return sol, nil
-}
-func (m *mtStepEngine) Checkpoint(ctx context.Context) ([]byte, error) {
-	return m.eng.Checkpoint(ctx)
 }
 func (m *mtStepEngine) LastResolveStart() int  { return m.eng.LastResolveStart() }
 func (m *mtStepEngine) ResolveExpanded() int64 { return m.eng.ResolveExpanded() }

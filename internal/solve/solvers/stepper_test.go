@@ -8,7 +8,6 @@ import (
 	"repro/internal/bitset"
 	"repro/internal/model"
 	"repro/internal/solve"
-	"repro/internal/workload"
 )
 
 // prefixOf clones the first n steps of an MT instance, the
@@ -83,41 +82,6 @@ func TestStepEngineMatchesRun(t *testing.T) {
 	}
 }
 
-// TestStepEngineCheckpointHandoff round-trips a session through the
-// solve-layer Checkpoint/Resume pair, as the service and mtopt do.
-func TestStepEngineCheckpointHandoff(t *testing.T) {
-	ctx := context.Background()
-	inst := solve.NewMT(mustMT(t), parallel)
-	eng, err := solve.NewStepEngine(ctx, "exact", inst, solve.Options{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := eng.Advance(ctx, 2); err != nil {
-		t.Fatal(err)
-	}
-	data, err := eng.Checkpoint(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng.Close()
-	res, err := solve.ResumeStepEngine(ctx, "exact", data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer res.Close()
-	got, err := res.Solution(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := solve.Run(ctx, "exact", inst, solve.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Cost != want.Cost {
-		t.Fatalf("resumed cost %d, one-shot %d", got.Cost, want.Cost)
-	}
-}
-
 // TestStepEngineFeatureDetection: non-incremental solvers and
 // non-MT-Switch instances must report ErrNotSteppable, never panic or
 // misbehave.
@@ -133,62 +97,5 @@ func TestStepEngineFeatureDetection(t *testing.T) {
 	sw := solve.NewSwitch(mustSwitch(t, 3, 2, []int{0}, []int{1}))
 	if _, err := solve.NewStepEngine(ctx, "exact", sw, solve.Options{}); !errors.Is(err, solve.ErrNotSteppable) {
 		t.Fatalf("switch instance: got %v, want ErrNotSteppable", err)
-	}
-}
-
-// TestStepEngineResumeThenExtend: a session handed off through
-// Checkpoint/ResumeStepEngine keeps growing with the default (pruned)
-// options, every batch matching the one-shot solve of its prefix, and
-// the batches after the first rebuild resume past step 0.
-func TestStepEngineResumeThenExtend(t *testing.T) {
-	ctx := context.Background()
-	st, err := workload.Streaming(workload.StreamConfig{
-		Workload: workload.Config{Tasks: 2, Steps: 100, Switches: 12, MeanPhase: 10, Seed: 7},
-		Initial:  40, MeanBatch: 3,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	full := solve.NewMT(st.Instance, parallel)
-	eng, err := solve.NewStepEngine(ctx, "exact", solve.NewMT(prefixOf(t, full, 40), parallel), solve.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := eng.Solution(ctx); err != nil {
-		t.Fatal(err)
-	}
-	data, err := eng.Checkpoint(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng.Close()
-	res, err := solve.ResumeStepEngine(ctx, "exact", data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer res.Close()
-	n, resumed := 40, 0
-	for _, b := range st.Batches {
-		if err := res.Extend(ctx, b.Rows); err != nil {
-			t.Fatal(err)
-		}
-		n += len(b.Rows)
-		got, err := res.Solution(ctx)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := solve.Run(ctx, "exact", solve.NewMT(prefixOf(t, full, n), parallel), solve.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.Cost != want.Cost || got.Exact != want.Exact {
-			t.Fatalf("%d steps: resumed session cost %d exact %v, one-shot %d exact %v", n, got.Cost, got.Exact, want.Cost, want.Exact)
-		}
-		if res.LastResolveStart() > 0 {
-			resumed++
-		}
-	}
-	if resumed == 0 {
-		t.Fatal("no batch after the checkpoint handoff resumed past step 0")
 	}
 }
