@@ -15,13 +15,14 @@
 // The default mode serves until SIGINT/SIGTERM, then shuts down
 // gracefully: new submits are rejected, queued jobs drain as canceled,
 // and in-flight solves stop at their next cancellation checkpoint.
-// With -data-dir the daemon journals job submissions, completions and
-// session step batches to a write-ahead log under that directory and
-// spills the canonical cache to a content-addressed disk store; after
-// a crash (or kill -9) a restart on the same directory replays the
-// journal, warm-loads the cache, rebuilds streaming sessions' engines
-// from their journaled traces and re-enqueues incomplete jobs. The
-// graceful drain compacts and flushes the WAL before exit.
+// With -data-dir the daemon journals job submissions, completions
+// (their results included) and session step batches to a write-ahead
+// log under that directory; after a crash (or kill -9) a restart on the
+// same directory replays the journal, warms the canonical cache from
+// it, rebuilds streaming sessions' engines from their journaled traces
+// and re-enqueues incomplete jobs. The graceful drain compacts the WAL
+// into a snapshot of live state, the canonical cache in LRU order
+// included, and flushes it before exit.
 // With -session-bytes the least recently used session engines beyond
 // the budget are closed; a session's next batch rebuilds its engine
 // from the trace.
@@ -100,7 +101,7 @@ func runServe(args []string) error {
 		sessBytes  = fs.Int64("session-bytes", 64<<20, "total session engine memory before LRU engines are closed, to be rebuilt from their traces on the next batch (negative disables)")
 		drain      = fs.Duration("drain", 30*time.Second, "graceful shutdown budget")
 
-		dataDir  = fs.String("data-dir", "", "durable state directory: journal jobs/sessions to a WAL and spill the canonical cache for crash recovery (empty = in-memory only)")
+		dataDir  = fs.String("data-dir", "", "durable state directory: journal jobs, results and sessions to a WAL for crash recovery (empty = in-memory only)")
 		fsyncPol = fs.String("fsync", "always", "WAL flush policy: always, interval or never")
 		fsyncInt = fs.Duration("fsync-interval", 100*time.Millisecond, "background WAL flush period under -fsync interval")
 		walSeg   = fs.Int64("wal-segment-bytes", 8<<20, "WAL segment rotation size in bytes")

@@ -1,11 +1,11 @@
 // Package durable is the crash-safety layer underneath hyperd: an
-// append-only write-ahead log, an atomic file writer and a
-// content-addressed on-disk store.  Together they let the service
-// survive a kill -9 without losing solved work — the WAL journals
-// every state mutation (job submits and completions, session openers
-// and step batches), the store spills cache entries, and a restarted
-// process replays the journal against the spilled state to resume
-// exactly where the dead one stopped.
+// append-only write-ahead log and an atomic file writer.  The WAL lets
+// the service survive a kill -9 without losing solved work: it
+// journals every state mutation (job submits and completions with
+// their results, session openers and step batches), its compacted
+// snapshot carries the live state (the canonical cache among it), and
+// a restarted process replays it to resume exactly where the dead one
+// stopped.
 //
 // Design points:
 //
@@ -19,10 +19,7 @@
 //   - Fsync policy is configurable: FsyncAlways (every append, the
 //     durability default), FsyncInterval (a background flusher, bounded
 //     loss window), FsyncNever (rotation/close only — the OS decides).
-//   - AtomicWrite is the shared tmp+rename idiom (write, fsync,
-//     rename, fsync dir): readers see the old bytes or the new bytes,
-//     never a torn file.
-//   - Store addresses blobs by key under two-level fan-out directories
-//     and writes through AtomicWrite, so a crashed spill never leaves a
-//     half-written entry.
+//   - AtomicWrite is the tmp+rename idiom (write, fsync, rename, fsync
+//     dir) for whole-file state outside the log: readers see the old
+//     bytes or the new bytes, never a torn file.
 package durable

@@ -58,6 +58,18 @@ func (c *lruCache) Put(key string, val any) {
 	}
 }
 
+// oldestFirst copies the entries out, least recently used first:
+// Putting them back in this order rebuilds the same recency order.
+func (c *lruCache) oldestFirst() []lruEntry {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	out := make([]lruEntry, 0, c.ll.Len())
+	for el := c.ll.Back(); el != nil; el = el.Prev() {
+		out = append(out, *el.Value.(*lruEntry))
+	}
+	return out
+}
+
 // Len reports the number of cached entries.
 func (c *lruCache) Len() int {
 	c.mu.Lock()

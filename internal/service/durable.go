@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"path/filepath"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -18,8 +17,8 @@ import (
 // Durable state & crash recovery.
 //
 // With Config.DataDir set, the server journals every state mutation
-// that matters after a crash into a write-ahead log and spills the
-// canonical result store to disk:
+// that matters after a crash into a write-ahead log, the one durable
+// home of a solved answer:
 //
 //   - "job" records journal each actually-enqueued submission (cache
 //     hits and dedup joins cost nothing to lose); "jobdone" records
@@ -29,26 +28,29 @@ import (
 //   - "sess" records journal session openers, "steps" records each
 //     accepted batch (the trace-as-truth model makes the trace the only
 //     session state that matters), "sessdel" explicit deletions.
-//   - The canonical store spills to a content-addressed disk store in
-//     the background and warm-loads on boot, so structural twins
-//     survive restarts and a crashed cluster node rejoins warm.  The
-//     exact (literal) result cache is not spilled separately: a
-//     restarted node reconstructs literal repeats through the canonical
-//     layer, which re-seeds the exact cache on first hit.
+//   - The compacted snapshot carries the canonical LRU: every cached
+//     entry, least recently used first, as a jobdone record without a
+//     hash.  Replay warms every entry record in journal order, so
+//     structural twins survive restarts, a crashed cluster node rejoins
+//     warm, and a drained node comes back with its cache in shutdown
+//     order.  The exact (literal) result cache is not journaled
+//     separately: a restarted node reconstructs literal repeats through
+//     the canonical layer, which re-seeds the exact cache on first hit.
 //
-// Recovery at Open: warm-load the canonical store, replay the journal,
+// Recovery at Open: replay the journal (warming the canonical LRU),
 // re-register journaled sessions (traces rebuilt from their records),
 // re-enqueue incomplete jobs (completed twins are born terminal off the
-// warm canonical store — no duplicate solve for a journaled
-// completion), then rebuild session engines from their traces in the
-// background while /v1/healthz reports "recovering".  Once ready, the
-// journal is compacted to a snapshot of live state.  A data dir
-// written before engine checkpoints were retired may still hold a
-// ckpt/ directory; nothing reads it.
+// warm canonical LRU — no duplicate solve for a journaled completion),
+// then rebuild session engines from their traces in the background
+// while /v1/healthz reports "recovering".  Once ready, the journal is
+// compacted to a snapshot of live state.  A data dir written by an
+// older release may still hold a ckpt/ (engine checkpoints) or canon/
+// (spilled cache entries) directory; nothing reads them, which costs
+// warmth once and never correctness.
 //
 // Replay is idempotent by construction: records are folded into
-// per-hash and per-id maps, so duplicates (a retried compaction, a
-// replayed restart) cannot double-apply.
+// per-hash and per-id maps and the LRU, so duplicates (history replayed
+// beside a snapshot cut short, a replayed restart) cannot double-apply.
 
 // walRecord is the JSON payload of one journal record.
 type walRecord struct {
@@ -64,31 +66,25 @@ type walRecord struct {
 	At   *int       `json:"at,omitempty"`
 	Rows [][]string `json:"rows,omitempty"`
 	// Entry carries a completed solve's canonical store line inside its
-	// jobdone record, making completion and result one atomic append.
+	// jobdone record, making completion and result one atomic append.  A
+	// compacted snapshot writes each cached entry as a jobdone record
+	// with an Entry and no Hash.
 	Entry *PeerEntry `json:"entry,omitempty"`
 }
 
-// durableState bundles the WAL, the canonical disk store and the
-// background spill worker.
+// durableState holds the data directory's WAL.
 type durableState struct {
-	wal        *durable.WAL
-	canonStore *durable.Store // canonical entries, PeerEntry JSON by canonical key
+	wal *durable.WAL
 
 	// disabled gates every durable side effect; set at the end of
 	// shutdown (and by the crash simulation hook) so teardown does not
 	// journal over its own final snapshot.
 	disabled atomic.Bool
-
-	spill      chan func()
-	spillWG    sync.WaitGroup
-	spillDrops atomic.Int64
 }
 
-// openDurable opens the data directory's WAL and canonical store and
-// starts the spill worker.
+// openDurable opens the data directory's WAL.
 func (s *Server) openDurable() error {
-	dir := s.cfg.DataDir
-	wal, err := durable.OpenWAL(filepath.Join(dir, "wal"), durable.WALOptions{
+	wal, err := durable.OpenWAL(filepath.Join(s.cfg.DataDir, "wal"), durable.WALOptions{
 		SegmentBytes:     s.cfg.WALSegmentBytes,
 		Fsync:            s.cfg.Fsync,
 		FsyncIntervalDur: s.cfg.FsyncInterval,
@@ -96,24 +92,7 @@ func (s *Server) openDurable() error {
 	if err != nil {
 		return err
 	}
-	canonStore, err := durable.OpenStore(filepath.Join(dir, "canon"))
-	if err != nil {
-		wal.Close()
-		return err
-	}
-	d := &durableState{
-		wal:        wal,
-		canonStore: canonStore,
-		spill:      make(chan func(), 1024),
-	}
-	d.spillWG.Add(1)
-	go func() {
-		defer d.spillWG.Done()
-		for fn := range d.spill {
-			fn()
-		}
-	}()
-	s.dur = d
+	s.dur = &durableState{wal: wal}
 	return nil
 }
 
@@ -135,35 +114,6 @@ func (s *Server) journal(rec walRecord) {
 		return
 	}
 	d.wal.Append(data)
-}
-
-// spillAsync hands one disk write to the background worker; a full (or
-// already-closed) queue drops the spill — losing a spill only loses
-// cache warmth, never correctness.
-func (d *durableState) spillAsync(fn func()) {
-	defer func() {
-		if recover() != nil {
-			d.spillDrops.Add(1) // raced shutdown's channel close
-		}
-	}()
-	select {
-	case d.spill <- fn:
-	default:
-		d.spillDrops.Add(1)
-	}
-}
-
-// spillCanon spills one canonical entry to the disk store.
-func (s *Server) spillCanon(key string, e *canonicalEntry) {
-	d := s.dur
-	if d == nil || d.disabled.Load() || e == nil || key == "" {
-		return
-	}
-	d.spillAsync(func() {
-		if data, err := json.Marshal(peerEntryOf(key, e)); err == nil {
-			d.canonStore.Put(key, data)
-		}
-	})
 }
 
 // setState publishes the node's lifecycle state (recovering → ready;
@@ -195,31 +145,18 @@ type recPlan struct {
 // Open after the worker pool is live; the caller has set state
 // "recovering".
 func (s *Server) recoverDurable() {
-	d := s.dur
-
-	// 1. Warm-load the canonical store: every spilled entry goes back
-	// into the in-memory LRU, so completed work answers as cache hits.
-	warm := 0
-	d.canonStore.Walk(func(key string, data []byte) error {
-		pe, err := DecodePeerEntry(data)
-		if err != nil || pe.Key != key {
-			return nil // skip unreadable entries; never fail recovery
-		}
-		s.canon.Put(key, pe.entry())
-		warm++
-		return nil
-	})
-	s.metrics.recoveryCacheWarmloaded.Add(int64(warm))
-
-	// 2. Fold the journal.  Map semantics make the fold idempotent and
+	// 1. Fold the journal.  Map semantics make the fold idempotent and
 	// order-tolerant: duplicates overwrite, a done mark wins regardless
-	// of position.
+	// of position.  Every entry record goes back into the canonical LRU
+	// in journal order, so completed work answers as cache hits and a
+	// snapshot's least-recently-used-first entries keep their order.
+	warm := 0
 	plan := &recPlan{
 		jobs: map[string]json.RawMessage{},
 		done: map[string]bool{},
 		sess: map[string]*recSession{},
 	}
-	d.wal.Replay(func(data []byte) error {
+	s.dur.wal.Replay(func(data []byte) error {
 		var rec walRecord
 		if err := json.Unmarshal(data, &rec); err != nil {
 			return nil // tolerate an unreadable record, keep the rest
@@ -234,20 +171,14 @@ func (s *Server) recoverDurable() {
 			}
 			plan.jobs[rec.Hash] = rec.Req
 		case "jobdone":
-			if rec.Hash == "" {
-				return nil
+			// A completion carries its job's hash; a snapshot's cache
+			// entry carries none.
+			if rec.Hash != "" {
+				plan.done[rec.Hash] = true
 			}
-			plan.done[rec.Hash] = true
 			if rec.Entry != nil && rec.Entry.Key != "" {
-				// The completed result rode inside the record: warm it, and
-				// write it through to the disk store synchronously — the
-				// compaction at the end of recovery drops this record, so
-				// the store must already hold the entry by then (an async
-				// spill could lose it to an immediate second crash).
 				s.canon.Put(rec.Entry.Key, rec.Entry.entry())
-				if data, err := json.Marshal(rec.Entry); err == nil {
-					d.canonStore.Put(rec.Entry.Key, data)
-				}
+				warm++
 			}
 		case "sess":
 			if rec.ID == "" || len(rec.Req) == 0 {
@@ -266,8 +197,9 @@ func (s *Server) recoverDurable() {
 		}
 		return nil
 	})
+	s.metrics.recoveryCacheWarmloaded.Add(int64(warm))
 
-	// 3. Re-register journaled sessions with their traces rebuilt; the
+	// 2. Re-register journaled sessions with their traces rebuilt; the
 	// engines revive in the background below.
 	var revive []*session
 	for _, id := range plan.sessOrder {
@@ -280,8 +212,8 @@ func (s *Server) recoverDurable() {
 		}
 	}
 
-	// 4. Re-enqueue incomplete jobs.  A journaled completion's twin is
-	// born terminal off the warm canonical store inside Submit, so
+	// 3. Re-enqueue incomplete jobs.  A journaled completion's twin is
+	// born terminal off the warm canonical LRU inside Submit, so
 	// nothing solved before the crash solves again.
 	requeued := 0
 	for _, hash := range plan.order {
@@ -298,7 +230,7 @@ func (s *Server) recoverDurable() {
 	}
 	s.metrics.recoveryJobsRequeued.Add(int64(requeued))
 
-	// 5. Rebuild session engines from their traces in the background;
+	// 4. Rebuild session engines from their traces in the background;
 	// the node reports "recovering" until the last session solves
 	// again, then compacts the journal into a snapshot of live state.
 	// The "service.recover" site lets tests stall here and observe the
@@ -385,12 +317,14 @@ func (s *Server) restoreSession(id string, rec *recSession) *session {
 	return sess
 }
 
-// compactWAL rewrites the journal as a snapshot of live state:
-// incomplete jobs and live sessions (their full current traces, so
-// step-batch history collapses).  Holding s.mu for the duration keeps
-// job journaling quiescent; sessions are snapshotted under TryLock and
-// any busy session aborts the compaction — the un-compacted journal
-// stays a correct superset, and the next quiet moment retries.
+// compactWAL rewrites the journal as a snapshot of live state: the
+// canonical LRU's entries, least recently used first, incomplete jobs
+// and live sessions (their full current traces, so step-batch history
+// collapses).  Holding s.mu for the duration keeps job journaling
+// quiescent; sessions are snapshotted under TryLock and any busy
+// session aborts the compaction.  Nothing retries it: compaction runs
+// only at the end of recovery and at drain, and until the next one the
+// un-compacted journal stays a correct superset.
 func (s *Server) compactWAL() error {
 	d := s.dur
 	if d == nil {
@@ -410,6 +344,7 @@ func (s *Server) compactWALLocked() error {
 		hash string
 		req  json.RawMessage
 	}
+	cached := s.canon.lru.oldestFirst()
 	var liveJobs []jobSnap
 	for _, j := range s.jobs {
 		j.mu.Lock()
@@ -427,6 +362,15 @@ func (s *Server) compactWALLocked() error {
 	st.mu.Unlock()
 
 	return d.wal.Compact(func(app func([]byte) error) error {
+		for _, le := range cached {
+			data, err := json.Marshal(walRecord{T: "jobdone", Entry: peerEntryOf(le.key, le.val.(*canonicalEntry))})
+			if err != nil {
+				continue
+			}
+			if err := app(data); err != nil {
+				return err
+			}
+		}
 		for _, js := range liveJobs {
 			data, err := json.Marshal(walRecord{T: "job", Hash: js.hash, Req: js.req})
 			if err != nil {
@@ -538,16 +482,13 @@ func wireOptionsFrom(o solve.Options) WireOptions {
 	return wo
 }
 
-// closeDurable drains the spill worker and closes the WAL (the final
-// fsync of a graceful drain).
+// closeDurable closes the WAL (the final fsync of a graceful drain).
 func (s *Server) closeDurable() {
 	d := s.dur
 	if d == nil {
 		return
 	}
 	d.disabled.Store(true)
-	close(d.spill)
-	d.spillWG.Wait()
 	d.wal.Sync()
 	d.wal.Close()
 }

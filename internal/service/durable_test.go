@@ -3,6 +3,11 @@ package service
 import (
 	"bytes"
 	"context"
+	"errors"
+	"io/fs"
+	"os"
+	"path/filepath"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -485,8 +490,8 @@ func TestDurableRecoveringHealthState(t *testing.T) {
 
 // TestDurableGracefulShutdownSnapshot drains a node with live state and
 // checks the next boot recovers it from the compacted snapshot: the
-// completed solve answers warm from the spilled canonical store and the
-// session revives from its snapshotted trace.
+// completed solve answers warm from the snapshot's canonical entries
+// and the session revives from its snapshotted trace.
 func TestDurableGracefulShutdownSnapshot(t *testing.T) {
 	ctx := context.Background()
 	mt := sessionInstance(t)
@@ -523,6 +528,140 @@ func TestDurableGracefulShutdownSnapshot(t *testing.T) {
 	}
 	if got := revived.Status(); got.Steps != 4 {
 		t.Fatalf("revived trace has %d steps, want 4", got.Steps)
+	}
+}
+
+// phasedExact builds the distinct phased 2×16 exact solve request for
+// one seed.
+func phasedExact(tb testing.TB, seed int) *SolveRequest {
+	tb.Helper()
+	mt, err := workload.Phased(workload.Config{Tasks: 2, Steps: 16, Switches: 8, Seed: int64(seed)})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return &SolveRequest{Solver: "exact", Instance: WireInstanceFrom(mt)}
+}
+
+// dataDirBytes sums the file bytes under a data dir, which must hold
+// nothing but the WAL.
+func dataDirBytes(t *testing.T, dir string) int64 {
+	t.Helper()
+	top, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(top) != 1 || top[0].Name() != "wal" {
+		names := make([]string, len(top))
+		for i, e := range top {
+			names[i] = e.Name()
+		}
+		t.Fatalf("data dir holds %v, want only wal", names)
+	}
+	var total int64
+	if err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
+		}
+		info, err := d.Info()
+		if err != nil {
+			return err
+		}
+		total += info.Size()
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return total
+}
+
+// TestDurableGracefulRestartKeepsRecentEntries drains a node whose
+// 4-entry canonical LRU has seen 40 distinct solves: the restart must
+// come back with exactly the four most recently used entries, in LRU
+// order, from a data dir that holds only the WAL and does not grow
+// with the number of solves.
+func TestDurableGracefulRestartKeepsRecentEntries(t *testing.T) {
+	const capacity = 4
+	dir := t.TempDir()
+	cfg := Config{Workers: 2, DataDir: dir, CacheEntries: capacity, Fsync: durable.FsyncNever}
+	seedOf := map[string]int{}
+	// solveSeeds solves seeds from..to in turn and returns their
+	// canonical keys in solve order.
+	solveSeeds := func(s *Server, from, to int) []string {
+		var keys []string
+		for seed := from; seed <= to; seed++ {
+			job := submitWait(t, s, phasedExact(t, seed))
+			doneResult(t, job)
+			if prev, dup := seedOf[job.canonKey]; dup {
+				t.Fatalf("seeds %d and %d share a canonical key", prev, seed)
+			}
+			seedOf[job.canonKey] = seed
+			keys = append(keys, job.canonKey)
+		}
+		return keys
+	}
+	// warmSeeds lists the LRU's seeds, least recently used first.
+	warmSeeds := func(s *Server) []int {
+		var seeds []int
+		for _, le := range s.canon.lru.oldestFirst() {
+			seeds = append(seeds, seedOf[le.key])
+		}
+		return seeds
+	}
+
+	a, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	solveSeeds(a, 1, 40)
+	want := warmSeeds(a)
+	if !slices.Equal(want, []int{37, 38, 39, 40}) {
+		t.Fatalf("LRU before shutdown holds seeds %v, want [37 38 39 40]", want)
+	}
+	shutdown(t, a)
+	bytes40 := dataDirBytes(t, dir)
+
+	b, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer shutdown(t, b)
+	waitReady(t, b)
+	if got := warmSeeds(b); !slices.Equal(got, want) {
+		t.Fatalf("graceful restart warmed seeds %v, want %v in LRU order", got, want)
+	}
+	if got := b.metrics.recoveryCacheWarmloaded.Load(); got != capacity {
+		t.Fatalf("recoveryCacheWarmloaded = %d, want %d", got, capacity)
+	}
+	// One more distinct solve evicts the oldest of them.
+	solveSeeds(b, 41, 41)
+	if got := warmSeeds(b); !slices.Equal(got, []int{38, 39, 40, 41}) {
+		t.Fatalf("after one more solve the LRU holds seeds %v, want [38 39 40 41]", got)
+	}
+	solveSeeds(b, 42, 400)
+	shutdown(t, b)
+	if bytes400 := dataDirBytes(t, dir); bytes400 > 2*bytes40 {
+		t.Fatalf("data dir grew from %d bytes after 40 solves to %d after 400", bytes40, bytes400)
+	}
+}
+
+// TestDurableFailedSessionOpenerJournalsNothing fails a session's
+// opening solve on a durable node: the session is torn down, and the
+// WAL, which never held its opener, takes no record for it.
+func TestDurableFailedSessionOpenerJournalsNothing(t *testing.T) {
+	faultinject.Reset()
+	defer faultinject.Reset()
+	s := openDurable(t, t.TempDir())
+	defer shutdown(t, s)
+	waitReady(t, s)
+	faultinject.Set("service.session", faultinject.Action{Err: faultinject.ErrInjected})
+	if _, err := s.CreateSession(context.Background(), sessionRequest(sessionInstance(t), "exact", 3)); !errors.Is(err, faultinject.ErrInjected) {
+		t.Fatalf("CreateSession = %v, want the injected error", err)
+	}
+	if st := s.dur.wal.Stats(); st.Appends != 0 || st.Fsyncs != 0 {
+		t.Fatalf("failed opener cost %d WAL appends and %d fsyncs, want 0", st.Appends, st.Fsyncs)
+	}
+	if active, _ := s.sessions.gauges(); active != 0 {
+		t.Fatalf("%d sessions left after a failed opener, want 0", active)
 	}
 }
 

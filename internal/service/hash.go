@@ -66,7 +66,7 @@ func writeCells(w io.Writer, buf []byte, reqs []bitset.Set) []byte {
 // writeOptions serializes every solve.Options field in declaration
 // order, except Workers: the wire does not carry it and no solver's
 // answer depends on it.  New fields must be appended here.  The format
-// keys the exact cache, the canonical store (spilled to disk under
+// keys the exact cache, the canonical store (journaled in the WAL under
 // -data-dir) and cluster routing, so changing it costs warm hits after
 // an upgrade, never correctness.
 func writeOptions(w io.Writer, o solve.Options) {

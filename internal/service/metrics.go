@@ -99,7 +99,7 @@ type metrics struct {
 	// Crash-recovery counters, bumped once per restart by recoverDurable.
 	recoveryJobsRequeued    atomic.Int64 // journaled-but-incomplete jobs re-enqueued on boot
 	recoverySessionsRevived atomic.Int64 // sessions rebuilt from journaled step batches
-	recoveryCacheWarmloaded atomic.Int64 // canonical entries warm-loaded from the disk store
+	recoveryCacheWarmloaded atomic.Int64 // canonical entries replayed from the journal
 
 	mu            sync.Mutex
 	perSolver     map[string]*latencyHist

@@ -55,10 +55,10 @@ type Config struct {
 	SessionBytes int64
 
 	// DataDir, when set, enables durable state: job submissions,
-	// completions and session step batches journal to a write-ahead log
-	// under it, the canonical store spills to disk beside it, and Open
-	// replays everything on the next boot (see durable.go).  Empty runs
-	// fully in-memory.
+	// completions (with their canonical entries) and session step
+	// batches journal to a write-ahead log under it, the log's compacted
+	// snapshot carries the canonical cache, and Open replays everything
+	// on the next boot (see durable.go).  Empty runs fully in-memory.
 	DataDir string
 	// Fsync is the WAL flush policy (FsyncAlways by default; see
 	// durable.ParseFsyncPolicy for the flag form).
@@ -852,7 +852,6 @@ func (s *Server) finalizeNoted(job *Job, sol *solve.Solution, err error) {
 			rec.Entry = peerEntryOf(job.canonKey, canonEntry)
 		}
 		s.journal(rec)
-		s.spillCanon(job.canonKey, canonEntry)
 	}
 	job.inst, job.mt, job.opts, job.canonPerm, job.batchBucket, job.reqJSON = nil, nil, solve.Options{}, nil, "", nil
 	close(job.done)
@@ -965,6 +964,6 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	case <-ctx.Done():
 		err = ctx.Err()
 	}
-	s.closeDurable() // drain spills, final WAL fsync + close
+	s.closeDurable() // final WAL fsync + close
 	return err
 }

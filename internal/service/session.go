@@ -265,7 +265,8 @@ func (s *Server) CreateSession(ctx context.Context, req *SessionRequest) (*sessi
 	sess.mu.Unlock()
 	s.noteBreaker(req.Solver, err)
 	if err != nil {
-		s.DeleteSession(sess.ID)
+		// The opener was never journaled, so neither is the teardown.
+		s.removeSession(sess.ID)
 		return nil, err
 	}
 	// Journal the opener before the client learns the id: every batch
@@ -287,21 +288,29 @@ func (s *Server) Session(id string) (*session, bool) {
 	return sess, ok
 }
 
-// DeleteSession closes and forgets a session.
+// DeleteSession closes and forgets a session, and journals the
+// deletion.
 func (s *Server) DeleteSession(id string) error {
+	if !s.removeSession(id) {
+		return ErrNoSuchSession
+	}
+	s.journal(walRecord{T: "sessdel", ID: id})
+	return nil
+}
+
+// removeSession closes and forgets a session without journaling it,
+// reporting whether the id was live.
+func (s *Server) removeSession(id string) bool {
 	st := s.sessions
 	st.mu.Lock()
 	sess, ok := st.sessions[id]
 	if !ok {
 		st.mu.Unlock()
-		return ErrNoSuchSession
+		return false
 	}
 	delete(st.sessions, id)
 	st.dropAccountingLocked(id)
 	st.mu.Unlock()
-	// Journal the deletion (a no-op once shutdown disables the journal:
-	// draining keeps sessions for the next boot).
-	s.journal(walRecord{T: "sessdel", ID: id})
 
 	sess.mu.Lock()
 	sess.closed = true
@@ -311,10 +320,11 @@ func (s *Server) DeleteSession(id string) error {
 	}
 	close(sess.genCh) // wake long-pollers; closed sessions never re-arm
 	sess.mu.Unlock()
-	return nil
+	return true
 }
 
-// closeSessions tears down every session at shutdown.
+// closeSessions tears down every session at shutdown; draining keeps
+// them journaled for the next boot.
 func (s *Server) closeSessions() {
 	st := s.sessions
 	st.mu.Lock()
@@ -324,7 +334,7 @@ func (s *Server) closeSessions() {
 	}
 	st.mu.Unlock()
 	for _, id := range ids {
-		s.DeleteSession(id)
+		s.removeSession(id)
 	}
 }
 

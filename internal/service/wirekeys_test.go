@@ -127,9 +127,10 @@ func wireKeyLines(t *testing.T) []string {
 }
 
 // TestWireKeysGolden pins the bytes every cache and routing key
-// hashes.  The keys address the canonical store spilled under
-// -data-dir, the WAL's jobdone entries and cluster routing, so a
-// change to how they are computed must leave every digest as it is.
+// hashes.  The keys address the WAL's jobdone records and the
+// canonical entries they and its snapshot carry under -data-dir, and
+// cluster routing, so a change to how they are computed must leave
+// every digest as it is.
 // Regenerate with -update-wire-keys only for a declared key change.
 func TestWireKeysGolden(t *testing.T) {
 	got := strings.Join(wireKeyLines(t), "\n") + "\n"
