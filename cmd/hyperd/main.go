@@ -7,8 +7,11 @@
 //
 //	hyperd [-addr :8077] [-workers N] [-queue N] [-cache N] [-max-timeout 60s]
 //	       [-max-frontier-bytes N] [-breaker-threshold N] [-breaker-cooldown 10s]
-//	       [-max-sessions N] [-session-bytes N]
-//	       [-data-dir DIR] [-fsync always|interval|never] [-wal-segment-bytes N]
+//	       [-max-sessions N] [-session-bytes N] [-drain 30s]
+//	       [-data-dir DIR] [-fsync always|interval|never] [-fsync-interval 100ms]
+//	       [-wal-segment-bytes N]
+//	       [-peers URL,URL,... -self URL] [-node-id ID] [-vnodes 64]
+//	       [-peer-fanout 2] [-peer-wait 1s] [-health-interval 1s]
 //	hyperd route -peers URL,URL,... [-addr 127.0.0.1:8078] [-vnodes 64]
 //	             [-sticky N] [-max-timeout 60s] [-max-frontier-bytes N]
 //
@@ -50,14 +53,12 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"strings"
 	"syscall"
 	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/durable"
-	"repro/internal/portfolio"
 	"repro/internal/service"
 )
 
@@ -92,7 +93,7 @@ func runServe(args []string) error {
 		addr       = fs.String("addr", "127.0.0.1:8077", "listen address")
 		workers    = fs.Int("workers", 0, "worker pool size (0 = GOMAXPROCS)")
 		queue      = fs.Int("queue", 256, "job queue depth")
-		cache      = fs.Int("cache", 1024, "result cache entries (negative disables)")
+		cache      = fs.Int("cache", 1024, "entries in the result cache and in the canonical store, and so in the drain snapshot (negative disables both)")
 		maxTimeout = fs.Duration("max-timeout", time.Minute, "per-job solve deadline cap (0 = none)")
 		maxBytes   = fs.Int64("max-frontier-bytes", 1<<30, "per-job solver memory budget in bytes; exhaustion degrades exact solves to beam search (0 = none)")
 		brkThresh  = fs.Int("breaker-threshold", 5, "consecutive solver panics/timeouts that trip its circuit breaker (negative disables)")
@@ -181,17 +182,6 @@ func runServe(args []string) error {
 	if err != nil {
 		return err
 	}
-	// The learned-dispatch win table persists alongside the WAL: races
-	// observed before a restart keep steering dispatch after it.
-	dispatchPath := ""
-	if *dataDir != "" {
-		dispatchPath = filepath.Join(*dataDir, "dispatch.json")
-		if err := portfolio.DefaultTable.Load(dispatchPath); err != nil {
-			fmt.Fprintf(os.Stderr, "hyperd: dispatch table: %v (starting empty)\n", err)
-		} else if n := portfolio.DefaultTable.Len(); n > 0 {
-			fmt.Fprintf(os.Stderr, "hyperd: dispatch table: %d learned buckets\n", n)
-		}
-	}
 	httpSrv := &http.Server{Addr: *addr, Handler: srv.Handler()}
 
 	ln, err := net.Listen("tcp", *addr)
@@ -223,11 +213,6 @@ func runServe(args []string) error {
 	}
 	if err := httpSrv.Shutdown(drainCtx); err != nil {
 		return fmt.Errorf("http shutdown: %w", err)
-	}
-	if dispatchPath != "" {
-		if err := portfolio.DefaultTable.Save(dispatchPath); err != nil {
-			fmt.Fprintf(os.Stderr, "hyperd: dispatch table save: %v\n", err)
-		}
 	}
 	fmt.Fprintln(os.Stderr, "hyperd: bye")
 	return nil

@@ -1,11 +1,11 @@
 // Package durable is the crash-safety layer underneath hyperd: an
-// append-only write-ahead log and an atomic file writer.  The WAL lets
-// the service survive a kill -9 without losing solved work: it
-// journals every state mutation (job submits and completions with
-// their results, session openers and step batches), its compacted
-// snapshot carries the live state (the canonical cache among it), and
-// a restarted process replays it to resume exactly where the dead one
-// stopped.
+// append-only write-ahead log, the one file set hyperd keeps under its
+// data directory.  The WAL lets the service survive a kill -9 without
+// losing solved work: it journals every state mutation (job submits
+// and completions with their results, session openers and step
+// batches), its compacted snapshot carries the live state (the
+// canonical cache among it), and a restarted process replays it to
+// resume exactly where the dead one stopped.
 //
 // Design points:
 //
@@ -19,7 +19,4 @@
 //   - Fsync policy is configurable: FsyncAlways (every append, the
 //     durability default), FsyncInterval (a background flusher, bounded
 //     loss window), FsyncNever (rotation/close only — the OS decides).
-//   - AtomicWrite is the tmp+rename idiom (write, fsync, rename, fsync
-//     dir) for whole-file state outside the log: readers see the old
-//     bytes or the new bytes, never a torn file.
 package durable

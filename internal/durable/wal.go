@@ -241,6 +241,16 @@ func (w *WAL) recoverSegments() error {
 	return nil
 }
 
+// syncDir fsyncs a directory so entry creations/renames/removals are
+// durable.  Best effort: some filesystems refuse directory fsync, and
+// a failure here narrows durability without breaking correctness.
+func syncDir(dir string) {
+	if d, err := os.Open(dir); err == nil {
+		d.Sync()
+		d.Close()
+	}
+}
+
 // dropSegmentsFrom deletes the named segment indices (corruption
 // aftermath: records past the loss point must not replay).
 func (w *WAL) dropSegmentsFrom(idxs []int64) {

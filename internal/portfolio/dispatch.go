@@ -1,14 +1,11 @@
 package portfolio
 
 import (
-	"encoding/json"
 	"fmt"
 	"math/bits"
-	"os"
 	"sort"
 	"sync"
 
-	"repro/internal/durable"
 	"repro/internal/model"
 	"repro/internal/partition"
 )
@@ -78,7 +75,7 @@ func (f Features) Bucket() string {
 // long the old winner reigned.
 const staleCap = 64
 
-// Table is the persisted win-record table behind learned dispatch:
+// Table is the in-process win-record table behind learned dispatch:
 // feature bucket → solver → race wins.  Safe for concurrent use.
 type Table struct {
 	mu      sync.Mutex
@@ -86,7 +83,9 @@ type Table struct {
 }
 
 // DefaultTable is the process-wide table the registered "portfolio"
-// solver consults; hyperd loads and persists it under -data-dir.
+// solver consults.  It starts empty with the process and is never
+// saved: a restarted hyperd races each family again until the table
+// is confident.
 var DefaultTable = NewTable()
 
 // NewTable returns an empty table.
@@ -152,58 +151,4 @@ func (t *Table) Predict(bucket string) (winner string, share float64, samples in
 		}
 	}
 	return winner, float64(best) / float64(total), total
-}
-
-// tableSnapshot is the persisted JSON form.
-type tableSnapshot struct {
-	Version int                         `json:"version"`
-	Buckets map[string]map[string]int64 `json:"buckets"`
-}
-
-// Snapshot serializes the table.
-func (t *Table) Snapshot() ([]byte, error) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return json.Marshal(tableSnapshot{Version: 1, Buckets: t.buckets})
-}
-
-// Save atomically persists the table to path (durable.AtomicWrite:
-// temp file, fsync, rename — crash-safe like the service journals).
-func (t *Table) Save(path string) error {
-	data, err := t.Snapshot()
-	if err != nil {
-		return err
-	}
-	return durable.AtomicWrite(path, data)
-}
-
-// Load replaces the table's contents from a snapshot produced by
-// Save.  A missing file is not an error (cold start); a corrupt one
-// is, so callers can distinguish "new node" from "damaged state".
-func (t *Table) Load(path string) error {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil
-		}
-		return err
-	}
-	var snap tableSnapshot
-	if err := json.Unmarshal(data, &snap); err != nil {
-		return fmt.Errorf("portfolio: corrupt dispatch table %s: %w", path, err)
-	}
-	if snap.Buckets == nil {
-		snap.Buckets = map[string]map[string]int64{}
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.buckets = snap.Buckets
-	return nil
-}
-
-// Len reports the number of populated buckets.
-func (t *Table) Len() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return len(t.buckets)
 }

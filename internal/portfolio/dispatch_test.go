@@ -2,8 +2,6 @@ package portfolio
 
 import (
 	"math/rand"
-	"os"
-	"path/filepath"
 	"sort"
 	"testing"
 
@@ -50,46 +48,6 @@ func TestRecordStaleness(t *testing.T) {
 	}
 	if w, _, _ := table.Predict("b"); w != "new" {
 		t.Fatalf("majority did not flip after a regime shift: %q", w)
-	}
-}
-
-func TestTableSaveLoad(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "dispatch.json")
-	table := NewTable()
-	table.Record("b1", "exact")
-	table.Record("b1", "exact")
-	table.Record("b2", "ga")
-	if err := table.Save(path); err != nil {
-		t.Fatal(err)
-	}
-
-	loaded := NewTable()
-	if err := loaded.Load(path); err != nil {
-		t.Fatal(err)
-	}
-	if loaded.Len() != 2 {
-		t.Fatalf("loaded %d buckets, want 2", loaded.Len())
-	}
-	if w, s, n := loaded.Predict("b1"); w != "exact" || s != 1 || n != 2 {
-		t.Fatalf("b1 round-trip: %q %.2f %d", w, s, n)
-	}
-
-	// A missing file is a cold start, not an error.
-	fresh := NewTable()
-	if err := fresh.Load(filepath.Join(t.TempDir(), "missing.json")); err != nil {
-		t.Fatalf("missing file: %v", err)
-	}
-	if fresh.Len() != 0 {
-		t.Fatalf("missing file populated %d buckets", fresh.Len())
-	}
-
-	// A corrupt file is an error, so callers can tell "new node" from
-	// "damaged state".
-	if err := os.WriteFile(path, []byte("{not json"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := fresh.Load(path); err == nil {
-		t.Fatal("corrupt snapshot loaded without error")
 	}
 }
 

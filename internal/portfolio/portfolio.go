@@ -12,13 +12,14 @@
 // cost (published bounds are valid upper bounds and the cutoffs are
 // strict), only how much of the state space the DP has to touch.
 //
-// On top of the racer sits learned dispatch (dispatch.go): a win-record
-// table keyed by coarse instance features predicts the likely winner,
-// and when the prediction is confident the portfolio skips the race
-// and dispatches straight to it.  Races feed the table; direct
-// dispatches do not (so a wrong habit cannot reinforce itself
-// unobserved — low confidence always forces a fresh race eventually
-// via the staleness rule).
+// On top of the racer sits learned dispatch (dispatch.go): an
+// in-process win-record table keyed by coarse instance features
+// predicts the likely winner, and when the prediction is confident the
+// portfolio skips the race and dispatches straight to it.  Races feed
+// the table; direct dispatches do not (so a wrong habit cannot
+// reinforce itself unobserved — low confidence always forces a fresh
+// race eventually via the staleness rule).  The table lives only as
+// long as the process: nothing saves or reloads it.
 package portfolio
 
 import (
@@ -37,18 +38,14 @@ type Config struct {
 	// board.  Off, the contenders run blind — only useful for
 	// measuring what the exchange buys (paperbench gate b).
 	Exchange bool
-	// Table is the learned-dispatch win-record table; nil disables
-	// dispatch and always races.
+	// Table is the in-process learned-dispatch win-record table; nil
+	// disables dispatch and always races.
 	Table *Table
 	// MinSamples and MinShare gate direct dispatch: the predicted
 	// winner must hold at least MinShare of at least MinSamples
 	// recorded race wins in the instance's feature bucket.
 	MinSamples int64
 	MinShare   float64
-	// ForceDirect names a solver to dispatch to without consulting the
-	// table — the service batch mode sets it on follower requests after
-	// the group leader's race has picked a winner.
-	ForceDirect string
 }
 
 // Defaults is the configuration the registered "portfolio" solver
@@ -123,11 +120,11 @@ func runSteppedExact(ctx context.Context, inst *solve.Instance, opts solve.Optio
 }
 
 // Race runs the portfolio on one MT-Switch instance.  When the
-// learned-dispatch table (or ForceDirect) confidently names a winner,
-// the race collapses to that single solver (reported as a Direct
-// contender); otherwise all contenders run concurrently, the first
-// proven-optimal finisher cancels the rest, and the race outcome is
-// recorded into the table.
+// learned-dispatch table confidently names a winner, the race
+// collapses to that single solver (reported as a Direct contender);
+// otherwise all contenders run concurrently, the first proven-optimal
+// finisher cancels the rest, and the race outcome is recorded into the
+// table.
 func Race(ctx context.Context, inst *solve.Instance, opts solve.Options, cfg Config) (*solve.Solution, error) {
 	if inst == nil || inst.Kind() != solve.KindMTSwitch || inst.MT == nil {
 		return nil, fmt.Errorf("portfolio: race needs an mtswitch instance")
@@ -136,31 +133,21 @@ func Race(ctx context.Context, inst *solve.Instance, opts solve.Options, cfg Con
 		return nil, err
 	}
 
-	// Learned dispatch: skip the race when the table (or the service
-	// batch leader, via ForceDirect) confidently names the winner.
-	var feat Features
-	var haveFeat bool
-	if cfg.Table != nil || cfg.ForceDirect != "" {
-		feat = Extract(inst.MT)
-		haveFeat = true
-	}
-	direct := cfg.ForceDirect
-	if direct == "" && cfg.Table != nil {
-		if winner, share, samples := cfg.Table.Predict(feat.Bucket()); samples >= cfg.MinSamples && share >= cfg.MinShare {
-			direct = winner
+	// Learned dispatch: skip the race when the table confidently names
+	// the winner.
+	var bucket string
+	if cfg.Table != nil {
+		bucket = Extract(inst.MT).Bucket()
+		if winner, share, samples := cfg.Table.Predict(bucket); samples >= cfg.MinSamples && share >= cfg.MinShare {
+			return runDirect(ctx, inst, opts, cfg, winner)
 		}
-	}
-	if direct != "" {
-		return runDirect(ctx, inst, opts, cfg, direct)
 	}
 
 	sol, winner, err := race(ctx, inst, opts, cfg)
 	if err != nil {
 		return nil, err
 	}
-	if cfg.Table != nil && haveFeat && winner != "" {
-		cfg.Table.Record(feat.Bucket(), winner)
-	}
+	cfg.Table.Record(bucket, winner) // a nil table records nothing
 	return sol, nil
 }
 
@@ -300,32 +287,6 @@ func init() {
 	solve.Register(solve.NewSolver("portfolio",
 		solve.Capabilities{Kinds: []solve.Kind{solve.KindMTSwitch}},
 		func(ctx context.Context, inst *solve.Instance, opts solve.Options) (*solve.Solution, error) {
-			cfg := Defaults()
-			if d, ok := directFrom(ctx); ok {
-				cfg.ForceDirect = d
-			}
-			return Race(ctx, inst, opts, cfg)
+			return Race(ctx, inst, opts, Defaults())
 		}))
-}
-
-// directKey carries a batch-mode dispatch override in the context.
-type directKey struct{}
-
-// WithDirect returns a context that forces the portfolio solver to
-// dispatch straight to the named solver — the service batch mode sets
-// it on follower requests once their group leader's race has picked a
-// winner.
-func WithDirect(ctx context.Context, solver string) context.Context {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	return context.WithValue(ctx, directKey{}, solver)
-}
-
-func directFrom(ctx context.Context) (string, bool) {
-	if ctx == nil {
-		return "", false
-	}
-	s, ok := ctx.Value(directKey{}).(string)
-	return s, ok && s != ""
 }

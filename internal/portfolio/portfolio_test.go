@@ -256,23 +256,6 @@ func TestDirectDispatch(t *testing.T) {
 	}
 }
 
-// TestForceDirect covers the batch-mode override: WithDirect routes
-// the registered portfolio solver straight to the named contender.
-func TestForceDirect(t *testing.T) {
-	mt, err := workload.Phased(workload.Config{Tasks: 2, Steps: 16, Switches: 8, MeanPhase: 4, Seed: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := portfolio.WithDirect(context.Background(), "beam")
-	sol, err := solve.Run(ctx, "portfolio", solve.NewMT(mt, parallel), solve.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(sol.Contenders) != 1 || !sol.Contenders[0].Direct || sol.Contenders[0].Solver != "beam" {
-		t.Fatalf("WithDirect ignored: %+v", sol.Contenders)
-	}
-}
-
 // TestRaceRejectsNonMT pins the input validation.
 func TestRaceRejectsNonMT(t *testing.T) {
 	if _, err := portfolio.Race(context.Background(), nil, solve.Options{}, portfolio.Defaults()); err == nil {

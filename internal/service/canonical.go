@@ -21,18 +21,14 @@ import (
 // it onto each requester's own instance.
 
 // canonicalEntry is one stored result: the mask rows in canonical task
-// order plus the completed solve's cost, exactness and statistics.
-// Portfolio-raced entries also carry the race outcome (feature bucket
-// and winning solver) so the win-table hint can ride the entry onto
-// the cluster wire.
+// order plus the completed solve's cost, exactness and statistics.  An
+// entry is never written once it is in the store, so a peer lookup may
+// read it without the server lock.
 type canonicalEntry struct {
 	mask  [][]bool
 	cost  model.Cost
 	exact bool
 	stats solve.Stats
-
-	hintBucket string
-	hintWinner string
 }
 
 // canonicalMTKey addresses the canonical store: solver + options +

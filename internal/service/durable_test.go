@@ -3,6 +3,7 @@ package service
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"io/fs"
 	"os"
@@ -491,7 +492,9 @@ func TestDurableRecoveringHealthState(t *testing.T) {
 // TestDurableGracefulShutdownSnapshot drains a node with live state and
 // checks the next boot recovers it from the compacted snapshot: the
 // completed solve answers warm from the snapshot's canonical entries
-// and the session revives from its snapshotted trace.
+// and the session revives from its snapshotted trace.  The snapshot's
+// entries are rewritten to carry the portfolio dispatch hint that
+// older nodes wrote, which the replay must ignore.
 func TestDurableGracefulShutdownSnapshot(t *testing.T) {
 	ctx := context.Background()
 	mt := sessionInstance(t)
@@ -504,6 +507,9 @@ func TestDurableGracefulShutdownSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	shutdown(t, a)
+	if n := addDispatchHints(t, dir); n < 1 {
+		t.Fatalf("the drain snapshot holds %d entries, want >= 1", n)
+	}
 
 	b := openDurable(t, dir)
 	defer shutdown(t, b)
@@ -529,6 +535,54 @@ func TestDurableGracefulShutdownSnapshot(t *testing.T) {
 	if got := revived.Status(); got.Steps != 4 {
 		t.Fatalf("revived trace has %d steps, want 4", got.Steps)
 	}
+}
+
+// addDispatchHints rewrites the WAL under a data dir so that every
+// record's entry carries a dispatch_hint, as entries of portfolio races
+// did on older nodes, and returns how many entries it rewrote.
+func addDispatchHints(t *testing.T, dir string) int {
+	t.Helper()
+	wal, err := durable.OpenWAL(filepath.Join(dir, "wal"), durable.WALOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer wal.Close()
+	var recs [][]byte
+	hinted := 0
+	if err := wal.Replay(func(data []byte) error {
+		var rec map[string]json.RawMessage
+		if err := json.Unmarshal(data, &rec); err != nil {
+			return err
+		}
+		if raw, ok := rec["entry"]; ok {
+			var entry map[string]json.RawMessage
+			if err := json.Unmarshal(raw, &entry); err != nil {
+				return err
+			}
+			entry["dispatch_hint"] = json.RawMessage(`{"bucket":"m2_n6_d1_b0","winner":"exact"}`)
+			var err error
+			if rec["entry"], err = json.Marshal(entry); err != nil {
+				return err
+			}
+			hinted++
+		}
+		out, err := json.Marshal(rec)
+		recs = append(recs, out)
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := wal.Compact(func(app func([]byte) error) error {
+		for _, rec := range recs {
+			if err := app(rec); err != nil {
+				return err
+			}
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return hinted
 }
 
 // phasedExact builds the distinct phased 2×16 exact solve request for

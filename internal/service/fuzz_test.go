@@ -89,6 +89,7 @@ func FuzzPeerFill(f *testing.F) {
 	seed(&PeerEntry{Key: key, Cost: 0, Mask: []string{"1"}})
 	seed(&PeerEntry{Key: key, Cost: 3, Mask: []string{"000", "111", "010"},
 		Stats: WireStats{StatesExpanded: 4, DedupHits: 9, WallMS: 2}})
+	f.Add([]byte(`{"key":"` + key + `","cost":12,"exact":true,"mask":["0101","1100"],"dispatch_hint":{"bucket":"m2_n6_d1_b0","winner":"exact"}}`))
 	f.Add([]byte(`{"key":"` + key + `","cost":-5,"mask":["1"]}`))
 	f.Add([]byte(`{"key":"UPPER","cost":1,"mask":["1"]}`))
 	f.Add([]byte(`{"key":"` + key + `","cost":1,"mask":["10","1"]}`))

@@ -85,14 +85,11 @@ type metrics struct {
 	suffixCount atomic.Int64
 
 	// Portfolio meta-solver counters: full races run, learned-dispatch
-	// confidence shortcuts taken instead of racing, exact-DP incumbent
-	// adoptions across all races, and the batch-mode grouping summary
-	// (groups opened / jobs that rode a group, leaders included).
+	// confidence shortcuts taken instead of racing, and exact-DP
+	// incumbent adoptions across all races.
 	portfolioRaces       atomic.Int64
 	portfolioDirect      atomic.Int64
 	portfolioTightenings atomic.Int64
-	batchGroups          atomic.Int64
-	batchJobs            atomic.Int64
 
 	workersBusy atomic.Int64
 
@@ -270,9 +267,6 @@ func (m *metrics) render(w io.Writer, g gauges) {
 	counter("hyperd_portfolio_races_total", m.portfolioRaces.Load())
 	counter("hyperd_portfolio_dispatch_direct_total", m.portfolioDirect.Load())
 	counter("hyperd_portfolio_incumbent_tightenings_total", m.portfolioTightenings.Load())
-	fmt.Fprintf(w, "# TYPE hyperd_portfolio_batch_group_size summary\n")
-	fmt.Fprintf(w, "hyperd_portfolio_batch_group_size_sum %d\n", m.batchJobs.Load())
-	fmt.Fprintf(w, "hyperd_portfolio_batch_group_size_count %d\n", m.batchGroups.Load())
 
 	if g.wal != nil {
 		counter("hyperd_wal_appends_total", g.wal.Appends)

@@ -6,12 +6,10 @@ import (
 	"context"
 	"net/http/httptest"
 	"os"
-	"path/filepath"
 	"sort"
 	"strings"
 	"testing"
 
-	"repro/internal/portfolio"
 	"repro/internal/solve"
 )
 
@@ -45,15 +43,8 @@ func maskedMetric(series string) bool {
 // renames or drops a series edits that file by hand from the lines
 // this test reports.
 func TestMetricsSeriesGolden(t *testing.T) {
-	// The portfolio solve below must race, not dispatch straight to a
-	// winner an earlier test in this process recorded.
-	empty := filepath.Join(t.TempDir(), "dispatch.json")
-	if err := os.WriteFile(empty, []byte(`{"version":1,"buckets":{}}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := portfolio.DefaultTable.Load(empty); err != nil {
-		t.Fatal(err)
-	}
+	// The portfolio solve below must race.
+	useFreshWinTable(t)
 
 	cfg := durableConfig(t.TempDir())
 	s, err := Open(cfg)

@@ -52,25 +52,7 @@ type PeerEntry struct {
 	// Stats carries the original solve's statistics so a peer-filled
 	// answer reports the true work, not zeros.
 	Stats WireStats `json:"stats"`
-	// Hint, when set, is the portfolio race outcome that produced the
-	// entry: the receiving node records it into its own learned-dispatch
-	// win table, so a family raced anywhere in the cluster dispatches
-	// directly everywhere.
-	Hint *DispatchHint `json:"dispatch_hint,omitempty"`
 }
-
-// DispatchHint is the win-table hint riding a PeerEntry.
-type DispatchHint struct {
-	// Bucket is the portfolio feature bucket the win was recorded
-	// under.
-	Bucket string `json:"bucket"`
-	// Winner is the contender that won the race.
-	Winner string `json:"winner"`
-}
-
-// maxHintLen bounds the hint strings (buckets are ~12 chars, solver
-// names ~20; anything longer is garbage).
-const maxHintLen = 64
 
 // maxPeerKeyLen bounds the key path segment (canonical keys are 64 hex
 // chars; leave headroom for future key schemes).
@@ -129,11 +111,6 @@ func DecodePeerEntry(data []byte) (*PeerEntry, error) {
 			}
 		}
 	}
-	if h := pe.Hint; h != nil {
-		if h.Bucket == "" || h.Winner == "" || len(h.Bucket) > maxHintLen || len(h.Winner) > maxHintLen {
-			return nil, fmt.Errorf("peer entry: malformed dispatch hint %q→%q", h.Bucket, h.Winner)
-		}
-	}
 	return &pe, nil
 }
 
@@ -147,16 +124,12 @@ func (pe *PeerEntry) entry() *canonicalEntry {
 		}
 		mask[c] = bits
 	}
-	e := &canonicalEntry{
+	return &canonicalEntry{
 		mask:  mask,
 		cost:  model.Cost(pe.Cost),
 		exact: pe.Exact,
 		stats: statsFromWire(pe.Stats),
 	}
-	if pe.Hint != nil {
-		e.hintBucket, e.hintWinner = pe.Hint.Bucket, pe.Hint.Winner
-	}
-	return e
 }
 
 // peerEntryOf renders a canonical store entry for the wire.
@@ -173,17 +146,13 @@ func peerEntryOf(key string, e *canonicalEntry) *PeerEntry {
 		}
 		mask[c] = string(row)
 	}
-	pe := &PeerEntry{
+	return &PeerEntry{
 		Key:   key,
 		Cost:  int64(e.cost),
 		Exact: e.exact,
 		Mask:  mask,
 		Stats: wireStats(e.stats),
 	}
-	if e.hintBucket != "" && e.hintWinner != "" {
-		pe.Hint = &DispatchHint{Bucket: e.hintBucket, Winner: e.hintWinner}
-	}
-	return pe
 }
 
 // errNoPeerEntry is the 404 body of a peer-fill miss.

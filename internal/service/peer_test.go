@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/model"
+	"repro/internal/portfolio"
 	"repro/internal/solve"
 )
 
@@ -26,29 +27,34 @@ func TestPeerEntryRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pe, err := DecodePeerEntry(data)
-	if err != nil {
-		t.Fatalf("decode: %v (%s)", err, data)
-	}
-	if pe.Key != key || pe.Cost != 17 || !pe.Exact {
-		t.Fatalf("decoded header mismatch: %+v", pe)
-	}
-	out := pe.entry()
-	if out.cost != in.cost || out.exact != in.exact {
-		t.Fatalf("entry mismatch: %+v vs %+v", out, in)
-	}
-	if len(out.mask) != len(in.mask) {
-		t.Fatalf("mask rows %d != %d", len(out.mask), len(in.mask))
-	}
-	for c := range in.mask {
-		for i := range in.mask[c] {
-			if out.mask[c][i] != in.mask[c][i] {
-				t.Fatalf("mask[%d][%d] differs", c, i)
+	// A body from a node that still sends the retired portfolio
+	// dispatch hint decodes to the same entry, the field ignored.
+	withHint := strings.TrimSuffix(string(data), "}") + `,"dispatch_hint":{"bucket":"m2_n6_d1_b0","winner":"exact"}}`
+	for _, body := range []string{string(data), withHint} {
+		pe, err := DecodePeerEntry([]byte(body))
+		if err != nil {
+			t.Fatalf("decode: %v (%s)", err, body)
+		}
+		if pe.Key != key || pe.Cost != 17 || !pe.Exact {
+			t.Fatalf("decoded header mismatch: %+v", pe)
+		}
+		out := pe.entry()
+		if out.cost != in.cost || out.exact != in.exact {
+			t.Fatalf("entry mismatch: %+v vs %+v", out, in)
+		}
+		if len(out.mask) != len(in.mask) {
+			t.Fatalf("mask rows %d != %d", len(out.mask), len(in.mask))
+		}
+		for c := range in.mask {
+			for i := range in.mask[c] {
+				if out.mask[c][i] != in.mask[c][i] {
+					t.Fatalf("mask[%d][%d] differs", c, i)
+				}
 			}
 		}
-	}
-	if out.stats.StatesExpanded != 5 || out.stats.DedupHits != 9 {
-		t.Fatalf("stats lost in transit: %+v", out.stats)
+		if out.stats.StatesExpanded != 5 || out.stats.DedupHits != 9 {
+			t.Fatalf("stats lost in transit: %+v", out.stats)
+		}
 	}
 }
 
@@ -151,6 +157,54 @@ func TestPeerLookupJoinsInflightSolve(t *testing.T) {
 		t.Fatalf("unknown key: status %d: %s", resp.StatusCode, raw)
 	}
 	assertErrorBody(t, raw, false)
+}
+
+// TestPeerLookupDuringPortfolioFinalize serves peer lookups for a
+// racing portfolio job's canonical key until the job is done, and a few
+// times after.  A lookup reads the cached entry without the server
+// lock, so the entry must not change once it is in the store; under
+// -race a write after the Put shows up here.
+func TestPeerLookupDuringPortfolioFinalize(t *testing.T) {
+	useFreshWinTable(t)
+	s := New(Config{Workers: 1})
+	defer shutdown(t, s)
+
+	job, _, err := s.Submit(&SolveRequest{Solver: "portfolio", Instance: bigWire()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := job.canonKey
+	if key == "" {
+		t.Fatal("portfolio job has no canonical key")
+	}
+	deadline := time.After(10 * time.Second)
+	for running := true; running; {
+		select {
+		case <-job.Done():
+			running = false
+		case <-deadline:
+			t.Fatalf("job %s did not finish", job.ID)
+		default:
+		}
+		s.PeerLookup(key, 0, nil)
+	}
+	for i := 0; i < 3; i++ {
+		if _, ok := s.PeerLookup(key, 0, nil); !ok {
+			t.Fatal("lookup after the solve missed the cached entry")
+		}
+	}
+	if got := s.metrics.portfolioRaces.Load(); got != 1 {
+		t.Fatalf("portfolio races = %d, want 1 (a fresh win table races)", got)
+	}
+}
+
+// useFreshWinTable gives the test an empty portfolio win table, so a
+// portfolio solve races instead of dispatching straight to a winner an
+// earlier test recorded, and restores the old table when the test ends.
+func useFreshWinTable(t *testing.T) {
+	old := portfolio.DefaultTable
+	portfolio.DefaultTable = portfolio.NewTable()
+	t.Cleanup(func() { portfolio.DefaultTable = old })
 }
 
 // TestHealthzV1Fields pins the cluster health document: node id, build

@@ -12,7 +12,6 @@ import (
 
 	"repro/internal/durable"
 	"repro/internal/model"
-	"repro/internal/portfolio"
 	"repro/internal/resilience"
 	"repro/internal/resilience/faultinject"
 	"repro/internal/solve"
@@ -25,8 +24,9 @@ type Config struct {
 	// QueueDepth bounds the job queue; submits beyond it are rejected
 	// with ErrQueueFull (default 256).
 	QueueDepth int
-	// CacheEntries bounds the result LRU (default 1024; negative
-	// disables caching).
+	// CacheEntries bounds the result LRU and the canonical store, and
+	// so the canonical entries a drain snapshot carries (default 1024;
+	// negative disables both).
 	CacheEntries int
 	// MaxSolveTimeout clamps every job's solve deadline; jobs that
 	// request no timeout get exactly this one.  0 means no server-side
@@ -174,11 +174,6 @@ type Job struct {
 	// marker).
 	reqJSON []byte
 
-	// batchBucket is the portfolio dispatch feature bucket of an
-	// mtswitch portfolio job (empty otherwise) — the grouping key of
-	// the service batch mode.
-	batchBucket string
-
 	ctx    context.Context
 	cancel context.CancelFunc
 
@@ -280,25 +275,7 @@ type Server struct {
 	// worker drain the tombstone later.
 	queue []*Job
 	wg    sync.WaitGroup
-
-	// batchHints is the portfolio batch mode's state: feature bucket →
-	// the winner of the most recent race of that family.  Canonically
-	// similar requests queued in one burst form a group — the first to
-	// race is the leader, and followers popped within the hint TTL
-	// dispatch straight to the leader's winner instead of re-racing.
-	batchHints map[string]batchHint
 }
-
-// batchHint is one bucket's remembered race outcome.
-type batchHint struct {
-	winner string
-	at     time.Time
-}
-
-// batchHintTTL bounds how long a leader's outcome speaks for its
-// family; beyond it followers race for themselves again (and refresh
-// the learned-dispatch table while they are at it).
-const batchHintTTL = 10 * time.Second
 
 // New starts a server and its worker pool.  With Config.DataDir set,
 // use Open instead — New panics if the data directory cannot be
@@ -331,7 +308,6 @@ func Open(cfg Config) (*Server, error) {
 		inflight:      map[string]*Job{},
 		canonInflight: map[string]*Job{},
 		breakers:      map[string]*resilience.Breaker{},
-		batchHints:    map[string]batchHint{},
 	}
 	s.cond = sync.NewCond(&s.mu)
 	if cfg.DataDir != "" {
@@ -401,12 +377,6 @@ func (s *Server) Submit(req *SolveRequest) (job *Job, deduped bool, err error) {
 					canonSol = sol
 					s.canon.Put(canonKey, entry)
 					s.metrics.peerFillHits.Add(1)
-					// A sibling's race outcome rides the entry: adopt it
-					// into the local win table so this family dispatches
-					// directly here too.
-					if pe.Hint != nil {
-						portfolio.DefaultTable.Record(pe.Hint.Bucket, pe.Hint.Winner)
-					}
 				} else {
 					s.metrics.peerFillBad.Add(1)
 				}
@@ -701,28 +671,7 @@ func (s *Server) executeJob(job *Job) (sol *solve.Solution, err error) {
 			return nil, err
 		}
 	}
-	ctx := job.ctx
-	// Batch mode: a portfolio job whose family raced moments ago (the
-	// group leader) rides the leader's outcome instead of re-racing.
-	if job.Solver == "portfolio" && job.mt != nil {
-		job.batchBucket = portfolio.Extract(job.mt).Bucket()
-		if winner, ok := s.batchHintFor(job.batchBucket); ok {
-			ctx = portfolio.WithDirect(ctx, winner)
-			s.metrics.batchJobs.Add(1)
-		}
-	}
-	return solve.Run(ctx, job.Solver, job.inst, job.opts)
-}
-
-// batchHintFor returns the fresh batch-mode winner for a bucket.
-func (s *Server) batchHintFor(bucket string) (string, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	h, ok := s.batchHints[bucket]
-	if !ok || time.Since(h.at) > batchHintTTL {
-		return "", false
-	}
-	return h.winner, true
+	return solve.Run(job.ctx, job.Solver, job.inst, job.opts)
 }
 
 // requeueAfterPanic gives a panicked job its one transparent retry.
@@ -803,21 +752,7 @@ func (s *Server) finalizeNoted(job *Job, sol *solve.Solution, err error) {
 		if sol.Stats.Degraded {
 			s.metrics.degraded.Add(1)
 		}
-		if len(sol.Contenders) > 0 {
-			s.metrics.recordPortfolio(sol)
-			if winner := raceWinner(sol); winner != "" && job.batchBucket != "" {
-				// A genuine race opens (or refreshes) this family's batch
-				// group; later canonically-similar jobs follow its winner.
-				s.batchHints[job.batchBucket] = batchHint{winner: winner, at: now}
-				s.metrics.batchGroups.Add(1)
-				s.metrics.batchJobs.Add(1)
-				if canonEntry != nil {
-					// The win rides the canonical entry onto the cluster
-					// wire, teaching peer nodes this family's winner.
-					canonEntry.hintBucket, canonEntry.hintWinner = job.batchBucket, winner
-				}
-			}
-		}
+		s.metrics.recordPortfolio(sol)
 		if sol.Stats.Partitions > 0 {
 			s.metrics.partitionParts.Add(sol.Stats.Partitions)
 			s.metrics.partitionCut.Add(sol.Stats.CutColumns)
@@ -853,24 +788,12 @@ func (s *Server) finalizeNoted(job *Job, sol *solve.Solution, err error) {
 		}
 		s.journal(rec)
 	}
-	job.inst, job.mt, job.opts, job.canonPerm, job.batchBucket, job.reqJSON = nil, nil, solve.Options{}, nil, "", nil
+	job.inst, job.mt, job.opts, job.canonPerm, job.reqJSON = nil, nil, solve.Options{}, nil, nil
 	close(job.done)
 	job.mu.Unlock()
 	s.rememberFinishedLocked(job)
 	s.mu.Unlock()
 	job.cancel() // release the context's resources
-}
-
-// raceWinner returns the solver that won a genuine portfolio race (""
-// for direct dispatches and non-portfolio solves — neither should
-// reinforce hints or the win table).
-func raceWinner(sol *solve.Solution) string {
-	for _, c := range sol.Contenders {
-		if c.Won && !c.Direct {
-			return c.Solver
-		}
-	}
-	return ""
 }
 
 // rememberFinishedLocked enforces the finished-job retention bound
