@@ -141,6 +141,37 @@ func SolveAligned(ctx context.Context, ins *model.MTSwitchInstance, opt model.Co
 	return &Solution{Schedule: sched, Cost: cost, Stats: stats}, nil
 }
 
+// alignedIsExact reports whether some optimal schedule is aligned, so
+// that SolveAligned's answer is the optimum: hyperreconfigurations
+// upload task-parallel and every task has the same v (DESIGN §3.4).
+//
+// Proof.  Take an optimal schedule and let S be the steps at which at
+// least one task installs (step 0 is one).  Let every task install at
+// every step of S, each with the union of its now shorter segment's
+// requirements.  At a step of S the hyper term max_j I_{j,i}·v_j was
+// already v, since some task installed there, and it stays v; every
+// other step's hyper term stays 0.  Each new segment lies inside an
+// old one, whose hypercontext held all of its requirements, so no
+// hypercontext grows and the reconf term (max or Σ of the sizes, plus
+// the public-global term) cannot rise under either reconf upload mode.
+// W does not change.  The new schedule is aligned and costs at most
+// the optimum, and SolveAligned finds the cheapest aligned schedule.
+//
+// Neither premise can be dropped.  With unequal v a cheap task can
+// re-install alone and spare the costly task's v, and task-sequential
+// hyper uploads charge every added install its own v.
+func alignedIsExact(tasks []model.Task, opt model.CostOptions) bool {
+	if opt.HyperUpload != model.TaskParallel {
+		return false
+	}
+	for _, t := range tasks {
+		if t.V != tasks[0].V {
+			return false
+		}
+	}
+	return true
+}
+
 // LowerBound is an admissible bound on any schedule's cost under the
 // given options: every step must pay at least the combined sizes of the
 // tasks' own requirements (a hypercontext can never be smaller than the

@@ -102,12 +102,17 @@ func preparationPasses(callers []string) []pass {
 // start, the projection tables and the candidate catalog), including
 // each pass's first and last poll.  Every run must return
 // context.Canceled, never a solution or a panic, and a solve after the
-// sweep still finds the optimum.
+// sweep still finds the optimum.  Task B's v is raised by 1, so the
+// frontier DP answers the trace; with the v both tasks share,
+// SolveAligned answers it, and a cancellation at its first, middle or
+// last poll must return context.Canceled too.
 func TestSolveExactCancelledDuringPreparation(t *testing.T) {
-	ins, err := workload.Phased(workload.Config{Tasks: 2, Steps: 512, Switches: 12, MeanPhase: 10, Seed: 7})
+	shared, err := workload.Phased(workload.Config{Tasks: 2, Steps: 512, Switches: 12, MeanPhase: 10, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkAlignedCancellation(t, shared)
+	ins := unshareV(t, shared)
 	rec := newCountdown(0, true)
 	want, err := SolveExact(rec, ins, parallel, solve.Options{})
 	if err != nil {
@@ -143,6 +148,36 @@ func TestSolveExactCancelledDuringPreparation(t *testing.T) {
 	}
 	if got.Cost != want.Cost {
 		t.Fatalf("solve after the cancellations cost %d, want %d", got.Cost, want.Cost)
+	}
+}
+
+// checkAlignedCancellation requires a shared-v solve to poll only
+// outside the frontier DP, at least once per step inside SolveAligned,
+// and to return context.Canceled when cancelled at SolveAligned's
+// first, middle or last poll.
+func checkAlignedCancellation(t *testing.T, ins *model.MTSwitchInstance) {
+	t.Helper()
+	rec := newCountdown(0, true)
+	if _, err := SolveExact(rec, ins, parallel, solve.Options{}); err != nil {
+		t.Fatal(err)
+	}
+	var aligned []int
+	for i, fn := range rec.callers {
+		switch {
+		case strings.HasSuffix(fn, ".SolveAligned"):
+			aligned = append(aligned, i)
+		case !strings.HasSuffix(fn, ".NewEngine") && !strings.HasSuffix(fn, ".(*Engine).Solution"):
+			t.Fatalf("shared-v solve polled from %s", fn)
+		}
+	}
+	if len(aligned) < ins.Steps() {
+		t.Fatalf("SolveAligned polled %d times over %d steps", len(aligned), ins.Steps())
+	}
+	for _, i := range []int{aligned[0], aligned[len(aligned)/2], aligned[len(aligned)-1]} {
+		sol, err := solveCountdown(ins, i+1)
+		if sol != nil || !errors.Is(err, context.Canceled) {
+			t.Fatalf("shared v cancelled at poll %d: solution %v, error %v; want context.Canceled", i+1, sol != nil, err)
+		}
 	}
 }
 

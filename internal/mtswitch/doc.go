@@ -23,10 +23,14 @@
 //     no more expensive).  Exact for both upload modes; worst-case
 //     exponential like the paper's own bound O(m n⁴ l^{2m}), fast in
 //     practice because distinct interval unions per task are bounded by
-//     the task's switch count.
+//     the task's switch count.  When every task has the same v and
+//     hyperreconfigurations upload task-parallel, some optimal schedule
+//     is aligned, and SolveExact answers with SolveAligned instead.
 //   - SolveAligned: O(n²) DP over schedules where all tasks
 //     hyperreconfigure together — the natural generalization of the
-//     single-task DP and an upper-bound baseline.
+//     single-task DP, an upper-bound baseline in general, and the
+//     optimum when the tasks share one v under task-parallel
+//     hyperreconfiguration uploads.
 //   - BruteForce: exhaustive reference over all joint
 //     hyperreconfiguration masks (tiny instances, used by tests).
 //   - LowerBound: per-instance admissible bound.

@@ -37,9 +37,17 @@ import (
 // With pruning on, the DP steps the reduced axis of preprocessing (one
 // step per run of identical requirement rows), and LastResolveStart
 // reports the original step the resumed run starts at.
-// Sequential-decomposed and zero-step instances are not stepped at
-// all; Solution delegates to the specialized solvers on the current
-// trace.
+//
+// Three kinds of trace are not stepped at all; Solution answers them
+// with a direct solver over the whole current trace (direct):
+// zero-step traces and, with pruning on, tasks that share one v under
+// task-parallel hyperreconfiguration uploads go to SolveAligned, which
+// is exact there (alignedIsExact); fully task-sequential costs go to
+// the per-task decomposition.  A session's tasks and options never
+// change, so its engine takes the aligned path on every batch or on
+// none; each such batch re-solves the whole trace (LastResolveStart
+// 0) in O(n²·m) time and O(m·n) words, so no state or byte cap can
+// bite.
 //
 // An Engine is not safe for concurrent use; callers serialize access
 // (the service layer holds one mutex per session).
@@ -49,6 +57,9 @@ type Engine struct {
 
 	incremental bool
 	pooled      bool // internal engine borrowed from enginePool
+	// aligned records that SolveAligned answers every trace: pruning
+	// is on and alignedIsExact holds for the tasks and options.
+	aligned bool
 
 	tasks []model.Task
 	rows  [][]bitset.Set // task-major authoritative trace (owned clones when incremental)
@@ -132,7 +143,8 @@ func NewEngine(ctx context.Context, ins *model.MTSwitchInstance, opt model.CostO
 	if err := o.Validate(); err != nil {
 		return nil, err
 	}
-	en := &Engine{opt: opt, o: o, incremental: incremental, pub: ins.PublicGlobal, w: ins.W}
+	en := &Engine{opt: opt, o: o, incremental: incremental, pub: ins.PublicGlobal, w: ins.W,
+		aligned: !o.DisablePruning && alignedIsExact(ins.Tasks, opt)}
 	if !incremental {
 		en.tasks = ins.Tasks
 		en.rows = ins.Reqs
@@ -175,15 +187,19 @@ func (en *Engine) rebuildInstance() error {
 // Steps reports the current trace length n.
 func (en *Engine) Steps() int { return en.ins.Steps() }
 
-// bothSeq reports the fully task-sequential cost, which decomposes per
-// task and is never stepped.
-func (en *Engine) bothSeq() bool {
-	return en.opt.HyperUpload == model.TaskSequential && en.opt.ReconfUpload == model.TaskSequential
+// direct returns the solver that answers the current trace whole,
+// without the packed DP, or nil when the DP is stepped: SolveAligned
+// for a zero-step trace or where it is exact (en.aligned), and the
+// per-task decomposition of the fully task-sequential cost.
+func (en *Engine) direct() func(context.Context, *model.MTSwitchInstance, model.CostOptions) (*Solution, error) {
+	switch {
+	case en.ins.Steps() == 0 || en.aligned:
+		return SolveAligned
+	case en.opt.HyperUpload == model.TaskSequential && en.opt.ReconfUpload == model.TaskSequential:
+		return solveSequentialDecomposed
+	}
+	return nil
 }
-
-// canStep reports whether the packed DP (and hence stepping and frame
-// reuse) applies to the current trace.
-func (en *Engine) canStep() bool { return !en.bothSeq() && en.ins.Steps() > 0 }
 
 // keepFrames reports whether per-step frames are retained: always on
 // an incremental engine, pruning on or off.
@@ -326,9 +342,8 @@ func (en *Engine) reset() {
 
 // Advance steps the DP forward by at most maxSteps steps (maxSteps <=
 // 0 means run to completion) and reports whether the solve has reached
-// the end of the current trace.  Instances the packed DP does not
-// apply to (zero steps, fully task-sequential cost) are solved whole
-// by Solution; Advance reports them done immediately.
+// the end of the current trace.  Traces a direct solver answers are
+// solved whole by Solution; Advance reports them done immediately.
 func (en *Engine) Advance(ctx context.Context, maxSteps int) (bool, error) {
 	if en.closed {
 		return false, fmt.Errorf("mtswitch: engine is closed")
@@ -336,7 +351,7 @@ func (en *Engine) Advance(ctx context.Context, maxSteps int) (bool, error) {
 	if err := solve.Checkpoint(ctx); err != nil {
 		return false, err
 	}
-	if !en.canStep() {
+	if en.direct() != nil {
 		return true, nil
 	}
 	if err := en.ensurePrepared(ctx); err != nil {
@@ -376,26 +391,13 @@ func (en *Engine) Solution(ctx context.Context) (*Solution, error) {
 	if err := solve.Checkpoint(ctx); err != nil {
 		return nil, err
 	}
-	if en.ins.Steps() == 0 {
-		sol, err := SolveAligned(ctx, en.ins, en.opt)
-		if err != nil {
-			return nil, err
-		}
-		en.sol = sol
-		return sol, nil
+	var sol *Solution
+	var err error
+	if f := en.direct(); f != nil {
+		sol, err = f(ctx, en.ins, en.opt)
+	} else if _, err = en.Advance(ctx, 0); err == nil {
+		sol, err = en.extract()
 	}
-	if en.bothSeq() {
-		sol, err := solveSequentialDecomposed(ctx, en.ins, en.opt)
-		if err != nil {
-			return nil, err
-		}
-		en.sol = sol
-		return sol, nil
-	}
-	if _, err := en.Advance(ctx, 0); err != nil {
-		return nil, err
-	}
-	sol, err := en.extract()
 	if err != nil {
 		return nil, err
 	}
@@ -716,9 +718,13 @@ func (en *Engine) LastResolveStart() int { return en.originalStep(en.lastResolve
 // ResolveExpanded reports how many DP states the current resolve
 // window has expanded — the incremental cost of the latest
 // Extend/Amend, comparable against a from-scratch solve's
-// Stats.StatesExpanded.
+// Stats.StatesExpanded.  A direct solver re-solves the whole trace,
+// so its answer's count is the resolve's.
 func (en *Engine) ResolveExpanded() int64 {
 	if en.e == nil {
+		if en.sol != nil {
+			return en.sol.Stats.StatesExpanded
+		}
 		return 0
 	}
 	return en.e.stats.StatesExpanded - en.baseExpanded

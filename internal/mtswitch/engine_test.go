@@ -176,15 +176,17 @@ func TestEngineAmendMatchesFromScratch(t *testing.T) {
 // suffix to a long solved trace must resume from a late frontier (not
 // step 0), expand far fewer states than solving the prefix did, and
 // end at the from-scratch cost — with pruning off, with pruning on over
-// a 2×100 stream, and on E18's dense 4×160 trace, whose last 16 steps
-// must re-solve at least 5× cheaper than the whole trace from scratch
-// (509 against 7,393 states).
+// a 2×100 stream (task B's v raised by 1, so the frontier DP answers
+// it), and on E18's dense 4×160 trace, whose last 16 steps must
+// re-solve at least 5× cheaper than the whole trace from scratch (509
+// against 7,393 states).
 func TestEngineSuffixReuse(t *testing.T) {
 	ctx := context.Background()
 	stream, err := workload.Phased(workload.Config{Tasks: 2, Steps: 100, Switches: 12, MeanPhase: 10, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
+	stream = unshareV(t, stream)
 	// Candidates at step i are suffix unions, so the prefix's frames
 	// stay valid only once its unions have saturated: at 8 switches,
 	// density 0.85 and ~80 short phases they have by step 144.
@@ -212,6 +214,9 @@ func TestEngineSuffixReuse(t *testing.T) {
 		}
 		if _, err := eng.Solution(ctx); err != nil {
 			t.Fatal(err)
+		}
+		if eng.e == nil {
+			t.Fatalf("o %+v: the frontier DP did not run", c.o)
 		}
 		prefixExpanded := eng.e.stats.StatesExpanded
 		if err := eng.Extend(ctx, stepRows(c.full, n-c.suffix, n)); err != nil {
@@ -247,11 +252,12 @@ func TestEngineSuffixReuse(t *testing.T) {
 // fresh solve, not those of the suffix it discarded.  Four rows that
 // need every switch, then eight random ones that overflow a 3-state
 // beam; amending the random rows into full ones resumes from step 4
-// (pruning off) and must drop the truncation with them.
+// (pruning off) and must drop the truncation with them.  The tasks'
+// v differ, so the frontier DP answers with pruning on too.
 func TestEngineResumeRestoresStats(t *testing.T) {
 	ctx := context.Background()
 	r := rand.New(rand.NewSource(3))
-	tasks := []model.Task{{Name: "A", Local: 6, V: 3}, {Name: "B", Local: 6, V: 3}}
+	tasks := []model.Task{{Name: "A", Local: 6, V: 3}, {Name: "B", Local: 6, V: 4}}
 	row := func(random bool) []bitset.Set {
 		out := make([]bitset.Set, len(tasks))
 		for j := range out {
@@ -304,6 +310,9 @@ func TestEngineResumeRestoresStats(t *testing.T) {
 		got, err := eng.Solution(ctx)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if eng.e == nil {
+			t.Fatalf("pruning off %v: the frontier DP did not run", disable)
 		}
 		fresh, err := NewEngine(ctx, eng.ins, frontierOpts[0], o, true)
 		if err != nil {
@@ -368,6 +377,9 @@ func TestEngineTightenedIncumbentRebuilds(t *testing.T) {
 	if _, err := eng.Solution(solve.WithIncumbent(ctx, board)); err != nil {
 		t.Fatal(err)
 	}
+	if eng.e == nil {
+		t.Fatal("the frontier DP did not run")
+	}
 	if eng.e.stats.IncumbentTightenings == 0 {
 		t.Fatal("the published optimum did not tighten the warm-start incumbent")
 	}
@@ -400,36 +412,40 @@ func TestEngineOneShotRejectsIncrementalOps(t *testing.T) {
 }
 
 // TestEngineAdvancePartial: stepping in dribs and drabs must land on
-// the same solution as running to completion in one call.
+// the same solution as running to completion in one call, on phased
+// and on phased with task B's v raised by 1 (which the frontier DP
+// answers with pruning on).
 func TestEngineAdvancePartial(t *testing.T) {
 	ctx := context.Background()
-	full := phased(t)
-	for _, o := range engineConfigs() {
-		eng, err := NewEngine(ctx, full, frontierOpts[0], o, true)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for {
-			done, err := eng.Advance(ctx, 1)
+	for _, full := range []*model.MTSwitchInstance{phased(t), unshareV(t, phased(t))} {
+		for _, o := range engineConfigs() {
+			eng, err := NewEngine(ctx, full, frontierOpts[0], o, true)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if done {
-				break
+			for {
+				done, err := eng.Advance(ctx, 1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if done {
+					break
+				}
 			}
+			got, err := eng.Solution(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := SolveExact(ctx, full, frontierOpts[0], o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.Cost != want.Cost || !sameSchedule(t, got.Schedule, want.Schedule) {
+				t.Fatalf("v %d/%d o %+v: stepped solve cost %d, one-shot %d (or schedules differ)",
+					full.Tasks[0].V, full.Tasks[1].V, o, got.Cost, want.Cost)
+			}
+			eng.Close()
 		}
-		got, err := eng.Solution(ctx)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := SolveExact(ctx, full, frontierOpts[0], o)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.Cost != want.Cost || !sameSchedule(t, got.Schedule, want.Schedule) {
-			t.Fatalf("o %+v: stepped solve cost %d, one-shot %d (or schedules differ)", o, got.Cost, want.Cost)
-		}
-		eng.Close()
 	}
 }
 
@@ -471,6 +487,9 @@ func requireFreshFrames(t *testing.T, eng *Engine, opt model.CostOptions, o solv
 	}
 	if got.Stats != want.Stats {
 		t.Fatalf("%s: stats %+v, fresh %+v", what, got.Stats, want.Stats)
+	}
+	if eng.e == nil || fresh.e == nil {
+		t.Fatalf("%s: the frontier DP did not run", what)
 	}
 	if len(eng.frames) != len(fresh.frames) {
 		t.Fatalf("%s: %d frames, fresh has %d", what, len(eng.frames), len(fresh.frames))
@@ -545,7 +564,8 @@ func streamSession(tb testing.TB, r *rand.Rand, gen string, seed int64) (*model.
 // engine's — with
 // pruning on and off, for every frontier upload mode, unbounded and
 // under each cap.  It also requires pruned sessions to actually resume
-// past step 0.
+// past step 0.  No session's tasks share one v, so the frontier DP
+// answers every batch.
 func TestEngineResumeMatchesFreshFrames(t *testing.T) {
 	ctx := context.Background()
 	r := rand.New(rand.NewSource(83))
@@ -557,13 +577,13 @@ func TestEngineResumeMatchesFreshFrames(t *testing.T) {
 	}
 	var sessions []session
 	for k := 0; k < 6; k++ {
-		full := withPG(r, randomMT(r, 3, 5, 12))
+		full := withPG(r, frontierMT(t, r, 3, 5, 12))
 		initial := 1 + r.Intn(full.Steps())
 		sessions = append(sessions, session{fmt.Sprintf("random-%d", k), full, initial, sessionOps(r, full, initial, 2, 0.3)})
 	}
 	for _, gen := range []string{"phased", "dense"} {
 		full, ops := streamSession(t, r, gen, 5)
-		sessions = append(sessions, session{"stream-" + gen, full, 20, ops})
+		sessions = append(sessions, session{"stream-" + gen, unshareV(t, full), 20, ops})
 	}
 	resumed := 0
 	for _, s := range sessions {
@@ -603,9 +623,10 @@ func TestEngineResumeMatchesFreshFrames(t *testing.T) {
 // the service's session memory budget, against the heap solved
 // incremental engines actually retain: eight engines per shape, summed
 // SizeBytes against the HeapAlloc delta after a collection, must cover
-// at least 90% of it.
+// at least 90% of it.  Each shape runs as generated, where its tasks
+// share one v and SolveAligned answers, and with its last task's v
+// raised by 1, where the frontier DP's buffers and frames are retained.
 func TestSizeBytesCoversRetainedHeap(t *testing.T) {
-	ctx := context.Background()
 	shapes := []struct {
 		name string
 		gen  func(workload.Config) (*model.MTSwitchInstance, error)
@@ -616,44 +637,59 @@ func TestSizeBytesCoversRetainedHeap(t *testing.T) {
 		{"blocked-2x2000", workload.Blocked, workload.Config{Tasks: 2, Steps: 2000, Switches: 72, MeanPhase: 8}},
 	}
 	for _, sh := range shapes {
-		var instances [8]*model.MTSwitchInstance
-		for k := range instances {
-			cfg := sh.cfg
-			cfg.Seed = int64(k + 1)
-			ins, err := sh.gen(cfg)
-			if err != nil {
-				t.Fatal(err)
+		for _, unshare := range []bool{false, true} {
+			name := sh.name
+			var instances [8]*model.MTSwitchInstance
+			for k := range instances {
+				cfg := sh.cfg
+				cfg.Seed = int64(k + 1)
+				ins, err := sh.gen(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if unshare {
+					name, ins = sh.name+"/v+1", unshareV(t, ins)
+				}
+				instances[k] = ins
 			}
-			instances[k] = ins
+			checkSizeBytes(t, name, instances)
 		}
-		var engines [8]*Engine
-		var before, after runtime.MemStats
-		runtime.GC()
-		runtime.GC()
-		runtime.ReadMemStats(&before)
-		for k, ins := range instances {
-			en, err := NewEngine(ctx, ins, parallel, solve.Options{}, true)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := en.Solution(ctx); err != nil {
-				t.Fatal(err)
-			}
-			engines[k] = en
+	}
+}
+
+// checkSizeBytes solves one incremental engine per instance and
+// requires their summed SizeBytes to cover at least 90% of the heap
+// they retain.
+func checkSizeBytes(t *testing.T, name string, instances [8]*model.MTSwitchInstance) {
+	t.Helper()
+	ctx := context.Background()
+	var engines [8]*Engine
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for k, ins := range instances {
+		en, err := NewEngine(ctx, ins, parallel, solve.Options{}, true)
+		if err != nil {
+			t.Fatal(err)
 		}
-		runtime.GC()
-		runtime.ReadMemStats(&after)
-		var sized int64
-		for _, en := range engines {
-			sized += en.SizeBytes()
+		if _, err := en.Solution(ctx); err != nil {
+			t.Fatal(err)
 		}
-		runtime.KeepAlive(&engines)
-		heap := int64(after.HeapAlloc) - int64(before.HeapAlloc)
-		cover := float64(sized) / float64(heap)
-		t.Logf("%s: SizeBytes %d, retained heap %d, coverage %.2f", sh.name, sized, heap, cover)
-		if cover < 0.9 {
-			t.Errorf("%s: SizeBytes covers %.0f%% of the %d bytes eight solved engines retain, want at least 90%%",
-				sh.name, 100*cover, heap)
-		}
+		engines[k] = en
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	var sized int64
+	for _, en := range engines {
+		sized += en.SizeBytes()
+	}
+	runtime.KeepAlive(&engines)
+	heap := int64(after.HeapAlloc) - int64(before.HeapAlloc)
+	cover := float64(sized) / float64(heap)
+	t.Logf("%s: SizeBytes %d, retained heap %d, coverage %.2f", name, sized, heap, cover)
+	if cover < 0.9 {
+		t.Errorf("%s: SizeBytes covers %.0f%% of the %d bytes eight solved engines retain, want at least 90%%",
+			name, 100*cover, heap)
 	}
 }

@@ -38,7 +38,7 @@ const DefaultMaxStates = 100000
 // Options.MaxStates and degrades to a beam search beyond it
 // (Stats.Truncated reports which happened).  The context is checked
 // once per frontier state, so cancellation lands within one state
-// expansion.
+// expansion (within one step on the aligned path below).
 //
 // The packed engine expands each step on the calling goroutine, so
 // Options.Workers does not reach it: the result depends on the
@@ -46,31 +46,20 @@ const DefaultMaxStates = 100000
 // argument).  SolveExactReference retains the original pointer-and-map
 // implementation as the agreement/benchmark baseline.
 //
-// When both uploads are task-sequential the cost decomposes per task
-// and the problem is solved exactly in O(m·n²) by independent
-// single-task DPs; SolveExact takes that fast path automatically.
+// Two cost shapes skip the frontier DP, and with it preprocessing,
+// the warm start, the bound tables and the catalog.  When both uploads
+// are task-sequential the cost decomposes per task and the problem is
+// solved exactly in O(m·n²) by independent single-task DPs.  When
+// pruning is on, hyperreconfigurations upload task-parallel and every
+// task has the same v, some optimal schedule is aligned
+// (alignedIsExact has the proof), so SolveAligned's O(n²·m) segment
+// DP is the optimum; it is exact under any MaxStates, MaxCandidates or
+// MaxFrontierBytes, reports the aligned DP's Stats, and may return a
+// different optimal schedule than the frontier DP would.  With
+// DisablePruning that shape runs the plain frontier DP, its test
+// oracle.  SolveExact runs through the stepped Engine, which takes
+// both paths.
 func SolveExact(ctx context.Context, ins *model.MTSwitchInstance, opt model.CostOptions, o solve.Options) (*Solution, error) {
-	if err := solve.Checkpoint(ctx); err != nil {
-		return nil, err
-	}
-	if ins == nil {
-		return nil, fmt.Errorf("mtswitch: nil instance")
-	}
-	if err := o.Validate(); err != nil {
-		return nil, err
-	}
-	if ins.Steps() == 0 {
-		return SolveAligned(ctx, ins, opt)
-	}
-	if opt.HyperUpload == model.TaskSequential && opt.ReconfUpload == model.TaskSequential {
-		return solveSequentialDecomposed(ctx, ins, opt)
-	}
-
-	// The stepped engine (engine.go) runs the whole pipeline — pruned
-	// layer setup, the packed DP stepped to the end, extraction and the
-	// incumbent fallback.  A one-shot engine reuses the pooled packed
-	// buffers and retains no per-step frames, so this path is
-	// bit-identical to the former monolithic solver.
 	eng, err := NewEngine(ctx, ins, opt, o, false)
 	if err != nil {
 		return nil, err

@@ -32,12 +32,18 @@ func mustMT(t testing.TB, tasks []model.Task, rows [][]bitset.Set) *model.MTSwit
 }
 
 // phased builds the canonical demonstration instance: two tasks whose
-// requirement phases are deliberately misaligned, so partial
-// hyperreconfiguration beats aligned scheduling.
-func phased(t testing.TB) *model.MTSwitchInstance {
+// requirement phases are deliberately misaligned.  Both tasks have
+// v = 4, so under task-parallel hyperreconfiguration uploads some
+// optimal schedule is aligned (alignedIsExact) and partial
+// hyperreconfiguration gains nothing; phasedV(t, 2, 1) is the same
+// trace with the v at which it does.
+func phased(t testing.TB) *model.MTSwitchInstance { return phasedV(t, 4, 4) }
+
+// phasedV is phased's trace with task A's v set to vA and B's to vB.
+func phasedV(t testing.TB, vA, vB model.Cost) *model.MTSwitchInstance {
 	tasks := []model.Task{
-		{Name: "A", Local: 4, V: 4},
-		{Name: "B", Local: 4, V: 4},
+		{Name: "A", Local: 4, V: vA},
+		{Name: "B", Local: 4, V: vB},
 	}
 	rows := [][]bitset.Set{
 		// A changes phase at step 3.
@@ -49,7 +55,34 @@ func phased(t testing.TB) *model.MTSwitchInstance {
 }
 
 func randomMT(r *rand.Rand, maxM, maxL, maxN int) *model.MTSwitchInstance {
-	m := 1 + r.Intn(maxM)
+	return randomMTOf(r, 1+r.Intn(maxM), maxL, maxN)
+}
+
+// frontierMT draws a random instance of 2 to maxM tasks whose v are not
+// all equal, so that a pruned solve under either task-parallel hyper
+// upload mode runs the frontier DP rather than SolveAligned.
+func frontierMT(t testing.TB, r *rand.Rand, maxM, maxL, maxN int) *model.MTSwitchInstance {
+	return unshareV(t, randomMTOf(r, 2+r.Intn(maxM-1), maxL, maxN))
+}
+
+// unshareV returns ins when its tasks' v are not all equal, and
+// otherwise a copy whose last task's v is one higher, so that a pruned
+// solve under a task-parallel hyper upload mode runs the frontier DP.
+// A single task always shares its v.
+func unshareV(t testing.TB, ins *model.MTSwitchInstance) *model.MTSwitchInstance {
+	t.Helper()
+	if !alignedIsExact(ins.Tasks, parallel) {
+		return ins
+	}
+	tasks := append([]model.Task(nil), ins.Tasks...)
+	tasks[len(tasks)-1].V++
+	out := mustMT(t, tasks, ins.Reqs)
+	out.PublicGlobal, out.W = ins.PublicGlobal, ins.W
+	return out
+}
+
+// randomMTOf draws a random instance of m tasks.
+func randomMTOf(r *rand.Rand, m, maxL, maxN int) *model.MTSwitchInstance {
 	n := 1 + r.Intn(maxN)
 	tasks := make([]model.Task, m)
 	rows := make([][]bitset.Set, m)
@@ -197,21 +230,42 @@ func TestQuickOrderingInvariants(t *testing.T) {
 	}
 }
 
+// TestPartialBeatsAlignedOnMisalignedPhases: the defining advantage
+// of partially hyperreconfigurable machines.  On phased's misaligned
+// rows with v_A = 2 and v_B = 1, task B can hyperreconfigure alone for
+// less than a joint hyperreconfiguration costs, so the exact optimum
+// beats the best aligned schedule in every frontier upload mode.  With
+// the v = 4 both tasks share, a hyperreconfiguration by either task
+// costs the same as one by both under task-parallel hyper uploads, and
+// exact must equal aligned there.
 func TestPartialBeatsAlignedOnMisalignedPhases(t *testing.T) {
-	// The defining advantage of partially hyperreconfigurable machines:
-	// misaligned phase changes force aligned schedules to either pay
-	// extra hyperreconfigurations or hold oversized hypercontexts.
-	ins := phased(t)
-	al, err := SolveAligned(context.Background(), ins, parallel)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ex, err := SolveExact(context.Background(), ins, parallel, solve.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ex.Cost >= al.Cost {
-		t.Skipf("phased instance did not separate aligned (%d) from exact (%d)", al.Cost, ex.Cost)
+	ctx := context.Background()
+	for oi, opt := range frontierOpts {
+		ins := phasedV(t, 2, 1)
+		al, err := SolveAligned(ctx, ins, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ex, err := SolveExact(ctx, ins, opt, solve.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ex.Stats.Truncated || ex.Cost >= al.Cost {
+			t.Fatalf("opt %d: v_A=2 v_B=1: exact %d (truncated %t) does not beat aligned %d", oi, ex.Cost, ex.Stats.Truncated, al.Cost)
+		}
+		if opt.HyperUpload != model.TaskParallel {
+			continue
+		}
+		shared := phased(t)
+		if al, err = SolveAligned(ctx, shared, opt); err != nil {
+			t.Fatal(err)
+		}
+		if ex, err = SolveExact(ctx, shared, opt, solve.Options{DisablePruning: true}); err != nil {
+			t.Fatal(err)
+		}
+		if ex.Cost != al.Cost {
+			t.Fatalf("opt %d: shared v = 4: exact %d, aligned %d", oi, ex.Cost, al.Cost)
+		}
 	}
 }
 
@@ -263,7 +317,8 @@ func TestBruteForceCap(t *testing.T) {
 
 func TestSolveExactBeamStillValid(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
-	ins := randomMT(r, 3, 6, 8)
+	// The frontier DP, not SolveAligned, must answer a capped solve.
+	ins := unshareV(t, randomMT(r, 3, 6, 8))
 	sol, err := SolveExact(context.Background(), ins, parallel, solve.Options{MaxStates: 2, MaxCandidates: 2})
 	if err != nil {
 		t.Fatal(err)

@@ -93,12 +93,12 @@ func TestPrunedBudgetedDeterministic(t *testing.T) {
 }
 
 // TestPrunedExpandsFewerStates is the headline perf property: on the
-// structured phased instance the pruned engine must expand strictly
-// fewer states than the exhaustive engine, and report the reduction in
-// its counters.
+// structured phased instance (task B's v raised by 1, so the frontier
+// DP answers it) the pruned engine must expand strictly fewer states
+// than the exhaustive engine, and report the reduction in its counters.
 func TestPrunedExpandsFewerStates(t *testing.T) {
 	ctx := context.Background()
-	ins := phased(t)
+	ins := unshareV(t, phased(t))
 	plain, err := SolveExact(ctx, ins, parallel, solve.Options{DisablePruning: true})
 	if err != nil {
 		t.Fatal(err)
@@ -124,12 +124,13 @@ func TestPrunedExpandsFewerStates(t *testing.T) {
 // instance maximally compressible, and the pruned (compressed) optimum
 // must still equal the exhaustive optimum for every upload mode —
 // including max-composed hyper uploads, where the exchange argument is
-// subtlest.
+// subtlest.  No instance's tasks share one v, so the frontier DP
+// answers every pruned solve.
 func TestStepDuplicatedRLEAgreement(t *testing.T) {
 	ctx := context.Background()
 	r := rand.New(rand.NewSource(67))
 	for k := 0; k < 12; k++ {
-		base := randomMT(r, 3, 5, 4)
+		base := frontierMT(t, r, 3, 5, 4)
 		dup := duplicateSteps(t, base, 2+r.Intn(2))
 		withPG(r, dup)
 		for _, opt := range frontierOpts {
@@ -211,7 +212,8 @@ func duplicateColumns(t testing.TB, ins *model.MTSwitchInstance, r *rand.Rand) *
 // Per instance and frontier upload mode, the pruned optimum must equal
 // the exhaustive one, and at every step t of the axis the DP runs on,
 // the cost the optimal schedule paid before t plus sufLB[t] must not
-// exceed the optimum.
+// exceed the optimum.  The last task's v is raised by 1, so the
+// frontier DP answers every instance.
 func TestPrunedProjectionBoundAdmissible(t *testing.T) {
 	ctx := context.Background()
 	r := rand.New(rand.NewSource(29))
@@ -243,6 +245,7 @@ func TestPrunedProjectionBoundAdmissible(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			base = unshareV(t, base)
 			twins := []*model.MTSwitchInstance{base, duplicateSteps(t, base, 2+r.Intn(2)), duplicateColumns(t, base, r)}
 			for k, ins := range twins {
 				withPG(r, ins)
@@ -274,6 +277,9 @@ func checkProjectionBound(t *testing.T, ctx context.Context, ins *model.MTSwitch
 	}
 	if sol.Cost != plain.Cost {
 		t.Fatalf("%s: pruned cost %d, exhaustive %d", name, sol.Cost, plain.Cost)
+	}
+	if en.e == nil {
+		t.Fatalf("%s: the frontier DP did not run", name)
 	}
 	hyper, reconf, err := ins.StepCosts(sol.Schedule, opt)
 	if err != nil {
@@ -368,17 +374,28 @@ func TestDenseBudgetNowExact(t *testing.T) {
 
 // FuzzPruningAgreement feeds arbitrary small instances through both
 // engines and requires identical optimal costs — the soundness net for
-// every interaction of preprocessing, dominance and bounds.
+// every interaction of preprocessing, dominance and bounds.  An odd
+// share byte gives every task task 0's v, so under task-parallel hyper
+// uploads the pruned side is the aligned path (alignedIsExact), which
+// must then answer without stepping the frontier DP.  The seeds cover
+// one task (seed 7, maxM 3) and three tasks sharing one v (seed 1,
+// maxM 2, share 1) under both task-parallel hyper upload modes.
 func FuzzPruningAgreement(f *testing.F) {
-	f.Add(int64(1), uint8(2), uint8(3), uint8(4), uint8(0), uint8(0))
-	f.Add(int64(7), uint8(3), uint8(4), uint8(5), uint8(1), uint8(1))
-	f.Add(int64(99), uint8(1), uint8(2), uint8(6), uint8(2), uint8(2))
-	f.Fuzz(func(t *testing.T, seed int64, maxM, maxL, maxN, mode, twin uint8) {
+	f.Add(int64(1), uint8(2), uint8(3), uint8(4), uint8(0), uint8(0), uint8(0))
+	f.Add(int64(7), uint8(3), uint8(4), uint8(5), uint8(1), uint8(1), uint8(0))
+	f.Add(int64(99), uint8(1), uint8(2), uint8(6), uint8(2), uint8(2), uint8(0))
+	f.Add(int64(7), uint8(3), uint8(4), uint8(5), uint8(0), uint8(0), uint8(0))
+	f.Add(int64(1), uint8(2), uint8(3), uint8(4), uint8(0), uint8(0), uint8(1))
+	f.Add(int64(1), uint8(2), uint8(3), uint8(5), uint8(1), uint8(2), uint8(1))
+	f.Fuzz(func(t *testing.T, seed int64, maxM, maxL, maxN, mode, twin, share uint8) {
 		m := 1 + int(maxM)%3
 		l := 1 + int(maxL)%5
 		n := 1 + int(maxN)%6
 		r := rand.New(rand.NewSource(seed))
 		ins := randomMT(r, m, l, n)
+		if share%2 == 1 {
+			ins = shareV(t, ins)
+		}
 		// Step- and column-duplicated twins give the pruned engine
 		// nontrivial run multiplicities and column weights.
 		switch twin % 3 {
@@ -404,6 +421,9 @@ func FuzzPruningAgreement(f *testing.F) {
 		}
 		if err := ins.Validate(pruned.Schedule); err != nil {
 			t.Fatalf("invalid pruned schedule: %v", err)
+		}
+		if alignedIsExact(ins.Tasks, opt) && runsFrontierDP(t, ins, opt, solve.Options{}) {
+			t.Fatalf("%d tasks share one v under opt %+v, but the frontier DP ran", len(ins.Tasks), opt)
 		}
 	})
 }

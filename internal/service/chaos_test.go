@@ -43,6 +43,33 @@ func bigWire() *WireInstance {
 	return wi
 }
 
+// frontierWire is bigWire with task C's v raised by 1.  bigWire's tasks
+// share one v, so under task-parallel hyper uploads the exact solver
+// answers it with the aligned DP, which no frontier budget reaches;
+// frontierWire's exact solve runs the frontier DP, which a budget can
+// degrade.
+func frontierWire() *WireInstance {
+	wi := bigWire()
+	wi.Tasks[len(wi.Tasks)-1].V++
+	return wi
+}
+
+// requireExactUnderBudget submits req and requires an exact,
+// undegraded answer: what a shared-v instance gets under any frontier
+// budget.
+func requireExactUnderBudget(t *testing.T, s *Server, req *SolveRequest) {
+	t.Helper()
+	job, _, err := s.Submit(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitDone(t, job)
+	if sol := doneResult(t, job); sol.Stats.Degraded || sol.Stats.Truncated || !sol.Exact {
+		t.Fatalf("shared-v instance under a frontier budget: degraded=%t truncated=%t exact=%t, want an exact answer",
+			sol.Stats.Degraded, sol.Stats.Truncated, sol.Exact)
+	}
+}
+
 func TestWorkerPanicRetriedTransparently(t *testing.T) {
 	var calls atomic.Int64
 	setTestSolver(func(ctx context.Context, inst *solve.Instance, opts solve.Options) (*solve.Solution, error) {
@@ -290,7 +317,8 @@ func TestInjectedBudgetDegradesAndSkipsCache(t *testing.T) {
 	s := New(Config{Workers: 1})
 	defer shutdown(t, s)
 
-	req := &SolveRequest{Solver: "exact", Instance: bigWire()}
+	requireExactUnderBudget(t, s, &SolveRequest{Solver: "exact", Instance: bigWire()})
+	req := &SolveRequest{Solver: "exact", Instance: frontierWire()}
 	job, _, err := s.Submit(req)
 	if err != nil {
 		t.Fatal(err)
@@ -332,7 +360,10 @@ func TestClientBudgetDegradedResultCached(t *testing.T) {
 	s := New(Config{Workers: 1})
 	defer shutdown(t, s)
 
-	req := &SolveRequest{Solver: "exact", Instance: bigWire()}
+	shared := &SolveRequest{Solver: "exact", Instance: bigWire()}
+	shared.Options.MaxFrontierBytes = 256
+	requireExactUnderBudget(t, s, shared)
+	req := &SolveRequest{Solver: "exact", Instance: frontierWire()}
 	req.Options.MaxFrontierBytes = 256
 	job, _, err := s.Submit(req)
 	if err != nil {
@@ -361,7 +392,8 @@ func TestServerBudgetClampDegrades(t *testing.T) {
 	s := New(Config{Workers: 1, MaxFrontierBytes: 256})
 	defer shutdown(t, s)
 
-	job, _, err := s.Submit(&SolveRequest{Solver: "exact", Instance: bigWire()})
+	requireExactUnderBudget(t, s, &SolveRequest{Solver: "exact", Instance: bigWire()})
+	job, _, err := s.Submit(&SolveRequest{Solver: "exact", Instance: frontierWire()})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -723,14 +723,22 @@ func TestDurableFailedSessionOpenerJournalsNothing(t *testing.T) {
 // stream-durable session (2×100 phased, 20 opening rows, 3-row
 // batches) and checks the engine the restart rebuilds from the trace
 // keeps per-step frames: the next batch resumes past step 0 and still
-// matches a from-scratch exact solve of the grown trace.
+// matches a from-scratch exact solve of the grown trace.  Task B's v
+// is raised by 1, so the session steps the frontier DP; with the v
+// both tasks share, every batch re-solves the whole trace with the
+// aligned DP and keeps no frames.
 func TestDurableRestartResumesIncrementally(t *testing.T) {
 	ctx := context.Background()
-	mt, err := workload.Phased(workload.Config{Tasks: 2, Steps: 100, Switches: 12, MeanPhase: 10, Seed: 1})
+	phased, err := workload.Phased(workload.Config{Tasks: 2, Steps: 100, Switches: 12, MeanPhase: 10, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	wi := WireInstanceFrom(mt)
+	wi := WireInstanceFrom(phased)
+	wi.Tasks[1].V++
+	mt, err := wi.toModel()
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	dir := t.TempDir()
 	a := openDurable(t, dir)
