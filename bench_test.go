@@ -397,14 +397,31 @@ func BenchmarkScalingSteps(b *testing.B) {
 	}
 }
 
+// unshareV returns a copy of ins whose last task's v is one higher.
+// The generators give every task one v, and under task-parallel hyper
+// uploads a pruned exact solve of such an instance is SolveAligned's
+// (DESIGN §3.4); the copy keeps the frontier DP running.
+func unshareV(b *testing.B, ins *model.MTSwitchInstance) *model.MTSwitchInstance {
+	tasks := append([]model.Task(nil), ins.Tasks...)
+	tasks[len(tasks)-1].V++
+	out, err := model.NewMTSwitchInstance(tasks, ins.Reqs)
+	if err != nil {
+		b.Fatal(err)
+	}
+	out.PublicGlobal, out.W = ins.PublicGlobal, ins.W
+	return out
+}
+
 // BenchmarkScalingTasks sweeps the task count m on phased synthetic
-// workloads (E12).
+// workloads (E12), with the last task's v raised by 1 (unshareV) so
+// that beam runs the capped frontier DP.
 func BenchmarkScalingTasks(b *testing.B) {
 	for _, m := range []int{2, 4, 8} {
-		ins, err := workload.Phased(workload.Config{Tasks: m, Steps: 64, Switches: 12, Seed: 1})
+		shared, err := workload.Phased(workload.Config{Tasks: m, Steps: 64, Switches: 12, Seed: 1})
 		if err != nil {
 			b.Fatal(err)
 		}
+		ins := unshareV(b, shared)
 		b.Run(fmt.Sprintf("m=%d/aligned", m), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if _, err := mtswitch.SolveAligned(context.Background(), ins, parallel); err != nil {
@@ -431,12 +448,15 @@ func BenchmarkScalingTasks(b *testing.B) {
 // bound cutoffs), whose beam keeps other states.  dense-4x48 is E17's
 // dense instance (24 switches, density 0.5, mean phase 12, seed 3),
 // solved exactly with pruning off and on; both reach the optimum
-// (TestDenseBudgetNowExact) and report states/op.
+// (TestDenseBudgetNowExact) and report states/op.  Both instances have
+// their last task's v raised by 1 (unshareV), so that the pruned rows
+// time the frontier DP rather than the aligned path.
 func BenchmarkFrontierEngines(b *testing.B) {
-	ins, err := workload.Phased(workload.Config{Tasks: 4, Steps: 64, Switches: 12, Seed: 1})
+	shared, err := workload.Phased(workload.Config{Tasks: 4, Steps: 64, Switches: 12, Seed: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
+	ins := unshareV(b, shared)
 	opts := solve.Options{MaxStates: 500, MaxCandidates: 3, DisablePruning: true}
 	run := func(b *testing.B, solveOne func() (model.Cost, error)) {
 		b.ReportAllocs()
@@ -476,10 +496,11 @@ func BenchmarkFrontierEngines(b *testing.B) {
 	b.Run("Pruned", func(b *testing.B) {
 		run(b, packed(pruned))
 	})
-	dense, err := workload.Dense(workload.Config{Tasks: 4, Steps: 48, Switches: 24, Density: 0.5, MeanPhase: 12, Seed: 3})
+	denseShared, err := workload.Dense(workload.Config{Tasks: 4, Steps: 48, Switches: 24, Density: 0.5, MeanPhase: 12, Seed: 3})
 	if err != nil {
 		b.Fatal(err)
 	}
+	dense := unshareV(b, denseShared)
 	for _, disable := range []bool{true, false} {
 		name := "dense-4x48/pruned"
 		if disable {
@@ -507,7 +528,10 @@ func BenchmarkFrontierEngines(b *testing.B) {
 // the same comparison): aligned blocks with block-disjoint working
 // sets, where the step-axis decomposition is exact and each window's
 // frontier is tiny.  Both variants return identical costs, asserted
-// by internal/partition's tests and by -bench8 itself.  blocked-2x288
+// by internal/partition's tests and by -bench8 itself.  The tasks
+// share one v, so Monolithic runs the aligned path;
+// Monolithic-unequal-v solves the instance with its last task's v
+// raised by 1 (unshareV), which the frontier DP answers.  blocked-2x288
 // runs perfbench exact-cold's blocked family (2 tasks × 288 steps) on
 // one worker: one op solves four seeds (planning, nine window solves
 // and the stitch's coupling correction each) and cost is their sum.
@@ -534,6 +558,16 @@ func BenchmarkPartitionedSolve(b *testing.B) {
 	b.Run("Monolithic", func(b *testing.B) {
 		run(b, func() (model.Cost, error) {
 			sol, err := mtswitch.SolveExact(context.Background(), ins, parallel, solve.Options{})
+			if err != nil {
+				return 0, err
+			}
+			return sol.Cost, nil
+		})
+	})
+	unequal := unshareV(b, ins)
+	b.Run("Monolithic-unequal-v", func(b *testing.B) {
+		run(b, func() (model.Cost, error) {
+			sol, err := mtswitch.SolveExact(context.Background(), unequal, parallel, solve.Options{})
 			if err != nil {
 				return 0, err
 			}

@@ -3,7 +3,6 @@ package mtswitch
 import (
 	"context"
 	"fmt"
-	"math/rand"
 	"testing"
 
 	"repro/internal/model"
@@ -43,47 +42,44 @@ func runsFrontierDP(t *testing.T, ins *model.MTSwitchInstance, opt model.CostOpt
 	return en.e != nil
 }
 
-// TestAlignedExactWithSharedV is the property test of the aligned
-// path (alignedIsExact): on random instances whose tasks share one v,
-// under both task-parallel hyper upload modes, SolveExact must cost
-// what BruteForce does and return a valid, untruncated schedule that
-// is SolveAligned's own, without stepping the frontier DP, under the
+// checkAlignedExact is the property check of the aligned path
+// (alignedIsExact) on an instance whose tasks share one v: under both
+// task-parallel hyper upload modes, SolveExact must cost what
+// BruteForce does and return a valid, untruncated schedule that is
+// SolveAligned's own, without stepping the frontier DP, under the
 // default options and under each state, candidate and byte cap.
-func TestAlignedExactWithSharedV(t *testing.T) {
+func checkAlignedExact(t *testing.T, ins *model.MTSwitchInstance, what string) {
+	t.Helper()
 	ctx := context.Background()
-	r := rand.New(rand.NewSource(32))
-	for k := 0; k < 150; k++ {
-		ins := withPG(r, shareV(t, randomMT(r, 3, 5, 7)))
-		for oi, opt := range frontierOpts[:2] {
-			bf, err := BruteForce(ctx, ins, opt)
+	for oi, opt := range frontierOpts[:2] {
+		bf, err := BruteForce(ctx, ins, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		al, err := SolveAligned(ctx, ins, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, o := range alignedCaps {
+			what := fmt.Sprintf("%s opt %d o %+v", what, oi, o)
+			sol, err := SolveExact(ctx, ins, opt, o)
 			if err != nil {
-				t.Fatal(err)
+				t.Fatalf("%s: %v", what, err)
 			}
-			al, err := SolveAligned(ctx, ins, opt)
-			if err != nil {
-				t.Fatal(err)
+			if sol.Cost != bf.Cost {
+				t.Fatalf("%s: cost %d, brute force %d", what, sol.Cost, bf.Cost)
 			}
-			for _, o := range alignedCaps {
-				what := fmt.Sprintf("instance %d opt %d o %+v", k, oi, o)
-				sol, err := SolveExact(ctx, ins, opt, o)
-				if err != nil {
-					t.Fatalf("%s: %v", what, err)
-				}
-				if sol.Cost != bf.Cost {
-					t.Fatalf("%s: cost %d, brute force %d", what, sol.Cost, bf.Cost)
-				}
-				if sol.Stats.Truncated || sol.Stats.Degraded {
-					t.Fatalf("%s: truncated %t degraded %t", what, sol.Stats.Truncated, sol.Stats.Degraded)
-				}
-				if err := ins.Validate(sol.Schedule); err != nil {
-					t.Fatalf("%s: invalid schedule: %v", what, err)
-				}
-				if sol.Stats != al.Stats || !sameSchedule(t, sol.Schedule, al.Schedule) {
-					t.Fatalf("%s: stats %+v, not SolveAligned's %+v (or schedules differ)", what, sol.Stats, al.Stats)
-				}
-				if runsFrontierDP(t, ins, opt, o) {
-					t.Fatalf("%s: the frontier DP ran", what)
-				}
+			if sol.Stats.Truncated || sol.Stats.Degraded {
+				t.Fatalf("%s: truncated %t degraded %t", what, sol.Stats.Truncated, sol.Stats.Degraded)
+			}
+			if err := ins.Validate(sol.Schedule); err != nil {
+				t.Fatalf("%s: invalid schedule: %v", what, err)
+			}
+			if sol.Stats != al.Stats || !sameSchedule(t, sol.Schedule, al.Schedule) {
+				t.Fatalf("%s: stats %+v, not SolveAligned's %+v (or schedules differ)", what, sol.Stats, al.Stats)
+			}
+			if runsFrontierDP(t, ins, opt, o) {
+				t.Fatalf("%s: the frontier DP ran", what)
 			}
 		}
 	}

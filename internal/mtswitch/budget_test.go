@@ -51,9 +51,10 @@ func TestMaxFrontierBytesDegradesToBeam(t *testing.T) {
 
 // TestMaxFrontierBytesGenerousBudgetStaysExact pins that a budget big
 // enough for the whole frontier changes nothing: same cost as the
-// unbudgeted run and no degradation flag.
+// unbudgeted run and no degradation flag.  Task B's v is raised by 1
+// so that the frontier DP, which the budget caps, answers.
 func TestMaxFrontierBytesGenerousBudgetStaysExact(t *testing.T) {
-	ins := phased(t)
+	ins := unshareV(t, phased(t))
 	exact, err := SolveExact(context.Background(), ins, parallel, solve.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -72,11 +73,13 @@ func TestMaxFrontierBytesGenerousBudgetStaysExact(t *testing.T) {
 
 // TestMaxFrontierBytesRandomizedUpperBound sweeps random instances:
 // whatever the budget forces, the result must stay a feasible schedule
-// whose cost never undercuts the true optimum.
+// whose cost never undercuts the true optimum.  Instances of two or
+// more tasks have their v unshared (unshareV), so the budget caps the
+// frontier DP, not the aligned path.
 func TestMaxFrontierBytesRandomizedUpperBound(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 20; trial++ {
-		ins := randomMT(r, 3, 6, 8)
+		ins := unshareV(t, randomMT(r, 3, 6, 8))
 		exact, err := SolveExact(context.Background(), ins, parallel, solve.Options{})
 		if err != nil {
 			t.Fatal(err)

@@ -54,15 +54,17 @@ func engineConfigs() []solve.Options {
 	return []solve.Options{{}, {DisablePruning: true}}
 }
 
-// TestEngineExtendMatchesFromScratch is the issue's Extend property
-// test: growing a trace batch by batch through Engine.Extend must give,
+// TestEngineExtendMatchesFromScratch is the Extend property test:
+// growing a trace batch by batch through Engine.Extend must give,
 // after every batch, exactly the cost and schedule of a from-scratch
 // solve of the grown prefix — with pruning on and off, and in every
-// frontier upload mode.
+// frontier upload mode.  phased() runs as built (the aligned path
+// answers its pruned task-parallel-hyper batches) and with task B's v
+// raised by 1 (the frontier DP resumes from its frames).
 func TestEngineExtendMatchesFromScratch(t *testing.T) {
 	ctx := context.Background()
 	r := rand.New(rand.NewSource(61))
-	instances := []*model.MTSwitchInstance{phased(t)}
+	instances := []*model.MTSwitchInstance{phased(t), unshareV(t, phased(t))}
 	for k := 0; k < 8; k++ {
 		instances = append(instances, withPG(r, randomMT(r, 3, 5, 8)))
 	}

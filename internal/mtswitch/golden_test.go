@@ -135,6 +135,10 @@ var digestOptions = []struct {
 // expansion generates them, which is not part of the DP's contract (a
 // pruned run may even empty its frontier at another step), so its
 // golden line pins only the outcome: that the run was degraded.
+//
+// The digests pin the frontier DP, so the engine steps it even where
+// the aligned path would answer (tasks sharing one v under
+// task-parallel hyper uploads); TestAlignedExact* cover that path.
 func frontierDigest(t testing.TB, ins *model.MTSwitchInstance, opt model.CostOptions, o solve.Options) string {
 	t.Helper()
 	ctx := context.Background()
@@ -143,6 +147,7 @@ func frontierDigest(t testing.TB, ins *model.MTSwitchInstance, opt model.CostOpt
 		t.Fatal(err)
 	}
 	defer en.Close()
+	en.aligned = false
 	h := sha256.New()
 	var buf []byte
 	steps := 0

@@ -2,6 +2,7 @@ package mtswitch
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -163,6 +164,10 @@ func TestSolveExactMatchesBruteForceFixed(t *testing.T) {
 	}
 }
 
+// TestQuickSolveExactMatchesBruteForceParallel: SolveExact must reach
+// BruteForce's optimum on random instances, and each instance's copy
+// whose tasks share one v, with a W and public-global term, must pass
+// checkAlignedExact (the aligned path is exact under every cap).
 func TestQuickSolveExactMatchesBruteForceParallel(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
@@ -172,6 +177,7 @@ func TestQuickSolveExactMatchesBruteForceParallel(t *testing.T) {
 		if err1 != nil || err2 != nil {
 			return false
 		}
+		checkAlignedExact(t, withPG(r, shareV(t, ins)), fmt.Sprintf("seed %d shared v", seed))
 		return ex.Cost == bf.Cost && !ex.Stats.Truncated
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {

@@ -24,13 +24,15 @@ func withPG(r *rand.Rand, ins *model.MTSwitchInstance) *model.MTSwitchInstance {
 // TestPrunedMatchesReferenceCost is the exactness property test of the
 // pruned layer: on unbudgeted runs the pruned engine's cost must equal
 // SolveExactReference's optimum for every upload mode, and the returned
-// schedule must be valid and priced at that cost.
+// schedule must be valid and priced at that cost.  Instances of two or
+// more tasks have their v unshared (unshareV), so the task-parallel
+// hyper modes run the frontier DP, not the aligned path.
 func TestPrunedMatchesReferenceCost(t *testing.T) {
 	ctx := context.Background()
 	r := rand.New(rand.NewSource(41))
-	instances := []*model.MTSwitchInstance{phased(t)}
+	instances := []*model.MTSwitchInstance{unshareV(t, phased(t))}
 	for k := 0; k < 16; k++ {
-		instances = append(instances, withPG(r, randomMT(r, 3, 5, 7)))
+		instances = append(instances, unshareV(t, withPG(r, randomMT(r, 3, 5, 7))))
 	}
 	for ii, ins := range instances {
 		for _, opt := range frontierOpts {
@@ -61,11 +63,13 @@ func TestPrunedMatchesReferenceCost(t *testing.T) {
 // TestPrunedBudgetedDeterministic pins the determinism contract under
 // pruning + beam truncation: two runs return bit-identical schedules,
 // and the (possibly truncated) cost never beats the true optimum.
+// Instances of two or more tasks have their v unshared (unshareV), so
+// the beam truncates the frontier DP, not the aligned path.
 func TestPrunedBudgetedDeterministic(t *testing.T) {
 	ctx := context.Background()
 	r := rand.New(rand.NewSource(83))
 	for k := 0; k < 8; k++ {
-		ins := withPG(r, randomMT(r, 4, 6, 8))
+		ins := unshareV(t, withPG(r, randomMT(r, 4, 6, 8)))
 		for _, opt := range frontierOpts {
 			ref, err := SolveExactReference(ctx, ins, opt, solve.Options{})
 			if err != nil {
@@ -332,9 +336,15 @@ func TestBudgetDroppedReported(t *testing.T) {
 // TestDenseBudgetNowExact pins the E17 scenario: a dense workload
 // whose unpruned frontier breaches a byte budget (degrading to a beam)
 // is solved exactly by the pruned engine inside the very same budget,
-// and without the budget both engines reach the same optimum (904).
+// and without the budget both engines reach the same optimum.  The
+// workload's last task has its v raised by 1, so the pruned engine
+// steps the frontier DP rather than the aligned path, which fits any
+// budget.
 func TestDenseBudgetNowExact(t *testing.T) {
-	ins := denseStress(t)
+	ins := unshareV(t, denseStress(t))
+	if !runsFrontierDP(t, ins, parallel, solve.Options{MaxFrontierBytes: denseStressBudget}) {
+		t.Fatal("the pruned engine did not step the frontier DP")
+	}
 	const budget = denseStressBudget
 	ctx := context.Background()
 	plain, err := SolveExact(ctx, ins, parallel,

@@ -15,7 +15,7 @@ import (
 // traces its stream-durable sessions re-solve, one large phased shape
 // whose steps generate thousands of successors, and two blocked shapes
 // with exact-cold's blocked generator settings, solved monolithically
-// (hyperd sends 288 steps to exact-partitioned instead).
+// as hyperd solves that family.
 var stepShapes = []struct {
 	name string
 	gen  func(workload.Config) (*model.MTSwitchInstance, error)
@@ -34,7 +34,10 @@ var stepShapes = []struct {
 // BenchmarkStepExpansion times exact solves (pruning on, the served
 // default) of each shape over eight seeds.  succ/step is the
 // successors generated per step.  The engine expands each step on the
-// calling goroutine, so there is no worker-count variant.
+// calling goroutine, so there is no worker-count variant.  The
+// generators give every task one v, which the aligned path answers
+// without the frontier DP (alignedIsExact), so every instance has its
+// last task's v raised by 1 (unshareV) to keep timing the DP.
 //
 //	go test ./internal/mtswitch -run '^$' -bench StepExpansion
 func BenchmarkStepExpansion(b *testing.B) {
@@ -49,7 +52,7 @@ func BenchmarkStepExpansion(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			instances = append(instances, ins)
+			instances = append(instances, unshareV(b, ins))
 		}
 		b.Run(sh.name, func(b *testing.B) {
 			b.ReportAllocs()
@@ -70,39 +73,48 @@ func BenchmarkStepExpansion(b *testing.B) {
 
 // BenchmarkSessionStream streams perfbench's stream-durable session
 // shapes (streamSession, four seeds each) through an incremental
-// Engine, pruning on and off.  One iteration
-// is one session; the opening solve is not timed.  ns/batch is the time
-// to apply a batch and re-solve, resolved/batch the re-solved steps
-// (Steps − LastResolveStart) and succ/batch the successors generated.
+// Engine.  pruned and unpruned run them with their last task's v
+// raised by 1 (unshareV), so the batches step the frontier DP and
+// resume from its frames, pruning on and off; aligned runs them as
+// generated, with both tasks sharing one v, where the aligned path
+// re-solves each batch whole (the shape stream-durable serves).  One
+// iteration is one session; the opening solve is not timed.  ns/batch
+// is the time to apply a batch and re-solve, resolved/batch the
+// re-solved steps (Steps − LastResolveStart) and succ/batch the
+// successors generated.
 //
 //	go test ./internal/mtswitch -run '^$' -bench SessionStream
 func BenchmarkSessionStream(b *testing.B) {
 	ctx := context.Background()
 	opt := model.CostOptions{HyperUpload: model.TaskParallel, ReconfUpload: model.TaskParallel}
 	type session struct {
-		opening *model.MTSwitchInstance
-		ops     []traceOp
+		opening, unshared *model.MTSwitchInstance
+		ops               []traceOp
 	}
 	r := rand.New(rand.NewSource(1))
 	var sessions []session
 	for seed := int64(1); seed <= 4; seed++ {
 		for _, gen := range []string{"phased", "dense"} {
 			full, ops := streamSession(b, r, gen, seed)
-			sessions = append(sessions, session{prefixMT(b, full, 20), ops})
+			opening := prefixMT(b, full, 20)
+			sessions = append(sessions, session{opening, unshareV(b, opening), ops})
 		}
 	}
-	for _, disable := range []bool{false, true} {
-		name := "pruned"
-		if disable {
-			name = "unpruned"
-		}
-		b.Run(name, func(b *testing.B) {
-			o := solve.Options{DisablePruning: disable}
+	for _, v := range []struct {
+		name            string
+		shared, disable bool
+	}{{"pruned", false, false}, {"unpruned", false, true}, {"aligned", true, false}} {
+		b.Run(v.name, func(b *testing.B) {
+			o := solve.Options{DisablePruning: v.disable}
 			var batches, resolved, succ int64
 			for i := 0; i < b.N; i++ {
 				s := sessions[i%len(sessions)]
+				opening := s.unshared
+				if v.shared {
+					opening = s.opening
+				}
 				b.StopTimer()
-				eng, err := NewEngine(ctx, s.opening, opt, o, true)
+				eng, err := NewEngine(ctx, opening, opt, o, true)
 				if err != nil {
 					b.Fatal(err)
 				}

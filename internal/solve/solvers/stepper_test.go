@@ -3,6 +3,7 @@ package solvers
 import (
 	"context"
 	"errors"
+	"fmt"
 	"testing"
 
 	"repro/internal/bitset"
@@ -43,42 +44,54 @@ func stepRow(inst *solve.Instance, i int) []bitset.Set {
 // TestStepEngineMatchesRun grows a trace step by step through the
 // solve-layer Stepper capability and checks every intermediate
 // solution against the registry-routed one-shot solve of the same
-// prefix, for both steppable solvers.
+// prefix, for both steppable solvers.  It runs mustMT as built, whose
+// tasks share one v (the aligned path answers every step), and with
+// task B's v raised by 1, where the steps resume the frontier DP.
 func TestStepEngineMatchesRun(t *testing.T) {
 	ctx := context.Background()
-	full := solve.NewMT(mustMT(t), parallel)
-	n := full.MT.Steps()
-	for _, name := range []string{"exact", "beam"} {
-		prefix := solve.NewMT(prefixOf(t, full, 1), parallel)
-		eng, err := solve.NewStepEngine(ctx, name, prefix, solve.Options{Workers: 2})
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		for length := 1; length <= n; length++ {
-			if length > 1 {
-				if err := eng.Extend(ctx, [][]bitset.Set{stepRow(full, length-1)}); err != nil {
-					t.Fatalf("%s extend to %d: %v", name, length, err)
+	shared := mustMT(t)
+	tasks := append([]model.Task(nil), shared.Tasks...)
+	tasks[1].V++
+	unshared, err := model.NewMTSwitchInstance(tasks, shared.Reqs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ins := range []*model.MTSwitchInstance{shared, unshared} {
+		full := solve.NewMT(ins, parallel)
+		n := full.MT.Steps()
+		for _, solver := range []string{"exact", "beam"} {
+			name := fmt.Sprintf("%s v=%d,%d", solver, ins.Tasks[0].V, ins.Tasks[1].V)
+			prefix := solve.NewMT(prefixOf(t, full, 1), parallel)
+			eng, err := solve.NewStepEngine(ctx, solver, prefix, solve.Options{Workers: 2})
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			for length := 1; length <= n; length++ {
+				if length > 1 {
+					if err := eng.Extend(ctx, [][]bitset.Set{stepRow(full, length-1)}); err != nil {
+						t.Fatalf("%s extend to %d: %v", name, length, err)
+					}
+				}
+				got, err := eng.Solution(ctx)
+				if err != nil {
+					t.Fatalf("%s length %d: %v", name, length, err)
+				}
+				want, err := solve.Run(ctx, solver, solve.NewMT(prefixOf(t, full, length), parallel), solve.Options{Workers: 2})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got.Cost != want.Cost {
+					t.Fatalf("%s length %d: stepped cost %d, one-shot %d", name, length, got.Cost, want.Cost)
+				}
+				if got.Kind != solve.KindMTSwitch || got.MTSched == nil {
+					t.Fatalf("%s: stepped solution missing kind/schedule", name)
+				}
+				if got.Exact != want.Exact {
+					t.Fatalf("%s length %d: stepped Exact=%v, one-shot %v", name, length, got.Exact, want.Exact)
 				}
 			}
-			got, err := eng.Solution(ctx)
-			if err != nil {
-				t.Fatalf("%s length %d: %v", name, length, err)
-			}
-			want, err := solve.Run(ctx, name, solve.NewMT(prefixOf(t, full, length), parallel), solve.Options{Workers: 2})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got.Cost != want.Cost {
-				t.Fatalf("%s length %d: stepped cost %d, one-shot %d", name, length, got.Cost, want.Cost)
-			}
-			if got.Kind != solve.KindMTSwitch || got.MTSched == nil {
-				t.Fatalf("%s: stepped solution missing kind/schedule", name)
-			}
-			if got.Exact != want.Exact {
-				t.Fatalf("%s length %d: stepped Exact=%v, one-shot %v", name, length, got.Exact, want.Exact)
-			}
+			eng.Close()
 		}
-		eng.Close()
 	}
 }
 
